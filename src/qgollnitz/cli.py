@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,56 +34,38 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# per-identity checkers: params -> (ok, rendered lhs, rendered rhs)
+# identities: each checker maps params -> (ok, rendered lhs, rendered rhs)
 # ---------------------------------------------------------------------------
 
-def _ok():
-    return True, "", ""
+_PASS = (True, "", "")
 
 
-def _sides(lhs, rhs) -> tuple[bool, str, str]:
-    # render the two sides only when they disagree; sweeps mostly pass
-    if lhs == rhs:
-        return _ok()
-    return False, str(lhs), str(rhs)
+def _compare(sides, render=str, holds=None):
+    """Turn sides(**params) -> (lhs, rhs) into a checker.  A tuple passes
+    when the sides are equal and, if given, holds(lhs, rhs, **params) is
+    true; the sides are rendered only on a failure, since sweeps mostly
+    pass."""
+    # A module function is looked up on its module at every call, so that a
+    # wrapper installed there later (a tracer, a test double) is what runs.
+    home, name = sys.modules[sides.__module__], sides.__name__
+    if getattr(home, name, None) is not sides:
+        home = None
+
+    def check(**params):
+        lhs, rhs = (sides if home is None else getattr(home, name))(**params)
+        if lhs == rhs and (holds is None or holds(lhs, rhs, **params)):
+            return _PASS
+        return False, render(lhs), render(rhs)
+    return check
 
 
-def _check_key(i, j, k, L, M):
-    return _sides(keyid.lhs_g(i, j, k, L, M), keyid.rhs_p(i, j, k, L, M))
-
-
-def _check_boundary(i, j, k, M):
-    return _sides(keyid.lhs_g(i, j, k, i + j - 1, M),
-                  keyid.boundary_value(i, j, k, M))
-
-
-def _check_rec_g(i, j, k, L, M):
-    return _sides(*keyid.recurrence_sides_g(i, j, k, L, M))
-
-
-def _check_rec_p(i, j, k, L, M):
-    return _sides(*keyid.recurrence_sides_p(i, j, k, L, M))
-
-
-def _check_rec_andrews(i, j, k, L, M):
-    return _sides(*keyid.andrews_sides(i, j, k, L, M))
-
-
-def _check_schur(j, k, L, M):
-    if keyid.check_schur_case(j, k, L, M):
-        return _ok()
-    left, right = keyid.schur_sides(j, k, L, M)
-    return False, str(left), str(right)
-
-
-def _check_key_limit(i, j, k, order):
-    return _sides(keyid.key_limit_lhs(i, j, k, order),
-                  keyid.key_limit_rhs(i, j, k, order))
+def _in_a(side) -> str:
+    return side.render("a")
 
 
 def _check_theorem1(i, j, k, L):
     if partcomb.check_theorem1(L, i, j, k):
-        return _ok()
+        return _PASS
     return False, str(keyid.lhs_g(i, j, k, L, L)), \
         str(keyid.closed_form_diag(i, j, k, L))
 
@@ -91,84 +74,42 @@ def _check_gollnitz(n):
     b = partcomb.gollnitz_B(n)
     c = partcomb.gollnitz_C(n)
     if b == c:
-        return _ok()
+        return _PASS
     return False, f"B({n}) = {b}", f"C({n}) = {c}"
 
 
 def _check_remark3(n):
     if partcomb.check_remark3(n):
-        return _ok()
+        return _PASS
     total = sum(1 for p in partcomb.iter_type1_transformed(n)
                 if partcomb.transformed_weight(p) == n)
     return False, f"{total} transformed Type-1 partitions", \
         f"C({n}) = {partcomb.gollnitz_C(n)}"
 
 
-def _check_jtp_bounded(L):
-    return _sides(corollaries.bounded_jtp_lhs(L), corollaries.bounded_jtp_rhs(L))
-
-
-def _check_jtp_series(order):
-    return _sides(*corollaries.jtp_series(order))
-
-
-def _check_false_theta(order):
-    return _sides(*corollaries.false_theta_sides(order))
-
-
-def _check_jacobi_cube_poly(L):
-    return _sides(*corollaries.jacobi_cube_poly_sides(L))
-
-
-def _check_jacobi_cube_series(order):
-    return _sides(*corollaries.jacobi_cube_series(order))
-
-
-def _check_carl(L):
-    lhs, rhs = corollaries.carl_poly_sides(L)
-    if lhs == rhs:
-        return _ok()
-    return False, lhs.render("a"), rhs.render("a")
-
-
-def _check_carlitz(L):
-    lhs, rhs = corollaries.carlitz_sides(L)
-    if lhs == rhs and lhs.substitute_one().at_one() == L + 1:
-        return _ok()
-    return False, lhs.render("a"), rhs.render("a")
-
-
-def _check_four_param(i, j, k, l, order):
-    return _sides(*corollaries.four_param_sides(i, j, k, l, order))
-
-
-def _check_qpascal(top, bottom):
-    return _sides(*qcomb.qpascal_sides(top, bottom))
-
-
 def _check_multinom_rec(L, s, i, j):
     for label, lhs, rhs in qcomb.multinom_recurrence_relations(L, s, i, j):
         if lhs != rhs:
             return False, f"{label}: {lhs}", f"{label}: {rhs}"
-    return True, "", ""
+    return _PASS
 
 
 def _check_support(i, j, k, L):
     if keyid.check_support(i, j, k, L):
-        return _ok()
+        return _PASS
     return False, "every nonzero summand has L-t >= 0", "violated"
 
 
 @dataclass(frozen=True)
 class IdentitySpec:
     """How to sweep one identity: swept parameter names, default inclusive
-    ranges, the checker, and an optional tuple filter."""
+    ranges, the checker, the default truncation order (None when the
+    identity takes no order), and an optional tuple filter."""
     name: str
     params: tuple[str, ...]
     defaults: dict[str, tuple[int, int]]
     check: Callable
-    uses_order: bool = False
-    default_order: int = 1
+    default_order: Optional[int] = None
     tuple_filter: Optional[Callable] = None
 
 
@@ -179,61 +120,72 @@ def _bound_covers_pairs(params):
                               params["k"] + params["i"])
 
 
-IDENTITIES: dict[str, IdentitySpec] = {}
+_KEY_PARAMS = ("i", "j", "k", "L", "M")
+_KEY_GRID = {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 8), "M": (0, 8)}
 
+IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
+    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID, _compare(
+        lambda i, j, k, L, M: (keyid.lhs_g(i, j, k, L, M),
+                               keyid.rhs_p(i, j, k, L, M)))),
+    IdentitySpec("boundary", ("i", "j", "k", "M"),
+                 {"i": (0, 4), "j": (0, 4), "k": (0, 4), "M": (0, 10)},
+                 _compare(lambda i, j, k, M: (keyid.lhs_g(i, j, k, i + j - 1, M),
+                                              keyid.boundary_value(i, j, k, M)))),
+    IdentitySpec("recurrence-g", _KEY_PARAMS, _KEY_GRID,
+                 _compare(keyid.recurrence_sides_g)),
+    IdentitySpec("recurrence-p", _KEY_PARAMS, _KEY_GRID,
+                 _compare(keyid.recurrence_sides_p)),
+    IdentitySpec("recurrence-andrews", _KEY_PARAMS, _KEY_GRID,
+                 _compare(keyid.andrews_sides)),
+    IdentitySpec("schur", ("j", "k", "L", "M"),
+                 {"j": (0, 3), "k": (0, 3), "L": (0, 6), "M": (0, 6)},
+                 _compare(keyid.schur_sides, holds=lambda left, right, j, k, L, M:
+                          left == keyid.lhs_g(0, j, k, L, M)
+                          == keyid.rhs_p(0, j, k, L, M))),
+    IdentitySpec("key-limit", ("i", "j", "k"),
+                 {"i": (0, 3), "j": (0, 3), "k": (0, 3)},
+                 _compare(lambda i, j, k, order: (keyid.key_limit_lhs(i, j, k, order),
+                                                  keyid.key_limit_rhs(i, j, k, order))),
+                 default_order=25),
+    IdentitySpec("theorem1", ("i", "j", "k", "L"),
+                 {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 7)},
+                 _check_theorem1, tuple_filter=_bound_covers_pairs),
+    IdentitySpec("gollnitz", ("n",), {"n": (0, 60)}, _check_gollnitz),
+    IdentitySpec("remark3", ("n",), {"n": (0, 60)}, _check_remark3),
+    IdentitySpec("jtp-bounded", ("L",), {"L": (0, 8)},
+                 _compare(lambda L: (corollaries.bounded_jtp_lhs(L),
+                                     corollaries.bounded_jtp_rhs(L)))),
+    IdentitySpec("jtp-series", (), {}, _compare(corollaries.jtp_series),
+                 default_order=10),
+    IdentitySpec("false-theta", (), {}, _compare(corollaries.false_theta_sides),
+                 default_order=30),
+    IdentitySpec("jacobi-cube-poly", ("L",), {"L": (0, 20)},
+                 _compare(corollaries.jacobi_cube_poly_sides)),
+    IdentitySpec("jacobi-cube-series", (), {},
+                 _compare(corollaries.jacobi_cube_series), default_order=50),
+    IdentitySpec("carl", ("L",), {"L": (0, 10)},
+                 _compare(corollaries.carl_poly_sides, render=_in_a)),
+    IdentitySpec("carlitz", ("L",), {"L": (0, 12)},
+                 _compare(corollaries.carlitz_sides, render=_in_a,
+                          holds=lambda lhs, rhs, L:
+                          lhs.substitute_one().at_one() == L + 1)),
+    IdentitySpec("four-param", ("i", "j", "k", "l"),
+                 {"i": (0, 2), "j": (0, 2), "k": (0, 2), "l": (0, 2)},
+                 _compare(corollaries.four_param_sides), default_order=20),
+    IdentitySpec("qpascal", ("top", "bottom"),
+                 {"top": (-6, 10), "bottom": (-6, 10)},
+                 _compare(qcomb.qpascal_sides)),
+    IdentitySpec("multinom-rec", ("L", "s", "i", "j"),
+                 {"L": (0, 8), "s": (0, 8), "i": (0, 8), "j": (0, 8)},
+                 _check_multinom_rec),
+    IdentitySpec("support", ("i", "j", "k", "L"),
+                 {"i": (0, 4), "j": (0, 4), "k": (0, 4), "L": (0, 10)},
+                 _check_support, tuple_filter=_bound_covers_pairs),
+)}
 
-def _register(spec: IdentitySpec) -> None:
-    IDENTITIES[spec.name] = spec
-
-
-_register(IdentitySpec("key", ("i", "j", "k", "L", "M"),
-                       {"i": (0, 3), "j": (0, 3), "k": (0, 3),
-                        "L": (0, 8), "M": (0, 8)}, _check_key))
-_register(IdentitySpec("boundary", ("i", "j", "k", "M"),
-                       {"i": (0, 4), "j": (0, 4), "k": (0, 4), "M": (0, 10)},
-                       _check_boundary))
-_register(IdentitySpec("recurrence-g", ("i", "j", "k", "L", "M"),
-                       {"i": (0, 3), "j": (0, 3), "k": (0, 3),
-                        "L": (0, 8), "M": (0, 8)}, _check_rec_g))
-_register(IdentitySpec("recurrence-p", ("i", "j", "k", "L", "M"),
-                       {"i": (0, 3), "j": (0, 3), "k": (0, 3),
-                        "L": (0, 8), "M": (0, 8)}, _check_rec_p))
-_register(IdentitySpec("recurrence-andrews", ("i", "j", "k", "L", "M"),
-                       {"i": (0, 3), "j": (0, 3), "k": (0, 3),
-                        "L": (0, 8), "M": (0, 8)}, _check_rec_andrews))
-_register(IdentitySpec("schur", ("j", "k", "L", "M"),
-                       {"j": (0, 3), "k": (0, 3), "L": (0, 6), "M": (0, 6)},
-                       _check_schur))
-_register(IdentitySpec("key-limit", ("i", "j", "k"),
-                       {"i": (0, 3), "j": (0, 3), "k": (0, 3)},
-                       _check_key_limit, uses_order=True, default_order=25))
-_register(IdentitySpec("theorem1", ("i", "j", "k", "L"),
-                       {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 7)},
-                       _check_theorem1, tuple_filter=_bound_covers_pairs))
-_register(IdentitySpec("gollnitz", ("n",), {"n": (0, 60)}, _check_gollnitz))
-_register(IdentitySpec("remark3", ("n",), {"n": (0, 60)}, _check_remark3))
-_register(IdentitySpec("jtp-bounded", ("L",), {"L": (0, 8)}, _check_jtp_bounded))
-_register(IdentitySpec("jtp-series", (), {}, _check_jtp_series,
-                       uses_order=True, default_order=10))
-_register(IdentitySpec("false-theta", (), {}, _check_false_theta,
-                       uses_order=True, default_order=30))
-_register(IdentitySpec("jacobi-cube-poly", ("L",), {"L": (0, 20)},
-                       _check_jacobi_cube_poly))
-_register(IdentitySpec("jacobi-cube-series", (), {}, _check_jacobi_cube_series,
-                       uses_order=True, default_order=50))
-_register(IdentitySpec("carl", ("L",), {"L": (0, 10)}, _check_carl))
-_register(IdentitySpec("carlitz", ("L",), {"L": (0, 12)}, _check_carlitz))
-_register(IdentitySpec("four-param", ("i", "j", "k", "l"),
-                       {"i": (0, 2), "j": (0, 2), "k": (0, 2), "l": (0, 2)},
-                       _check_four_param, uses_order=True, default_order=20))
-_register(IdentitySpec("qpascal", ("top", "bottom"),
-                       {"top": (-6, 10), "bottom": (-6, 10)}, _check_qpascal))
-_register(IdentitySpec("multinom-rec", ("L", "s", "i", "j"),
-                       {"L": (0, 8), "s": (0, 8), "i": (0, 8), "j": (0, 8)},
-                       _check_multinom_rec))
-_register(IdentitySpec("support", ("i", "j", "k", "L"),
-                       {"i": (0, 4), "j": (0, 4), "k": (0, 4), "L": (0, 10)},
-                       _check_support, tuple_filter=_bound_covers_pairs))
+# every parameter some identity sweeps gets a --NAME range flag
+_RANGE_FLAGS = tuple(dict.fromkeys(
+    name for spec in IDENTITIES.values() for name in spec.params))
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +231,15 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         if lo > hi:
             raise UsageError(f"empty range for {name!r}: {lo}..{hi}")
         ranges.append(range(lo, hi + 1))
-    order = spec.order
-    if ident.uses_order:
-        order = ident.default_order if order is None else order
+    if ident.default_order is None:
+        if spec.order is not None:
+            raise UsageError(f"identity {ident.name!r} takes no order")
+        extra = {}
+    else:
+        order = ident.default_order if spec.order is None else spec.order
         if order < 1:
             raise UsageError(f"order must be >= 1, got {order}")
+        extra = {"order": order}
     if spec.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {spec.jobs}")
 
@@ -295,10 +251,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         tuples.append(params)
 
     def evaluate(params):
-        kwargs = dict(params)
-        if ident.uses_order:
-            kwargs["order"] = order
-        return ident.check(**kwargs)
+        return ident.check(**params, **extra)
 
     start = time.perf_counter()
     if spec.jobs == 1:
@@ -306,13 +259,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     else:
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
             results = list(pool.map(evaluate, tuples))
-    failures = []
-    for params, (ok, lhs, rhs) in zip(tuples, results):
-        if not ok:
-            shown = dict(params)
-            if ident.uses_order:
-                shown["order"] = order
-            failures.append({"params": shown, "lhs": lhs, "rhs": rhs})
+    failures = [{"params": {**params, **extra}, "lhs": lhs, "rhs": rhs}
+                for params, (ok, lhs, rhs) in zip(tuples, results) if not ok]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepReport(ident.name, len(tuples), failures, elapsed_ms)
 
@@ -434,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgollnitz",
         description="Sweep exact q-series identities and report mismatches.")
+    # read "--i -2..4" as a value, as argparse already reads "--order -5"
+    parser._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$")
     names = ", ".join(sorted(IDENTITIES))
     parser.add_argument("identity",
                         help=f"identity to sweep ({names}) or 'golden'")
-    for name in ("i", "j", "k", "l", "s", "n", "L", "M", "top", "bottom"):
+    for name in _RANGE_FLAGS:
         parser.add_argument(f"--{name}", type=_parse_range, metavar="LO..HI",
                             help=f"inclusive range for parameter {name}")
     parser.add_argument("--order", type=int,
@@ -460,14 +410,8 @@ def main(argv=None) -> int:
                 return 0
             report = run_golden()
         else:
-            if args.identity not in IDENTITIES:
-                raise UsageError(f"unknown identity {args.identity!r}")
-            ranges = {}
-            for name in ("i", "j", "k", "l", "s", "n", "L", "M",
-                         "top", "bottom"):
-                value = getattr(args, name)
-                if value is not None:
-                    ranges[name] = value
+            ranges = {name: getattr(args, name) for name in _RANGE_FLAGS
+                      if getattr(args, name) is not None}
             spec = SweepSpec(args.identity, ranges, args.order, args.jobs)
             report = run_sweep(spec)
     except UsageError as exc:

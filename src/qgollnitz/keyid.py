@@ -47,6 +47,28 @@ def enumerate_sextuples(i: int, j: int, k: int) -> list[Sextuple]:
     return out
 
 
+_FIRST, _SECOND = 1, 2
+
+
+def _live_sums(sx: Sextuple, t: int, L: int, M: int) -> int:
+    """Which of the two displayed sums has a nonzero summand at this
+    sextuple: the bits _FIRST and _SECOND, 0 for neither.  An int, so that
+    the hot loop of lhs_g_parts allocates nothing for it."""
+    a, b, c, ab, ac, bc = sx
+    if not (qbinom_is_nonzero(L - t + b, b)
+            and qbinom_is_nonzero(M - t + c, c)
+            and qbinom_is_nonzero(L - t, ab)
+            and qbinom_is_nonzero(M - t, ac)):
+        return 0
+    live = 0
+    if qbinom_is_nonzero(L - t + a, a) and qbinom_is_nonzero(M - t, bc):
+        live = _FIRST
+    if a >= 1 and bc >= 1 and qbinom_is_nonzero(L - t + a - 1, a - 1) \
+            and qbinom_is_nonzero(M - t, bc - 1):
+        live |= _SECOND
+    return live
+
+
 def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The two displayed sums of the identity's left side, separately.
 
@@ -58,22 +80,18 @@ def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, La
     first = ZERO
     second = ZERO
     for sx in enumerate_sextuples(i, j, k):
-        a, b, c, ab, ac, bc = sx
         t = sx.t
-        base = triangular(t) + triangular(ab) + triangular(ac)
-        common_ok = (qbinom_is_nonzero(L - t + b, b)
-                     and qbinom_is_nonzero(M - t + c, c)
-                     and qbinom_is_nonzero(L - t, ab)
-                     and qbinom_is_nonzero(M - t, ac))
-        if not common_ok:
+        live = _live_sums(sx, t, L, M)
+        if not live:
             continue
+        a, b, c, ab, ac, bc = sx
+        base = triangular(t) + triangular(ab) + triangular(ac)
         common = poly_prod((qbinom(L - t + b, b), qbinom(M - t + c, c),
                             qbinom(L - t, ab), qbinom(M - t, ac)))
-        if qbinom_is_nonzero(L - t + a, a) and qbinom_is_nonzero(M - t, bc):
+        if live & _FIRST:
             term = common * qbinom(L - t + a, a) * qbinom(M - t, bc)
             first = first + term.shift(base + triangular(bc))
-        if a >= 1 and bc >= 1 and qbinom_is_nonzero(L - t + a - 1, a - 1) \
-                and qbinom_is_nonzero(M - t, bc - 1):
+        if live & _SECOND:
             term = common * qbinom(L - t + a - 1, a - 1) * qbinom(M - t, bc - 1)
             second = second + term.shift(base + triangular(bc - 1))
     return first, second
@@ -259,19 +277,8 @@ def check_support(i: int, j: int, k: int, L: int) -> bool:
     ring has no zero divisors)."""
     if L < max(i + j, j + k, k + i):
         raise ValueError("support property needs L >= max(i+j, j+k, k+i)")
-    M = L
     for sx in enumerate_sextuples(i, j, k):
-        a, b, c, ab, ac, bc = sx
         t = sx.t
-        common_ok = (qbinom_is_nonzero(L - t + b, b)
-                     and qbinom_is_nonzero(M - t + c, c)
-                     and qbinom_is_nonzero(L - t, ab)
-                     and qbinom_is_nonzero(M - t, ac))
-        first_ok = common_ok and qbinom_is_nonzero(L - t + a, a) \
-            and qbinom_is_nonzero(M - t, bc)
-        second_ok = common_ok and a >= 1 and bc >= 1 \
-            and qbinom_is_nonzero(L - t + a - 1, a - 1) \
-            and qbinom_is_nonzero(M - t, bc - 1)
-        if (first_ok or second_ok) and L - t < 0:
+        if L - t < 0 and _live_sums(sx, t, L, L):
             return False
     return True

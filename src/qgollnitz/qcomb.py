@@ -53,6 +53,9 @@ def poch_qpow(k: int, n: int) -> LaurentPoly:
     return result
 
 
+_ROW_STRIDE = 64
+
+
 @lru_cache(maxsize=None)
 def _qbinom_nonneg(top: int, bottom: int) -> LaurentPoly:
     # q-Pascal: [top; bottom] = [top-1; bottom] + q^(top-bottom) [top-1; bottom-1]
@@ -60,6 +63,12 @@ def _qbinom_nonneg(top: int, bottom: int) -> LaurentPoly:
         return ONE
     if bottom > top - bottom:
         return _qbinom_nonneg(top, top - bottom)
+    # Memoise the entries the step below reaches on every _ROW_STRIDE-th row,
+    # lowest row first, so that it recurses at most _ROW_STRIDE rows deep
+    # whatever top is.
+    for n in range(_ROW_STRIDE, top, _ROW_STRIDE):
+        for m in range(max(1, bottom - (top - n)), min(bottom, n) + 1):
+            _qbinom_nonneg(n, m)
     return _qbinom_nonneg(top - 1, bottom) + \
         _qbinom_nonneg(top - 1, bottom - 1).shift(top - bottom)
 

@@ -1,10 +1,12 @@
 """Harness tests: sweeping, reporting, determinism, exit codes, golden corpus."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qgollnitz import cli, keyid
+from qgollnitz import cli, corollaries, keyid
 from qgollnitz.cli import (IDENTITIES, IdentitySpec, SweepSpec, UsageError,
                            render_report, run_golden, run_sweep)
 
@@ -196,3 +198,74 @@ def test_golden_catches_corruption(tmp_path, monkeypatch):
     assert not report.ok
     assert len(report.failures) == 1
     assert report.failures[0]["params"]["i"] == 0
+
+
+# A small range per parameter, and the number of tuples each identity
+# sweeps on it (theorem1 and support keep only L >= every pair sum).
+SMALL_RANGES = {"i": (0, 1), "j": (0, 1), "k": (0, 1), "l": (0, 1),
+                "s": (0, 1), "L": (0, 2), "M": (0, 2), "n": (0, 6),
+                "top": (-2, 2), "bottom": (-1, 2)}
+SMALL_TOTALS = {"key": 72, "boundary": 24, "recurrence-g": 72,
+                "recurrence-p": 72, "recurrence-andrews": 72, "schur": 36,
+                "key-limit": 8, "theorem1": 13, "gollnitz": 7, "remark3": 7,
+                "jtp-bounded": 3, "jtp-series": 1, "false-theta": 1,
+                "jacobi-cube-poly": 3, "jacobi-cube-series": 1, "carl": 3,
+                "carlitz": 3, "four-param": 16, "qpascal": 20,
+                "multinom-rec": 24, "support": 13}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_every_identity_sweeps_clean_on_a_small_grid(name):
+    ident = IDENTITIES[name]
+    ranges = {p: SMALL_RANGES[p] for p in ident.params}
+    order = None if ident.default_order is None else 6
+    report = run_sweep(SweepSpec(name, ranges, order))
+    assert report.ok, report.failures[:1]
+    assert report.total == SMALL_TOTALS[name]
+
+
+def test_extra_predicate_fails_equal_sides_rendered_in_a(monkeypatch):
+    # doubled sides stay equal but break carlitz's a = 1 count
+    real = corollaries.carlitz_sides
+    monkeypatch.setattr(corollaries, "carlitz_sides",
+                        lambda L: tuple(side + side for side in real(L)))
+    report = run_sweep(SweepSpec("carlitz", {"L": (0, 1)}))
+    assert report.total == 2
+    assert report.failures == [
+        {"params": {"L": 0}, "lhs": "(2)", "rhs": "(2)"},
+        {"params": {"L": 1}, "lhs": "(2)*a^-1 + (2)*a",
+         "rhs": "(2)*a^-1 + (2)*a"}]
+
+
+def test_order_rejected_for_identity_without_order(capsys):
+    with pytest.raises(UsageError):
+        run_sweep(SweepSpec("key", {}, order=5))
+    assert cli.main(["key", "--i", "0..1", "--order", "5"]) == 2
+    assert "takes no order" in capsys.readouterr().err
+
+
+def readme_invocations():
+    """Each ``qgollnitz ...`` command in README.md's code blocks, as argv."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    in_block = False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("qgollnitz ") and "<" not in line:
+            yield shlex.split(line, comments=True)[1:]
+
+
+@pytest.mark.parametrize("argv", list(readme_invocations()), ids=" ".join)
+def test_readme_invocation_parses_as_written(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.identity in IDENTITIES or args.identity == "golden"
+    for flag, value in zip(argv, argv[1:]):
+        if flag.startswith("--") and flag[2:] in cli._RANGE_FLAGS:
+            lo, _, hi = value.partition("..")
+            assert getattr(args, flag[2:]) == (int(lo), int(hi or lo))
+
+
+def test_space_separated_negative_ranges():
+    args = cli.build_parser().parse_args(
+        ["qpascal", "--top", "-3..-1", "--bottom", "-2", "--order", "-5"])
+    assert (args.top, args.bottom, args.order) == ((-3, -1), (-2, -2), -5)

@@ -60,6 +60,11 @@ def test_qbinom_frozen_example():
     assert qbinom(4, 2) == P({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
 
 
+def test_qbinom_top_beyond_recursion_limit():
+    # a table that recursed once per row would overflow the stack here
+    assert qbinom(1100, 1) == P({e: 1 for e in range(1100)})
+
+
 def test_qbinom_support_trivia():
     for n in (-3, 0, 1, 7):
         assert qbinom(n, 0) == P({0: 1})
