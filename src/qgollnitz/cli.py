@@ -402,16 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    ranges = {name: getattr(args, name) for name in _RANGE_FLAGS
+              if getattr(args, name) is not None}
     try:
         if args.identity == "golden":
+            if ranges or args.order is not None:
+                raise UsageError("'golden' takes no range and no order")
             if args.emit:
                 for line in golden_lines():
                     print(line)
                 return 0
             report = run_golden()
         else:
-            ranges = {name: getattr(args, name) for name in _RANGE_FLAGS
-                      if getattr(args, name) is not None}
+            if args.emit:
+                raise UsageError("--emit only goes with 'golden'")
             spec = SweepSpec(args.identity, ranges, args.order, args.jobs)
             report = run_sweep(spec)
     except UsageError as exc:

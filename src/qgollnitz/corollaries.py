@@ -117,23 +117,11 @@ def jtp_series(order: int) -> tuple[BivarLaurent, BivarLaurent]:
 # ---------------------------------------------------------------------------
 
 def poch_series(k: int, n: int, order: int) -> TruncSeries:
-    """(q^k; q)_n modulo q^order for k >= 1, skipping factors above the
-    truncation order."""
+    """(q^k; q)_n modulo q^order for k >= 1.  Factors 1 - q^(k+j) with
+    k + j >= order are 1 modulo q^order, so they are left out."""
     if k < 1:
         raise ValueError("poch_series needs k >= 1")
-    s = TruncSeries.one(order)
-    for j in range(n):
-        e = k + j
-        if e >= order:
-            break
-        s = s * TruncSeries.from_poly(LaurentPoly({0: 1, e: -1}), order)
-    return s
-
-
-def _qbinom_series(top: int, bottom: int, order: int) -> TruncSeries:
-    # [top; bottom] mod q^order for top >= bottom >= 0, division free
-    return poch_series(top - bottom + 1, bottom, order) \
-        * poch_series(1, bottom, order).recip()
+    return TruncSeries.from_poly(poch_qpow(k, max(0, min(n, order - k))), order)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +142,13 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
         el += 1
     lhs = TruncSeries.from_poly(LaurentPoly(lhs_terms), order)
 
+    # (q)_n for n < order, each from the one before; every larger n gives
+    # (q)_(order-1) again modulo q^order
+    poch = [TruncSeries.one(order)]
+    for n in range(1, order):
+        poch.append(poch[-1] * poch_series(n, 1, order))
+    # [k+i; k] / ((q)_i (q)_k) = (q)_(i+k) / ((q)_i (q)_k)^2
+    inv_sq = [r * r for r in (p.recip() for p in poch)]
     rhs = TruncSeries(order)
     for i in range(2 * order + 1):
         for k in range(2 * order + 1):
@@ -161,9 +156,8 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
             if e >= order:
                 continue
             term = TruncSeries.from_poly(q_power(e), order) \
-                * _qbinom_series(k + i, k, order) \
-                * poch_series(1, i, order).recip() \
-                * poch_series(1, k, order).recip()
+                * poch[min(i + k, order - 1)] \
+                * inv_sq[min(i, order - 1)] * inv_sq[min(k, order - 1)]
             rhs = rhs + term if (i + k) % 2 == 0 else rhs - term
     return lhs, rhs
 

@@ -272,12 +272,13 @@ def count_G(L: int, n: int, freq: Sequence[int]) -> int:
 
 
 def _distinct_weight_hist(count: int, bound: int) -> dict[int, int]:
-    # weight histogram of `count`-element subsets of {1..bound}
+    # weight histogram of `count`-element subsets of {1..bound}; there are
+    # none for a negative count
     hist: dict[int, int] = defaultdict(int)
     if count == 0:
         hist[0] = 1
         return hist
-    if bound < count:
+    if count < 0 or bound < count:
         return hist
     for combo in itertools.combinations(range(1, bound + 1), count):
         hist[sum(combo)] += 1
@@ -306,10 +307,6 @@ def count_P(L: int, n: int, i: int, j: int, k: int) -> int:
     return _tricolor_hist(L, i, j, k).get(n, 0)
 
 
-def _poly_from_hist(hist: dict[int, int]) -> LaurentPoly:
-    return LaurentPoly(hist)
-
-
 def check_theorem1(L: int, i: int, j: int, k: int) -> bool:
     """Bounded double counting: for every weight n, Type-1 partitions with
     parts <= L summed over all frequency solutions equal the tri-colored
@@ -326,9 +323,9 @@ def check_theorem1(L: int, i: int, j: int, k: int) -> bool:
     p_hist = _tricolor_hist(L, i, j, k)
     if {n: c for n, c in g_hist.items() if c} != {n: c for n, c in p_hist.items() if c}:
         return False
-    if _poly_from_hist(g_hist) != keyid.lhs_g(i, j, k, L, L):
+    if LaurentPoly(g_hist) != keyid.lhs_g(i, j, k, L, L):
         return False
-    return _poly_from_hist(p_hist) == keyid.closed_form_diag(i, j, k, L)
+    return LaurentPoly(p_hist) == keyid.closed_form_diag(i, j, k, L)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def poch_qpow(k: int, n: int) -> LaurentPoly:
     for j in range(n):
         if k + j == 0:
             return ZERO
-        result = result * LaurentPoly({0: 1, k + j: -1})
+        result = result - result.shift(k + j)
     return result
 
 

@@ -302,13 +302,6 @@ def q_power(exp: int) -> LaurentPoly:
     return LaurentPoly.monomial(1, exp)
 
 
-def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    total = _ZERO
-    for p in polys:
-        total = total + p
-    return total
-
-
 def poly_prod(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     total = _ONE
     for p in polys:
@@ -514,16 +507,11 @@ class TruncSeries:
     def __mul__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
+        # the product of the known coefficients as polynomials, truncated
         m = min(self._order, other._order)
-        out = [0] * m
-        a, b = self._coeffs, other._coeffs
-        for i in range(m):
-            ca = a[i]
-            if ca:
-                for j in range(m - i):
-                    if b[j]:
-                        out[i + j] += ca * b[j]
-        return TruncSeries(m, out)
+        prod = LaurentPoly._raw(0, self._coeffs[:m]) \
+            * LaurentPoly._raw(0, other._coeffs[:m])
+        return TruncSeries.from_poly(prod, m)
 
     def recip(self) -> "TruncSeries":
         """Multiplicative inverse modulo q^order.

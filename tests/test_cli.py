@@ -177,6 +177,22 @@ def test_golden_emit_matches_packaged_file(capsys):
     assert emitted == stored
 
 
+def test_golden_rejects_range_and_order(capsys):
+    assert cli.main(["golden", "--i", "0..3"]) == 2
+    assert cli.main(["golden", "--order", "5"]) == 2
+    assert cli.main(["golden", "--emit", "--L", "2"]) == 2
+    assert "takes no range and no order" in capsys.readouterr().err
+
+
+def test_emit_rejected_without_golden(capsys):
+    assert cli.main(["key", "--emit"]) == 2
+    assert "--emit" in capsys.readouterr().err
+
+
+def test_theorem1_sweep_with_negative_color_total():
+    assert cli.main(["theorem1", "--i", "-1..0", "--L", "0..2"]) == 0
+
+
 def test_golden_catches_corruption(tmp_path, monkeypatch):
     from importlib import resources
     stored = resources.files("qgollnitz").joinpath("data/golden_key.txt") \

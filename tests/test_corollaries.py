@@ -115,8 +115,9 @@ def test_jacobi_cube_poly_truncates_to_series():
 
 def test_poch_series_matches_polynomial():
     from qgollnitz.qcomb import poch_qpow
-    for k in (1, 2, 3):
-        for n in range(5):
+    # k >= order and n > order are where poch_series leaves factors out
+    for k in (1, 2, 3, 11, 12, 15):
+        for n in (0, 1, 2, 3, 4, 11, 12, 13, 20):
             assert poch_series(k, n, 12) == \
                 TruncSeries.from_poly(poch_qpow(k, n), 12)
 

@@ -139,12 +139,15 @@ def test_count_P_examples():
     assert count_P(3, 3, 1, 1, 1) == 1
     assert count_P(5, 0, 0, 0, 0) == 1
     assert count_P(4, 6, 2, 0, 0) == 1
+    # like qbinom(n, -1) == 0: no partition has -1 parts in a color
+    assert count_P(3, 0, -1, 0, 0) == count_P(4, 3, 1, -2, 1) == 0
 
 
 def test_theorem1_examples():
     assert check_theorem1(3, 1, 1, 1)
     assert check_theorem1(0, 0, 0, 0)
     assert check_theorem1(5, 2, 1, 1)
+    assert check_theorem1(2, -1, 0, 0)
 
 
 def test_theorem1_precondition():

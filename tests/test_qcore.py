@@ -190,9 +190,12 @@ def test_series_order_propagates():
     assert (s * t).order == 3
 
 
+# dense runs of 25 to 40 coefficients make products of more than
+# _SCHOOLBOOK_CAP pairs, which take the Kronecker path
 series = st.builds(
     lambda cs, extra: TruncSeries(len(cs) + extra, cs),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=10),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=10)
+    | st.lists(st.integers(-9, -1) | st.integers(1, 9), min_size=25, max_size=40),
     st.integers(0, 3))
 
 
