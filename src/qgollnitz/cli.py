@@ -168,7 +168,7 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("carlitz", ("L",), {"L": (0, 12)},
                  _compare(corollaries.carlitz_sides, render=_in_a,
                           holds=lambda lhs, rhs, L:
-                          lhs.substitute_one().at_one() == L + 1)),
+                          lhs.substitute_one().at_one() == max(L + 1, 0))),
     IdentitySpec("four-param", ("i", "j", "k", "l"),
                  {"i": (0, 2), "j": (0, 2), "k": (0, 2), "l": (0, 2)},
                  _compare(corollaries.four_param_sides), default_order=20),
@@ -191,6 +191,10 @@ _RANGE_FLAGS = tuple(dict.fromkeys(
 # ---------------------------------------------------------------------------
 # sweeping
 # ---------------------------------------------------------------------------
+
+# Most tuples a grid may hold before filtering, ~15x acceptance criterion 1's.
+_MAX_GRID = 10 ** 6
+
 
 @dataclass
 class SweepSpec:
@@ -225,12 +229,15 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         if name not in ident.params:
             raise UsageError(
                 f"identity {ident.name!r} does not take a range for {name!r}")
-    ranges = []
+    ranges, size = [], 1
     for name in ident.params:
         lo, hi = spec.ranges.get(name, ident.defaults[name])
         if lo > hi:
             raise UsageError(f"empty range for {name!r}: {lo}..{hi}")
         ranges.append(range(lo, hi + 1))
+        size *= hi - lo + 1
+    if size > _MAX_GRID:
+        raise UsageError(f"grid of {size} tuples exceeds the limit of {_MAX_GRID}")
     if ident.default_order is None:
         if spec.order is not None:
             raise UsageError(f"identity {ident.name!r} takes no order")
@@ -257,7 +264,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     if spec.jobs == 1:
         results = [evaluate(p) for p in tuples]
     else:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+        with ThreadPoolExecutor(min(spec.jobs, os.cpu_count() or 1)) as pool:
             results = list(pool.map(evaluate, tuples))
     failures = [{"params": {**params, **extra}, "lhs": lhs, "rhs": rhs}
                 for params, (ok, lhs, rhs) in zip(tuples, results) if not ok]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -29,8 +29,8 @@ class PreconditionViolated(ValueError):
     """A bound required by the counting theorem does not hold."""
 
 
-class Color(Enum):
-    """Part colors, ranked AB < AC < A < BC < B < C."""
+class Color(IntEnum):
+    """Part colors; the value is the rank, AB < AC < A < BC < B < C."""
     AB = 0
     AC = 1
     A = 2
@@ -39,15 +39,12 @@ class Color(Enum):
     C = 5
 
     @property
-    def rank(self) -> int:
-        return self.value
-
-    @property
     def is_primary(self) -> bool:
-        return self in (Color.A, Color.B, Color.C)
+        return self in _PRIMARY
 
 
-_COLORS_BY_RANK = sorted(Color, key=lambda c: c.rank)
+_PRIMARY = frozenset((Color.A, Color.B, Color.C))
+_COLORS_BY_RANK = tuple(Color)
 
 # Residue substitution: part n in a color maps to 6n - offset, landing on
 # a fixed residue class mod 6 per color.
@@ -63,7 +60,7 @@ _FREQ_ORDER = (Color.A, Color.B, Color.C, Color.AB, Color.AC, Color.BC)
 def _gap_one_ok(upper: Color, lower: Color) -> bool:
     # A gap of exactly 1 needs the same primary color on both parts, or the
     # larger part in a strictly higher-ranked color.
-    return (upper is lower and upper.is_primary) or upper.rank > lower.rank
+    return upper > lower or (upper is lower and upper in _PRIMARY)
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,7 @@ class ColoredPartition:
     parts: tuple[tuple[int, Color], ...]
 
     def __init__(self, parts: Iterable[tuple[int, Color]] = ()):
-        norm = sorted(((int(v), c) for v, c in parts),
-                      key=lambda vc: (-vc[0], -vc[1].rank))
+        norm = sorted(((int(v), c) for v, c in parts), reverse=True)
         if any(v < 1 for v, _ in norm):
             raise ValueError("part values must be positive")
         object.__setattr__(self, "parts", tuple(norm))
@@ -89,7 +85,7 @@ class ColoredPartition:
 
     def frequencies(self) -> tuple[int, int, int, int, int, int]:
         """Color frequencies in (a, b, c, ab, ac, bc) order."""
-        counts = {c: 0 for c in Color}
+        counts = [0] * 6
         for _, c in self.parts:
             counts[c] += 1
         return tuple(counts[c] for c in _FREQ_ORDER)
@@ -110,7 +106,7 @@ def is_type1(p: ColoredPartition) -> bool:
             return False
         if gap == 1 and not _gap_one_ok(c1, c2):
             return False
-    if parts and parts[-1][0] == 1 and not parts[-1][1].is_primary:
+    if parts and parts[-1][0] == 1 and parts[-1][1] not in _PRIMARY:
         return False
     return True
 
@@ -188,13 +184,10 @@ def staircase_forward(p: ColoredPartition) -> StaircaseImage:
     color.  Requires a Type-1 input."""
     if not is_type1(p):
         raise NotType1(f"not a Type-1 partition: {p}")
-    buckets: dict[Color, list[int]] = {c: [] for c in Color}
-    ascending = sorted(p.parts)  # values are distinct
-    for idx, (v, c) in enumerate(ascending, start=1):
+    buckets: list[list[int]] = [[] for _ in Color]
+    for idx, (v, c) in enumerate(reversed(p.parts), start=1):  # ascending
         buckets[c].append(v - idx)
-    img = StaircaseImage(parts_a=buckets[Color.A], parts_b=buckets[Color.B],
-                         parts_c=buckets[Color.C], parts_ab=buckets[Color.AB],
-                         parts_ac=buckets[Color.AC], parts_bc=buckets[Color.BC])
+    img = StaircaseImage(*(buckets[c] for c in _FREQ_ORDER))
     img.validate()
     return img
 
@@ -206,7 +199,7 @@ def staircase_inverse(img: StaircaseImage) -> ColoredPartition:
     merged = []
     for color, ps in img.by_color().items():
         merged.extend((v, color) for v in ps)
-    merged.sort(key=lambda vc: (vc[0], vc[1].rank))
+    merged.sort()
     return ColoredPartition((v + idx, c)
                             for idx, (v, c) in enumerate(merged, start=1))
 
@@ -218,7 +211,7 @@ def staircase_inverse(img: StaircaseImage) -> ColoredPartition:
 def _dfs_type1(v, counts, prev_color, acc):
     # Walk part values downward deciding skip-or-color at each; every
     # partition is emitted exactly once, when its decision path ends.
-    # counts: remaining frequency per color rank, or None for unbounded.
+    # counts: remaining frequency per color, or None for unbounded.
     if counts is not None:
         rem = sum(counts)
         if rem == 0:
@@ -231,19 +224,19 @@ def _dfs_type1(v, counts, prev_color, acc):
         return
     yield from _dfs_type1(v - 1, counts, None, acc)
     for color in _COLORS_BY_RANK:
-        if counts is not None and counts[color.rank] == 0:
+        if counts is not None and counts[color] == 0:
             continue
-        if v == 1 and not color.is_primary:
+        if v == 1 and color not in _PRIMARY:
             continue
         if prev_color is not None and not _gap_one_ok(prev_color, color):
             continue
         if counts is not None:
-            counts[color.rank] -= 1
+            counts[color] -= 1
         acc.append((v, color))
         yield from _dfs_type1(v - 1, counts, color, acc)
         acc.pop()
         if counts is not None:
-            counts[color.rank] += 1
+            counts[color] += 1
 
 
 def iter_type1(max_part: int, freq: Sequence[int]) -> Iterator[ColoredPartition]:
@@ -253,7 +246,7 @@ def iter_type1(max_part: int, freq: Sequence[int]) -> Iterator[ColoredPartition]
         return
     counts = [0] * 6
     for color, f in zip(_FREQ_ORDER, freq):
-        counts[color.rank] = f
+        counts[color] = f
     for parts in _dfs_type1(max_part, counts, None, []):
         yield ColoredPartition(parts)
 
@@ -401,7 +394,7 @@ def _dfs_transformed(v, budget, prev_color, acc):
         return
     yield from _dfs_transformed(v - 1, budget, None, acc)
     for color in _COLORS_BY_RANK:
-        if v == 1 and not color.is_primary:
+        if v == 1 and color not in _PRIMARY:
             continue
         if prev_color is not None and not _gap_one_ok(prev_color, color):
             continue

@@ -253,6 +253,51 @@ def test_extra_predicate_fails_equal_sides_rendered_in_a(monkeypatch):
          "rhs": "(2)*a^-1 + (2)*a"}]
 
 
+def test_carlitz_passes_below_zero():
+    # for L < 0 both sides are 0, and the sum over m = 0..L has no terms
+    assert cli.main(["carlitz", "--L=-3..0"]) == 0
+
+
+def test_grid_ceiling_checked_before_any_tuple(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_GRID", 12)
+    assert run_sweep(SweepSpec("gollnitz", {"n": (0, 11)})).total == 12
+    with pytest.raises(UsageError, match="grid of 13 tuples"):
+        run_sweep(SweepSpec("gollnitz", {"n": (0, 12)}))
+    # the unfiltered size counts: theorem1 would keep 12 of these 16 tuples
+    with pytest.raises(UsageError, match="grid of 16 tuples"):
+        run_sweep(SweepSpec("theorem1", {"i": (0, 1), "j": (0, 1), "k": (0, 0),
+                                         "L": (0, 3)}))
+    monkeypatch.setattr(cli.itertools, "product", None)  # no tuple is built
+    assert cli.main(["gollnitz", "--n", "0..1000000000"]) == 2
+    assert "exceeds the limit of 12" in capsys.readouterr().err
+
+
+def test_thread_count_capped_at_cores(monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    serial = render_report(run_sweep(small_key_spec()), "json")
+    assert render_report(run_sweep(small_key_spec(jobs=100000)), "json") == serial
+    assert render_report(run_sweep(small_key_spec(jobs=2)), "json") == serial
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_sweep(small_key_spec(jobs=8))
+    assert workers == [3, 2, 1]
+
+
 def test_order_rejected_for_identity_without_order(capsys):
     with pytest.raises(UsageError):
         run_sweep(SweepSpec("key", {}, order=5))

@@ -25,7 +25,7 @@ def CP(parts):
 # -- colors ------------------------------------------------------------------
 
 def test_color_order_and_primaries():
-    assert [c.name for c in sorted(Color, key=lambda c: c.rank)] == \
+    assert [c.name for c in sorted(Color)] == \
         ["AB", "AC", "A", "BC", "B", "C"]
     assert {c for c in Color if c.is_primary} == {A, B, C}
 
@@ -36,6 +36,7 @@ def test_type1_examples():
     assert is_type1(CP([]))
     assert is_type1(CP([(2, BC), (1, A)]))
     assert not is_type1(CP([(2, AB), (1, C)]))
+    assert str(CP([(2, BC), (1, A)])) == "2_BC + 1_A"
 
 
 def test_type1_part_one_must_be_primary():
@@ -47,6 +48,8 @@ def test_type1_part_one_must_be_primary():
 def test_type1_no_repeated_values():
     assert not is_type1(CP([(3, A), (3, B)]))
     assert not is_type1(CP([(2, C), (2, C)]))
+    # equal values are stored in descending color rank
+    assert CP([(3, AB), (3, B), (3, A)]).parts == ((3, B), (3, A), (3, AB))
 
 
 def test_type1_gap_one_rules():
@@ -80,12 +83,14 @@ def test_staircase_two_parts():
 def test_staircase_weight_relation():
     p = CP([(5, BC), (3, AB), (1, A)])
     assert is_type1(p)
+    assert p.frequencies() == (1, 0, 0, 1, 0, 1)
+    assert CP([(6, C), (4, C), (2, AC), (1, B)]).frequencies() == (0, 1, 2, 0, 1, 0)
     img = staircase_forward(p)
     assert p.weight == img.weight + img.t * (img.t + 1) // 2
 
 
 def test_staircase_rejects_non_type1():
-    with pytest.raises(NotType1):
+    with pytest.raises(NotType1, match=r"^not a Type-1 partition: 2_AB \+ 1_C$"):
         staircase_forward(CP([(2, AB), (1, C)]))
 
 
