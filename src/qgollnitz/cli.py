@@ -5,10 +5,10 @@ grid of integer parameters, evaluating every tuple exactly, and reports each
 failing tuple with the canonical rendering of both sides.  Exit status is 0
 when every tuple passes, 1 on any mismatch, 2 on a usage error.
 
-Tuples are sharded over worker threads but results are collected in tuple
-order, so a report never depends on the worker count.  The JSON rendering
-puts 0 in the elapsed_ms slot for the same reason: two runs of the same
-sweep with the same engine version are byte-identical.
+Tuples are evaluated one after another in grid order: every checker is
+pure Python and holds the interpreter lock, so worker threads would only
+slow a sweep down.  The JSON rendering puts 0 in the elapsed_ms slot, so
+two runs of the same sweep with the same engine version are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Optional
@@ -61,6 +60,13 @@ def _compare(sides, render=str, holds=None):
 
 def _in_a(side) -> str:
     return side.render("a")
+
+
+def _check_key(i, j, k, L, M):
+    # decided on the sides' summand lists; polynomials only for a failure row
+    if keyid.check_key(i, j, k, L, M):
+        return _PASS
+    return False, str(keyid.lhs_g(i, j, k, L, M)), str(keyid.rhs_p(i, j, k, L, M))
 
 
 def _check_theorem1(i, j, k, L):
@@ -124,9 +130,7 @@ _KEY_PARAMS = ("i", "j", "k", "L", "M")
 _KEY_GRID = {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 8), "M": (0, 8)}
 
 IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
-    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID, _compare(
-        lambda i, j, k, L, M: (keyid.lhs_g(i, j, k, L, M),
-                               keyid.rhs_p(i, j, k, L, M)))),
+    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID, _check_key),
     IdentitySpec("boundary", ("i", "j", "k", "M"),
                  {"i": (0, 4), "j": (0, 4), "k": (0, 4), "M": (0, 10)},
                  _compare(lambda i, j, k, M: (keyid.lhs_g(i, j, k, i + j - 1, M),
@@ -194,12 +198,15 @@ _RANGE_FLAGS = tuple(dict.fromkeys(
 
 # Most tuples a grid may hold before filtering, ~15x acceptance criterion 1's.
 _MAX_GRID = 10 ** 6
+# Highest truncation order: false-theta took 59 s at order 400.
+_MAX_ORDER = 1000
 
 
 @dataclass
 class SweepSpec:
     """A sweep request: identity name, inclusive per-parameter ranges
-    (defaults fill anything omitted), truncation order where relevant."""
+    (defaults fill anything omitted), truncation order where relevant, and
+    a worker count that must be >= 1 but does not change the serial sweep."""
     identity: str
     ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
     order: Optional[int] = None
@@ -220,8 +227,8 @@ class SweepReport:
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate every tuple in the sweep grid; deterministic output order
-    regardless of the worker count."""
+    """Evaluate every tuple in the sweep grid, in grid order.  Any jobs
+    value gives the same serial sweep."""
     ident = IDENTITIES.get(spec.identity)
     if ident is None:
         raise UsageError(f"unknown identity {spec.identity!r}")
@@ -246,6 +253,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         order = ident.default_order if spec.order is None else spec.order
         if order < 1:
             raise UsageError(f"order must be >= 1, got {order}")
+        if order > _MAX_ORDER:
+            raise UsageError(f"order {order} exceeds the limit of {_MAX_ORDER}")
         extra = {"order": order}
     if spec.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {spec.jobs}")
@@ -257,15 +266,8 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
             continue
         tuples.append(params)
 
-    def evaluate(params):
-        return ident.check(**params, **extra)
-
     start = time.perf_counter()
-    if spec.jobs == 1:
-        results = [evaluate(p) for p in tuples]
-    else:
-        with ThreadPoolExecutor(min(spec.jobs, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(evaluate, tuples))
+    results = [ident.check(**params, **extra) for params in tuples]
     failures = [{"params": {**params, **extra}, "lhs": lhs, "rhs": rhs}
                 for params, (ok, lhs, rhs) in zip(tuples, results) if not ok]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -401,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="truncation order for series identities")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help="worker threads (default 1 or $QGOLLNITZ_JOBS)")
+                        help="accepted for compatibility; sweeps run serially "
+                             "(default 1 or $QGOLLNITZ_JOBS)")
     parser.add_argument("--emit", action="store_true",
                         help="with 'golden': print the freshly derived corpus")
     return parser

@@ -6,15 +6,24 @@ and the unbounded limit as a truncated series identity.
 Conventions: g(i, j, k, L, M) is the colored-frequency double sum (lhs_g),
 p(i, j, k, L, M) is the single s-sum (rhs_p).  Both are total functions on
 Z^5; no argument is range-restricted.
+
+Each side is written once, as a list of summands q^shift times a product of
+q-binomials and q-multinomials (lhs_summands, rhs_summands).  summand_poly
+turns a list into its polynomial; check_key instead compares the two lists'
+values at q = 2^W, with W large enough that equal integers mean equal
+polynomials (summands_agree), and so builds no polynomial at all.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, poly_prod, q_power
-from .qcomb import poch_qpow, qbinom, qbinom_is_nonzero, qmultinom, triangular
+from . import qcomb
+from .qcomb import (poch_qpow, qbinom, qbinom_is_nonzero, qbinom_normal,
+                    qmultinom, triangular)
 
 
 class Sextuple(NamedTuple):
@@ -53,7 +62,7 @@ _FIRST, _SECOND = 1, 2
 def _live_sums(sx: Sextuple, t: int, L: int, M: int) -> int:
     """Which of the two displayed sums has a nonzero summand at this
     sextuple: the bits _FIRST and _SECOND, 0 for neither.  An int, so that
-    the hot loop of lhs_g_parts allocates nothing for it."""
+    the hot loop of lhs_summands allocates nothing for it."""
     a, b, c, ab, ac, bc = sx
     if not (qbinom_is_nonzero(L - t + b, b)
             and qbinom_is_nonzero(M - t + c, c)
@@ -69,16 +78,20 @@ def _live_sums(sx: Sextuple, t: int, L: int, M: int) -> int:
     return live
 
 
-def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """The two displayed sums of the identity's left side, separately.
+def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
+    """The two displayed sums of the identity's left side, as summand lists.
+
+    A summand is (shift, factors): q^shift times the product of the factors,
+    where a factor (top, b1, b2, ...) is the q-multinomial [top; b1, b2, ...]
+    and so (n, m) is the q-binomial [n; m].  Only summands whose factors
+    _live_sums finds nonzero are listed.
 
     The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomial
     factors ending in [M-t; bc]; the second shifts bc down by one and the
     'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split
     mirrors the smallest-part dichotomy of the staircase image.
     """
-    first = ZERO
-    second = ZERO
+    first, second = [], []
     for sx in enumerate_sextuples(i, j, k):
         t = sx.t
         live = _live_sums(sx, t, L, M)
@@ -86,15 +99,99 @@ def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, La
             continue
         a, b, c, ab, ac, bc = sx
         base = triangular(t) + triangular(ab) + triangular(ac)
-        common = poly_prod((qbinom(L - t + b, b), qbinom(M - t + c, c),
-                            qbinom(L - t, ab), qbinom(M - t, ac)))
+        common = ((L - t + b, b), (M - t + c, c), (L - t, ab), (M - t, ac))
         if live & _FIRST:
-            term = common * qbinom(L - t + a, a) * qbinom(M - t, bc)
-            first = first + term.shift(base + triangular(bc))
+            first.append((base + triangular(bc),
+                          common + ((L - t + a, a), (M - t, bc))))
         if live & _SECOND:
-            term = common * qbinom(L - t + a - 1, a - 1) * qbinom(M - t, bc - 1)
-            second = second + term.shift(base + triangular(bc - 1))
+            second.append((base + triangular(bc - 1),
+                           common + ((L - t + a - 1, a - 1), (M - t, bc - 1))))
     return first, second
+
+
+def rhs_summands(i: int, j: int, k: int, L: int, M: int) -> list:
+    """The right side as a summand list (see lhs_summands): over s,
+    q^(s(M+2) - T(s) + T(i-s) + T(j-s) + T(k-s)) [L-s; s, i-s, j-s] [M-i-j; k-s].
+    Empty when any of i, j, k is negative."""
+    return [(s * (M + 2) - triangular(s) + triangular(i - s) + triangular(j - s)
+             + triangular(k - s), ((L - s, s, i - s, j - s), (M - i - j, k - s)))
+            for s in range(min(i, j, k) + 1)]
+
+
+def summand_poly(summands) -> LaurentPoly:
+    """The value of a summand list as a Laurent polynomial."""
+    total = ZERO
+    for shift, factors in summands:
+        # a binomial [n; 0] is 1 for every n, so it is skipped
+        term = poly_prod([qbinom(*f) if len(f) == 2 else qmultinom(f[0], f[1:])
+                          for f in factors if len(f) > 2 or f[1]])
+        total = total + term.shift(shift)
+    return total
+
+
+def _normal(summand):
+    """A summand as (sign, exponent, binomials, weight): sign * q^exponent
+    times the product of [n; m] over binomials, each n >= m >= 0, and weight
+    that product at q = 1.  None when a factor is zero."""
+    exp, factors = summand
+    sign, weight, binomials = 1, 1, []
+    for top, *bottoms in factors:
+        for bottom in bottoms:
+            if not bottom:  # [top; 0] = 1
+                continue
+            normal = qbinom_normal(top, bottom)
+            if normal is None:
+                return None
+            s, e, n = normal
+            sign *= s
+            exp += e
+            weight *= comb(n, bottom)
+            binomials.append((n, bottom))
+            top -= bottom
+    return sign, exp, binomials, weight
+
+
+def summands_agree(left, right) -> bool:
+    """Do two summand lists have equal values?  Decided by one comparison of
+    integers, without building a polynomial.
+
+    Every [n; m] with n >= m >= 0 has nonnegative coefficients summing to
+    C(n, m), and a negative top only adds a sign and a power of q (_normal).
+    So B, the sum over both lists of each summand's weight, bounds
+    every |coefficient| of left - right.  Take W with 2^W > B and D the
+    lowest summand exponent: q^-D (left - right) is then a polynomial whose
+    coefficients are all below 2^W in size, and its value at q = 2^W is zero
+    exactly when it is the zero polynomial.  The comparison is exact, not a
+    random-point test.
+    """
+    terms = []
+    bound = 0
+    for side, summands in ((1, left), (-1, right)):
+        for summand in summands:
+            normal = _normal(summand)
+            if normal is not None:
+                sign, exp, binomials, weight = normal
+                terms.append((side * sign, exp, binomials))
+                bound += weight
+    if not terms:
+        return True
+    width = bound.bit_length()
+    low = min(exp for _, exp, _ in terms)
+    image = 0
+    for sign, exp, binomials in terms:
+        value = sign << width * (exp - low)
+        for n, m in binomials:
+            # reached through qcomb: a memo imported here would also be
+            # listed among keyid's by tools that scan module namespaces
+            value *= qcomb.qbinom_image(n, m, width)
+        image += value
+    return image == 0
+
+
+def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two displayed sums of the identity's left side, separately."""
+    first, second = lhs_summands(i, j, k, L, M)
+    return summand_poly(first), summand_poly(second)
 
 
 @lru_cache(maxsize=8192)
@@ -106,28 +203,15 @@ def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
 
 @lru_cache(maxsize=8192)
 def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
-    """Right side of the key identity: the finite sum over s of
-    q^(s(M+2) - T(s) + T(i-s) + T(j-s) + T(k-s)) [L-s; s, i-s, j-s] [M-i-j; k-s].
-    """
-    if i < 0 or j < 0 or k < 0:
-        return ZERO
-    total = ZERO
-    for s in range(min(i, j, k) + 1):
-        mult = qmultinom(L - s, (s, i - s, j - s))
-        if not mult:
-            continue
-        binom = qbinom(M - i - j, k - s)
-        if not binom:
-            continue
-        e = s * (M + 2) - triangular(s) + triangular(i - s) \
-            + triangular(j - s) + triangular(k - s)
-        total = total + (mult * binom).shift(e)
-    return total
+    """Right side of the key identity: the s-sum of rhs_summands."""
+    return summand_poly(rhs_summands(i, j, k, L, M))
 
 
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
-    """Exact equality of the two sides at one integer 5-tuple."""
-    return lhs_g(i, j, k, L, M) == rhs_p(i, j, k, L, M)
+    """Exact equality of the two sides at one integer 5-tuple, decided on
+    their summand lists by summands_agree."""
+    first, second = lhs_summands(i, j, k, L, M)
+    return summands_agree(first + second, rhs_summands(i, j, k, L, M))
 
 
 def boundary_value(i: int, j: int, k: int, M: int) -> LaurentPoly:
@@ -213,14 +297,11 @@ def schur_sides(j: int, k: int, L: int, M: int):
     """The i = 0 specialization: the single-sum form
     sum_bc q^(T(j+k-bc)+T(bc)) [L-k; j-bc][M-j; k-bc][M-j-k+bc; bc]
     against q^(T(j)+T(k)) [L; j][M-j; k]."""
-    left = ZERO
-    if j >= 0 and k >= 0:
-        for bc in range(min(j, k) + 1):
-            term = poly_prod((qbinom(L - k, j - bc), qbinom(M - j, k - bc),
-                              qbinom(M - j - k + bc, bc)))
-            left = left + term.shift(triangular(j + k - bc) + triangular(bc))
-    right = poly_prod((qbinom(L, j), qbinom(M - j, k))) \
-        .shift(triangular(j) + triangular(k))
+    left = summand_poly(
+        (triangular(j + k - bc) + triangular(bc),
+         ((L - k, j - bc), (M - j, k - bc), (M - j - k + bc, bc)))
+        for bc in range(min(j, k) + 1))
+    right = summand_poly([(triangular(j) + triangular(k), ((L, j), (M - j, k)))])
     return left, right
 
 

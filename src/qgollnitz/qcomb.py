@@ -2,21 +2,25 @@
 q-binomial and q-multinomial coefficients for arbitrary integer arguments,
 and the recurrence/support facts they satisfy.
 
-Gaussian binomials with top >= bottom >= 0 are built by the q-Pascal
-recurrence (division free, exact); a negative top is reduced to the
-nonnegative case by the closed identity
+Gaussian binomials with top >= bottom >= 0 are built by the product
+formula [n; m] = prod_{r=1..m} (1 - q^(n-m+r)) / (1 - q^r), with exact
+division; a negative top is reduced to the nonnegative case by the closed
+identity
 
     [-alpha; k] = (-1)^k [k+alpha-1; k] q^(-alpha*k - T(k-1)),
 
-which is where negative q-exponents enter the engine.
+which is where negative q-exponents enter the engine.  The same product
+formula over the integers gives a binomial's value at q = 2^W, from which
+keyid decides the key identity without building polynomials.
 
-Everything here behaves as a pure function.  The memo tables behind qbinom
-and qmultinom hold immutable values and are safe for concurrent readers.
+Everything here behaves as a pure function.  The memo tables hold only the
+entries asked for, are bounded, and hold immutable values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -53,24 +57,38 @@ def poch_qpow(k: int, n: int) -> LaurentPoly:
     return result
 
 
-_ROW_STRIDE = 64
+def qbinom_normal(top: int, bottom: int):
+    """[top; bottom] as sign * q^shift * [n; bottom] with n >= bottom >= 0,
+    returned as (sign, shift, n); None when [top; bottom] is zero.
+
+    A negative top is reduced by
+    [-alpha; k] = (-1)^k q^(-alpha*k - T(k-1)) [k+alpha-1; k].
+    """
+    if bottom < 0 or 0 <= top < bottom:
+        return None
+    if top >= 0:
+        return 1, 0, top
+    alpha = -top
+    return (-1 if bottom & 1 else 1), -alpha * bottom - triangular(bottom - 1), \
+        bottom + alpha - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _qbinom_nonneg(top: int, bottom: int) -> LaurentPoly:
-    # q-Pascal: [top; bottom] = [top-1; bottom] + q^(top-bottom) [top-1; bottom-1]
-    if bottom == 0 or bottom == top:
-        return ONE
-    if bottom > top - bottom:
+    # [top; bottom] = prod_{r=1..bottom} (1 - q^(top-bottom+r)) / (1 - q^r).
+    # Each step multiplies a coefficient run by 1 - q^a and divides it by
+    # 1 - q^r, a running sum of stride r that is exact because the quotient
+    # [top-bottom+r; r] is a polynomial.
+    if 2 * bottom > top:
         return _qbinom_nonneg(top, top - bottom)
-    # Memoise the entries the step below reaches on every _ROW_STRIDE-th row,
-    # lowest row first, so that it recurses at most _ROW_STRIDE rows deep
-    # whatever top is.
-    for n in range(_ROW_STRIDE, top, _ROW_STRIDE):
-        for m in range(max(1, bottom - (top - n)), min(bottom, n) + 1):
-            _qbinom_nonneg(n, m)
-    return _qbinom_nonneg(top - 1, bottom) + \
-        _qbinom_nonneg(top - 1, bottom - 1).shift(top - bottom)
+    run = [1]
+    for r in range(1, bottom + 1):
+        a = top - bottom + r
+        run = [x - y for x, y in zip(run + [0] * a, [0] * a + run)]
+        for res in range(r):
+            run[res::r] = accumulate(run[res::r])
+        del run[-r:]
+    return LaurentPoly(enumerate(run))
 
 
 def qbinom(top: int, bottom: int) -> LaurentPoly:
@@ -79,16 +97,27 @@ def qbinom(top: int, bottom: int) -> LaurentPoly:
     Zero when bottom < 0 or 0 <= top < bottom.  For top < 0 the value is a
     genuine Laurent polynomial with sign (-1)^bottom.
     """
-    if bottom < 0:
+    if 0 <= bottom <= top:
+        return _qbinom_nonneg(top, bottom)
+    normal = qbinom_normal(top, bottom)
+    if normal is None:
         return ZERO
-    if top < 0:
-        alpha = -top
-        base = _qbinom_nonneg(bottom + alpha - 1, bottom)
-        shifted = base.shift(-alpha * bottom - triangular(bottom - 1))
-        return shifted if bottom % 2 == 0 else -shifted
-    if top < bottom:
-        return ZERO
-    return _qbinom_nonneg(top, bottom)
+    sign, shift, n = normal
+    value = _qbinom_nonneg(n, bottom).shift(shift)
+    return value if sign > 0 else -value
+
+
+@lru_cache(maxsize=4096)
+def qbinom_image(top: int, bottom: int, width: int) -> int:
+    """[top; bottom] at q = 2^width, for top >= bottom >= 0: the product of
+    (2^(width*(top-bottom+r)) - 1) / (2^(width*r) - 1) over r = 1..bottom,
+    where each partial product is an integer, so each division is exact."""
+    bottom = min(bottom, top - bottom)
+    value = 1
+    for r in range(1, bottom + 1):
+        value = value * ((1 << width * (top - bottom + r)) - 1) \
+            // ((1 << width * r) - 1)
+    return value
 
 
 def qbinom_base(top: int, bottom: int, base_power: int) -> LaurentPoly:
@@ -100,12 +129,11 @@ def qbinom_base(top: int, bottom: int, base_power: int) -> LaurentPoly:
 
 def qbinom_q1(top: int, bottom: int) -> int:
     """The q = 1 binomial: C(top, bottom) with the same support rules."""
-    if bottom < 0:
+    normal = qbinom_normal(top, bottom)
+    if normal is None:
         return 0
-    if top < 0:
-        sign = 1 if bottom % 2 == 0 else -1
-        return sign * comb(bottom - top - 1, bottom)
-    return comb(top, bottom)
+    sign, _, n = normal
+    return sign * comb(n, bottom)
 
 
 def qbinom_is_nonzero(top: int, bottom: int) -> bool:

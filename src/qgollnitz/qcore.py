@@ -303,12 +303,12 @@ def q_power(exp: int) -> LaurentPoly:
 
 
 def poly_prod(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    total = _ONE
+    total = None
     for p in polys:
         if not p:
             return _ZERO
-        total = total * p
-    return total
+        total = p if total is None else total * p
+    return _ONE if total is None else total
 
 
 # ---------------------------------------------------------------------------

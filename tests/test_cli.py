@@ -1,7 +1,9 @@
 """Harness tests: sweeping, reporting, determinism, exit codes, golden corpus."""
 
+import itertools
 import json
 import shlex
+import threading
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,43 @@ def test_theorem1_sweep_filters_unbounded_tuples():
     expected = sum(1 for i in range(3) for j in range(3) for k in range(3)
                    for L in range(5) if L >= max(i + j, j + k, k + i))
     assert report.total == expected
+
+
+def test_key_sweep_on_wide_bounds():
+    ranges = {"i": (0, 4), "j": (0, 4), "k": (0, 4), "L": (0, 20), "M": (0, 20)}
+    report = run_sweep(SweepSpec("key", ranges))
+    assert report.ok, report.failures[:1]
+    assert report.total == 5 ** 3 * 21 ** 2
+
+
+def test_key_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
+    real = keyid.rhs_summands
+
+    def corrupted(i, j, k, L, M):
+        right = real(i, j, k, L, M)
+        kind = (i + j + L) % 3
+        if kind == 0:
+            return [(e + 1, fs) for e, fs in right]  # times q
+        if kind == 1:
+            return right + [(M, ())]  # + q^M
+        return right[:-1]  # one summand dropped
+
+    ranges = {"i": (0, 2), "j": (-1, 2), "k": (0, 1), "L": (-2, 3), "M": (-1, 3)}
+    monkeypatch.setattr(keyid, "rhs_summands", corrupted)
+    keyid.rhs_p.cache_clear()
+    try:
+        report = run_sweep(SweepSpec("key", ranges))
+        expected = []
+        for i, j, k, L, M in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in ranges.values())):
+            lhs, rhs = keyid.lhs_g(i, j, k, L, M), keyid.rhs_p(i, j, k, L, M)
+            if lhs != rhs:
+                expected.append({"params": {"i": i, "j": j, "k": k, "L": L, "M": M},
+                                 "lhs": str(lhs), "rhs": str(rhs)})
+    finally:
+        keyid.rhs_p.cache_clear()
+    assert 0 < len(expected) < report.total
+    assert report.failures == expected
 
 
 @pytest.fixture
@@ -272,30 +311,24 @@ def test_grid_ceiling_checked_before_any_tuple(monkeypatch, capsys):
     assert "exceeds the limit of 12" in capsys.readouterr().err
 
 
-def test_thread_count_capped_at_cores(monkeypatch):
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers=None):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+def test_jobs_sweep_starts_no_thread(monkeypatch):
     serial = render_report(run_sweep(small_key_spec()), "json")
-    assert render_report(run_sweep(small_key_spec(jobs=100000)), "json") == serial
-    assert render_report(run_sweep(small_key_spec(jobs=2)), "json") == serial
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    run_sweep(small_key_spec(jobs=8))
-    assert workers == [3, 2, 1]
+
+    def no_thread(self):
+        raise AssertionError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert render_report(run_sweep(small_key_spec(jobs=8)), "json") == serial
+
+
+def test_order_ceiling_checked_before_any_tuple(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_ORDER", 6)
+    assert run_sweep(SweepSpec("false-theta", order=6)).ok
+    with pytest.raises(UsageError, match="order 7 exceeds the limit of 6"):
+        run_sweep(SweepSpec("false-theta", order=7))
+    monkeypatch.setattr(corollaries, "jtp_series", None)  # nothing is evaluated
+    assert cli.main(["jtp-series", "--order", "2000"]) == 2
+    assert "exceeds the limit of 6" in capsys.readouterr().err
 
 
 def test_order_rejected_for_identity_without_order(capsys):

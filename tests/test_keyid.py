@@ -1,6 +1,9 @@
 """Key identity tests: both sides, boundary, recurrences, specializations."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import LaurentPoly, TruncSeries
 from qgollnitz.qcomb import qbinom
@@ -10,8 +13,9 @@ from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
                              check_recurrence_p, check_schur_case,
                              check_support, closed_form_diag,
                              enumerate_sextuples, key_limit_lhs,
-                             key_limit_rhs, lhs_g, lhs_g_parts, rhs_p,
-                             schur_sides)
+                             key_limit_rhs, lhs_g, lhs_g_parts,
+                             lhs_summands, rhs_p, rhs_summands, schur_sides,
+                             summand_poly, summands_agree)
 
 
 def P(terms):
@@ -91,6 +95,97 @@ def test_check_key_small_grid_with_negatives():
                 for L in range(-2, 5):
                     for M in range(-2, 5):
                         assert check_key(i, j, k, L, M), (i, j, k, L, M)
+
+
+# -- deciding equality on summand lists ---------------------------------------
+
+# a factor (top, b1, ...) is the q-multinomial [top; b1, ...]; tops and
+# bottoms may be negative, so factors may be zero or Laurent
+factors = st.builds(lambda top, bottoms: (top, *bottoms), st.integers(-6, 9),
+                    st.lists(st.integers(-1, 5), min_size=1, max_size=3))
+summands = st.tuples(st.integers(-12, 12), st.lists(factors, max_size=3).map(tuple))
+sides = st.lists(summands, max_size=4)
+
+
+def _same_value(data, side):
+    """A different summand list with the same value: multinomials split into
+    binomials, some binomials expanded by q-Pascal (which holds for all
+    integers), summands shuffled."""
+    out = []
+    for shift, fs in side:
+        fs = [g for top, *bottoms in fs
+              for g in [(top - sum(bottoms[:n]), b) for n, b in enumerate(bottoms)]]
+        pick = data.draw(st.integers(-1, len(fs) - 1))
+        if pick < 0:
+            out.append((shift, tuple(fs)))
+            continue
+        (n, m), rest = fs[pick], fs[:pick] + fs[pick + 1:]
+        out.append((shift, tuple(rest) + ((n - 1, m),)))
+        out.append((shift + n - m, tuple(rest) + ((n - 1, m - 1),)))
+    return data.draw(st.permutations(out))
+
+
+@given(sides, sides)
+@settings(max_examples=300)
+def test_summands_agree_iff_polynomials_equal(left, right):
+    assert summands_agree(left, right) == (summand_poly(left) == summand_poly(right))
+
+
+@given(sides, st.data())
+@settings(max_examples=300)
+def test_summands_agree_on_rewritten_side(side, data):
+    other = _same_value(data, side)
+    assert summand_poly(other) == summand_poly(side)
+    assert summands_agree(side, other)
+    assert summands_agree(other, side)
+    value = summand_poly(side)
+    drop = data.draw(st.integers(0, max(len(other) - 1, 0)))
+    for bad in ([(e + 1, fs) for e, fs in other],          # times q
+                other + [(data.draw(st.integers(-12, 12)), ())],  # + q^e
+                other[:drop] + other[drop + 1:]):          # one summand dropped
+        assert summands_agree(side, bad) == (value == summand_poly(bad))
+
+
+@pytest.mark.parametrize("a", range(1, 7))
+def test_summands_agree_at_the_coefficient_bound(a):
+    # x*q against x*2^a: with B = x*(2^a + 1) the coefficients come close to
+    # the bound, so a width W even a few bits short of 2^W > B would find
+    # the two values equal at q = 2^W
+    for x in range(1, 17):
+        assert not summands_agree([(1, ())] * x, [(0, ())] * (x << a))
+        assert summands_agree([(1, ())] * x, [(1, ())] * x)
+
+
+def _key_sides(i, j, k, L, M):
+    first, second = lhs_summands(i, j, k, L, M)
+    return first + second, rhs_summands(i, j, k, L, M)
+
+
+def test_key_summands_evaluate_to_both_sides():
+    for args in itertools.product(range(-1, 3), range(-1, 3), range(0, 3),
+                                  range(-2, 5), range(-2, 5)):
+        first, second = lhs_summands(*args)
+        assert (summand_poly(first), summand_poly(second)) == lhs_g_parts(*args)
+        assert summand_poly(rhs_summands(*args)) == rhs_p(*args)
+
+
+def test_key_summands_reject_corruption():
+    checked = 0
+    for args in itertools.product(range(0, 4), range(0, 3), range(0, 3),
+                                  range(-3, 7), range(-3, 7)):
+        left, right = _key_sides(*args)
+        assert summands_agree(left, right), args
+        value = summand_poly(right)
+        if not value:
+            continue
+        checked += 1
+        e = value.valuation
+        assert not summands_agree(left, [(s + 1, fs) for s, fs in right])
+        assert not summands_agree(left, right + [(e, ())])
+        assert not summands_agree(left + [(e + 3, ())], right)
+        for n in range(len(left)):  # every listed lhs summand is nonzero
+            assert not summands_agree(left[:n] + left[n + 1:], right)
+    assert checked > 1000
 
 
 def test_key_sides_are_laurent_for_negative_bounds():

@@ -5,10 +5,11 @@ import math
 import pytest
 
 from qgollnitz.qcore import LaurentPoly
+from qgollnitz import qcomb
 from qgollnitz.qcomb import (NegativeLength, check_multinom_recurrence,
                              check_qpascal, poch_qpow, qbinom, qbinom_base,
-                             qbinom_is_nonzero, qbinom_q1, qmultinom,
-                             triangular)
+                             qbinom_image, qbinom_is_nonzero, qbinom_normal,
+                             qbinom_q1, qmultinom, triangular)
 
 
 def P(terms):
@@ -63,6 +64,36 @@ def test_qbinom_frozen_example():
 def test_qbinom_top_beyond_recursion_limit():
     # a table that recursed once per row would overflow the stack here
     assert qbinom(1100, 1) == P({e: 1 for e in range(1100)})
+
+
+def test_qbinom_memo_holds_only_requested_entries():
+    # a q-Pascal table would hold the whole band below row 3000 (8,995 entries)
+    qcomb._qbinom_nonneg.cache_clear()
+    value = qbinom(3000, 2)
+    assert qcomb._qbinom_nonneg.cache_info().currsize == 1
+    assert value.degree == 2 * 2998 and value.at_one() == math.comb(3000, 2)
+    assert qbinom(3000, 2998) == value
+    assert qcomb._qbinom_nonneg.cache_info().currsize == 2
+
+
+def test_qbinom_normal_form():
+    for top in range(-8, 10):
+        for bottom in range(-2, 9):
+            normal = qbinom_normal(top, bottom)
+            if normal is None:
+                assert not qbinom(top, bottom)
+                continue
+            sign, shift, n = normal
+            assert n >= bottom >= 0
+            assert qbinom(top, bottom) == qbinom(n, bottom).shift(shift) * sign
+
+
+def test_qbinom_image_is_value_at_power_of_two():
+    for width in (1, 2, 7, 34):
+        for top in range(14):
+            for bottom in range(top + 1):
+                value = sum(c << width * e for e, c in qbinom(top, bottom).iter_terms())
+                assert qbinom_image(top, bottom, width) == value
 
 
 def test_qbinom_support_trivia():
