@@ -2,8 +2,9 @@
 
 ``qgollnitz <identity> [range options]`` sweeps an identity over a Cartesian
 grid of integer parameters, evaluating every tuple exactly, and reports each
-failing tuple with the canonical rendering of both sides.  Exit status is 0
-when every tuple passes, 1 on any mismatch, 2 on a usage error.
+failing tuple with the canonical rendering of both sides; a tuple whose
+checker raises fails with the exception's name in place of its lhs.  Exit
+status is 0 when every tuple passes, 1 on any mismatch, 2 on a usage error.
 
 Tuples are evaluated one after another in grid order: every checker is
 pure Python and holds the interpreter lock, so worker threads would only
@@ -21,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from typing import Callable, Optional
 
@@ -39,34 +41,47 @@ class UsageError(ValueError):
 _PASS = (True, "", "")
 
 
+def _current(fn):
+    """A getter for fn.  A module function is looked up on its module at
+    every call, so that a wrapper installed there later (a tracer, a test
+    double) is what runs."""
+    home, name = sys.modules[fn.__module__], fn.__name__
+    if getattr(home, name, None) is not fn:
+        return lambda: fn
+    return partial(getattr, home, name)
+
+
 def _compare(sides, render=str, holds=None):
     """Turn sides(**params) -> (lhs, rhs) into a checker.  A tuple passes
     when the sides are equal and, if given, holds(lhs, rhs, **params) is
     true; the sides are rendered only on a failure, since sweeps mostly
     pass."""
-    # A module function is looked up on its module at every call, so that a
-    # wrapper installed there later (a tracer, a test double) is what runs.
-    home, name = sys.modules[sides.__module__], sides.__name__
-    if getattr(home, name, None) is not sides:
-        home = None
+    sides = _current(sides)
 
     def check(**params):
-        lhs, rhs = (sides if home is None else getattr(home, name))(**params)
+        lhs, rhs = sides()(**params)
         if lhs == rhs and (holds is None or holds(lhs, rhs, **params)):
             return _PASS
         return False, render(lhs), render(rhs)
     return check
 
 
+def _by_images(summands, sides):
+    """A checker that decides each tuple by keyid.summands_agree on
+    summands(**params) -> (left, right), two summand lists; the polynomials
+    sides(**params) are built only to render a failure row."""
+    summands, sides = _current(summands), _current(sides)
+
+    def check(**params):
+        if keyid.summands_agree(*summands()(**params)):
+            return _PASS
+        lhs, rhs = sides()(**params)
+        return False, str(lhs), str(rhs)
+    return check
+
+
 def _in_a(side) -> str:
     return side.render("a")
-
-
-def _check_key(i, j, k, L, M):
-    # decided on the sides' summand lists; polynomials only for a failure row
-    if keyid.check_key(i, j, k, L, M):
-        return _PASS
-    return False, str(keyid.lhs_g(i, j, k, L, M)), str(keyid.rhs_p(i, j, k, L, M))
 
 
 def _check_theorem1(i, j, k, L):
@@ -130,7 +145,10 @@ _KEY_PARAMS = ("i", "j", "k", "L", "M")
 _KEY_GRID = {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 8), "M": (0, 8)}
 
 IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
-    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID, _check_key),
+    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID,
+                 _by_images(keyid.key_summands,
+                            lambda i, j, k, L, M: (keyid.lhs_g(i, j, k, L, M),
+                                                   keyid.rhs_p(i, j, k, L, M)))),
     IdentitySpec("boundary", ("i", "j", "k", "M"),
                  {"i": (0, 4), "j": (0, 4), "k": (0, 4), "M": (0, 10)},
                  _compare(lambda i, j, k, M: (keyid.lhs_g(i, j, k, i + j - 1, M),
@@ -164,7 +182,8 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("false-theta", (), {}, _compare(corollaries.false_theta_sides),
                  default_order=30),
     IdentitySpec("jacobi-cube-poly", ("L",), {"L": (0, 20)},
-                 _compare(corollaries.jacobi_cube_poly_sides)),
+                 _by_images(corollaries.jacobi_cube_poly_summands,
+                            corollaries.jacobi_cube_poly_sides)),
     IdentitySpec("jacobi-cube-series", (), {},
                  _compare(corollaries.jacobi_cube_series), default_order=50),
     IdentitySpec("carl", ("L",), {"L": (0, 10)},
@@ -198,7 +217,7 @@ _RANGE_FLAGS = tuple(dict.fromkeys(
 
 # Most tuples a grid may hold before filtering, ~15x acceptance criterion 1's.
 _MAX_GRID = 10 ** 6
-# Highest truncation order: false-theta took 59 s at order 400.
+# Highest truncation order: false-theta takes about 25 s at order 400.
 _MAX_ORDER = 1000
 
 
@@ -228,7 +247,8 @@ class SweepReport:
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
     """Evaluate every tuple in the sweep grid, in grid order.  Any jobs
-    value gives the same serial sweep."""
+    value gives the same serial sweep.  A checker that raises makes a
+    failure row whose lhs names the exception, and the sweep goes on."""
     ident = IDENTITIES.get(spec.identity)
     if ident is None:
         raise UsageError(f"unknown identity {spec.identity!r}")
@@ -267,9 +287,14 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         tuples.append(params)
 
     start = time.perf_counter()
-    results = [ident.check(**params, **extra) for params in tuples]
-    failures = [{"params": {**params, **extra}, "lhs": lhs, "rhs": rhs}
-                for params, (ok, lhs, rhs) in zip(tuples, results) if not ok]
+    failures = []
+    for params in tuples:
+        try:
+            ok, lhs, rhs = ident.check(**params, **extra)
+        except Exception as exc:  # a checker that raises fails its tuple
+            ok, lhs, rhs = False, f"{type(exc).__name__}: {exc}", ""
+        if not ok:
+            failures.append({"params": {**params, **extra}, "lhs": lhs, "rhs": rhs})
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepReport(ident.name, len(tuples), failures, elapsed_ms)
 

@@ -4,7 +4,7 @@ parameter key identity, each computed two-sidedly in exact arithmetic.
 
 Right sides here are signed, auxiliary-weighted sums of the same binomial
 cycle [L-k; i][L-i; j][L-j; k] that closes the diagonal of the key identity,
-so they are built on keyid.closed_form_diag where the base allows it.
+so they are built on keyid.cycle_summand where the base allows it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .qcore import (ONE, BivarLaurent, LaurentPoly, TruncSeries, poly_prod,
                     q_power)
 from .qcomb import poch_qpow, qbinom_base, qbinom_q1, triangular
-from .keyid import closed_form_diag
+from .keyid import closed_form_diag, cycle_summand, summand_poly
 
 
 class FourParams(NamedTuple):
@@ -149,33 +149,45 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
         poch.append(poch[-1] * poch_series(n, 1, order))
     # [k+i; k] / ((q)_i (q)_k) = (q)_(i+k) / ((q)_i (q)_k)^2
     inv_sq = [r * r for r in (p.recip() for p in poch)]
-    rhs = TruncSeries(order)
+    # q^e times a series is known modulo q^order from the series' first
+    # order - e coefficients, so the product is cut there and then shifted
+    rhs = [0] * order
     for i in range(2 * order + 1):
         for k in range(2 * order + 1):
             e = triangular(i) + triangular(k) - i * k
             if e >= order:
                 continue
-            term = TruncSeries.from_poly(q_power(e), order) \
-                * poch[min(i + k, order - 1)] \
-                * inv_sq[min(i, order - 1)] * inv_sq[min(k, order - 1)]
-            rhs = rhs + term if (i + k) % 2 == 0 else rhs - term
-    return lhs, rhs
+            cut = order - e
+            term = TruncSeries(cut, poch[min(i + k, order - 1)].coeffs) \
+                * TruncSeries(cut, inv_sq[min(i, order - 1)].coeffs) \
+                * TruncSeries(cut, inv_sq[min(k, order - 1)].coeffs)
+            sign = _sign(i + k)
+            for n, c in enumerate(term.coeffs, e):
+                rhs[n] += sign * c
+    return lhs, TruncSeries(order, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Jacobi cube formula: polynomial analog and series form
 # ---------------------------------------------------------------------------
 
+def jacobi_cube_poly_summands(L: int):
+    """Both sides of the polynomial cube analog as summands (see
+    keyid.lhs_summands): the list of (-1)^l (2l+1) q^T(l), l = 0..L, and a
+    generator of the signed cycles (-1)^(i+j+k) q^(T(i)+T(j)+T(k))
+    [L-k; i][L-i; j][L-j; k]."""
+    lhs = [(triangular(el), (), _sign(el) * (2 * el + 1)) for el in range(L + 1)]
+    rhs = (cycle_summand(i, j, k, L, _sign(i + j + k))
+           for i, j, k in _cycle_tuples(L))
+    return lhs, rhs
+
+
 def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Polynomial analog of the cube formula:
     sum_{l=0..L} (-1)^l (2l+1) q^T(l)  against
     sum (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]."""
-    lhs = LaurentPoly((triangular(el), _sign(el) * (2 * el + 1))
-                      for el in range(L + 1))
-    rhs = LaurentPoly()
-    for i, j, k in _cycle_tuples(L):
-        rhs = rhs + closed_form_diag(i, j, k, L) * _sign(i + j + k)
-    return lhs, rhs
+    lhs, rhs = jacobi_cube_poly_summands(L)
+    return summand_poly(lhs), summand_poly(rhs)
 
 
 def jacobi_cube_series(order: int) -> tuple[TruncSeries, TruncSeries]:

@@ -7,8 +7,9 @@ Conventions: g(i, j, k, L, M) is the colored-frequency double sum (lhs_g),
 p(i, j, k, L, M) is the single s-sum (rhs_p).  Both are total functions on
 Z^5; no argument is range-restricted.
 
-Each side is written once, as a list of summands q^shift times a product of
-q-binomials and q-multinomials (lhs_summands, rhs_summands).  summand_poly
+Each side is written once, as a list of summands: an integer times q^shift
+times a product of q-binomials and q-multinomials (lhs_summands,
+rhs_summands, and cycle_summand for the diagonal closed form).  summand_poly
 turns a list into its polynomial; check_key instead compares the two lists'
 values at q = 2^W, with W large enough that equal integers mean equal
 polynomials (summands_agree), and so builds no polynomial at all.
@@ -81,10 +82,11 @@ def _live_sums(sx: Sextuple, t: int, L: int, M: int) -> int:
 def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
     """The two displayed sums of the identity's left side, as summand lists.
 
-    A summand is (shift, factors): q^shift times the product of the factors,
-    where a factor (top, b1, b2, ...) is the q-multinomial [top; b1, b2, ...]
-    and so (n, m) is the q-binomial [n; m].  Only summands whose factors
-    _live_sums finds nonzero are listed.
+    A summand is (shift, factors) or (shift, factors, coeff): coeff (1 when
+    left out) times q^shift times the product of the factors, where a factor
+    (top, b1, b2, ...) is the q-multinomial [top; b1, b2, ...] and so (n, m)
+    is the q-binomial [n; m].  Only summands whose factors _live_sums finds
+    nonzero are listed.
 
     The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomial
     factors ending in [M-t; bc]; the second shifts bc down by one and the
@@ -112,78 +114,107 @@ def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
 def rhs_summands(i: int, j: int, k: int, L: int, M: int) -> list:
     """The right side as a summand list (see lhs_summands): over s,
     q^(s(M+2) - T(s) + T(i-s) + T(j-s) + T(k-s)) [L-s; s, i-s, j-s] [M-i-j; k-s].
-    Empty when any of i, j, k is negative."""
+    Only summands whose factors are all nonzero are listed, so the list is
+    empty when any of i, j, k is negative."""
     return [(s * (M + 2) - triangular(s) + triangular(i - s) + triangular(j - s)
              + triangular(k - s), ((L - s, s, i - s, j - s), (M - i - j, k - s)))
-            for s in range(min(i, j, k) + 1)]
+            for s in range(min(i, j, k) + 1)
+            if qbinom_is_nonzero(L - s, s) and qbinom_is_nonzero(L - 2 * s, i - s)
+            and qbinom_is_nonzero(L - s - i, j - s)
+            and qbinom_is_nonzero(M - i - j, k - s)]
+
+
+def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
+    """coeff times the binomial cycle q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]
+    as a summand (see lhs_summands), the one place the cycle is written."""
+    return (triangular(i) + triangular(j) + triangular(k),
+            ((L - k, i), (L - i, j), (L - j, k)), coeff)
 
 
 def summand_poly(summands) -> LaurentPoly:
-    """The value of a summand list as a Laurent polynomial."""
+    """The value of a summand list (or any iterable of summands) as a
+    Laurent polynomial."""
     total = ZERO
-    for shift, factors in summands:
+    for shift, factors, *coeff in summands:
         # a binomial [n; 0] is 1 for every n, so it is skipped
         term = poly_prod([qbinom(*f) if len(f) == 2 else qmultinom(f[0], f[1:])
                           for f in factors if len(f) > 2 or f[1]])
-        total = total + term.shift(shift)
+        if coeff:
+            term = term * coeff[0]
+        term = term.shift(shift)
+        total = total + term if total else term
     return total
 
 
-def _normal(summand):
-    """A summand as (sign, exponent, binomials, weight): sign * q^exponent
-    times the product of [n; m] over binomials, each n >= m >= 0, and weight
-    that product at q = 1.  None when a factor is zero."""
-    exp, factors = summand
-    sign, weight, binomials = 1, 1, []
-    for top, *bottoms in factors:
-        for bottom in bottoms:
+def _normal(summand, side):
+    """A nonzero summand, times side (1 or -1), as (weight, term): term is the
+    flat list [c, e, n1, m1, n2, m2, ...] for c q^e [n1; m1] [n2; m2] ...,
+    each n >= m > 0, and weight is |c| times that product at q = 1.  None
+    when the summand is zero."""
+    exp, factors = summand[0], summand[1]
+    coeff = side * summand[2] if len(summand) > 2 else side
+    if not coeff:
+        return None
+    weight, term = abs(coeff), [coeff, exp]
+    for factor in factors:
+        top = factor[0]
+        for bottom in factor[1:]:
             if not bottom:  # [top; 0] = 1
                 continue
-            normal = qbinom_normal(top, bottom)
-            if normal is None:
-                return None
-            s, e, n = normal
-            sign *= s
-            exp += e
+            if 0 < bottom <= top:  # already in normal form
+                n = top
+            else:
+                normal = qbinom_normal(top, bottom)
+                if normal is None:
+                    return None
+                sign, shift, n = normal
+                term[0] *= sign
+                term[1] += shift
             weight *= comb(n, bottom)
-            binomials.append((n, bottom))
+            term += n, bottom
             top -= bottom
-    return sign, exp, binomials, weight
+    return weight, term
 
 
 def summands_agree(left, right) -> bool:
-    """Do two summand lists have equal values?  Decided by one comparison of
-    integers, without building a polynomial.
+    """Do two summand lists (or iterables of summands) have equal values?
+    Decided by one comparison of integers, without building a polynomial.
 
-    Every [n; m] with n >= m >= 0 has nonnegative coefficients summing to
-    C(n, m), and a negative top only adds a sign and a power of q (_normal).
-    So B, the sum over both lists of each summand's weight, bounds
+    A summand may carry an integer coefficient as a third element, which
+    defaults to 1.  Every [n; m] with n >= m >= 0 has nonnegative
+    coefficients summing to C(n, m), and a negative top only adds a sign and
+    a power of q (_normal).  So B, the sum over both lists of each
+    summand's weight (|coefficient| times that product of C(n, m)), bounds
     every |coefficient| of left - right.  Take W with 2^W > B and D the
     lowest summand exponent: q^-D (left - right) is then a polynomial whose
     coefficients are all below 2^W in size, and its value at q = 2^W is zero
     exactly when it is the zero polynomial.  The comparison is exact, not a
     random-point test.
+
+    Until W is known each summand is held as one flat list of small ints,
+    so a long side passed as a generator (the cube analog's cycle sum) costs
+    little memory.
     """
     terms = []
     bound = 0
     for side, summands in ((1, left), (-1, right)):
         for summand in summands:
-            normal = _normal(summand)
+            normal = _normal(summand, side)
             if normal is not None:
-                sign, exp, binomials, weight = normal
-                terms.append((side * sign, exp, binomials))
-                bound += weight
+                bound += normal[0]
+                terms.append(normal[1])
     if not terms:
         return True
     width = bound.bit_length()
-    low = min(exp for _, exp, _ in terms)
+    low = min(term[1] for term in terms)
+    # reached through qcomb: a memo imported here would also be listed
+    # among keyid's by tools that scan module namespaces
+    binomial_image = qcomb.qbinom_image
     image = 0
-    for sign, exp, binomials in terms:
-        value = sign << width * (exp - low)
-        for n, m in binomials:
-            # reached through qcomb: a memo imported here would also be
-            # listed among keyid's by tools that scan module namespaces
-            value *= qcomb.qbinom_image(n, m, width)
+    for term in terms:
+        value = term[0] << width * (term[1] - low)
+        for at in range(2, len(term), 2):
+            value *= binomial_image(term[at], term[at + 1], width)
         image += value
     return image == 0
 
@@ -207,11 +238,17 @@ def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     return summand_poly(rhs_summands(i, j, k, L, M))
 
 
+def key_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
+    """Both sides of the key identity as summand lists: the left side's two
+    sums in one list, and the right side."""
+    first, second = lhs_summands(i, j, k, L, M)
+    return first + second, rhs_summands(i, j, k, L, M)
+
+
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
     """Exact equality of the two sides at one integer 5-tuple, decided on
     their summand lists by summands_agree."""
-    first, second = lhs_summands(i, j, k, L, M)
-    return summands_agree(first + second, rhs_summands(i, j, k, L, M))
+    return summands_agree(*key_summands(i, j, k, L, M))
 
 
 def boundary_value(i: int, j: int, k: int, M: int) -> LaurentPoly:
@@ -219,7 +256,7 @@ def boundary_value(i: int, j: int, k: int, M: int) -> LaurentPoly:
     delta(i,0) delta(j,0) q^T(k) [M-i-j; k]."""
     if i != 0 or j != 0:
         return ZERO
-    return qbinom(M - i - j, k).shift(triangular(k))
+    return summand_poly([(triangular(k), ((M, k),))])
 
 
 def check_boundary(i: int, j: int, k: int, M: int) -> bool:
@@ -289,8 +326,7 @@ def check_recurrence_andrews(i: int, j: int, k: int, L: int, M: int) -> bool:
 def closed_form_diag(i: int, j: int, k: int, L: int) -> LaurentPoly:
     """Diagonal closed form q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k],
     the value of the s-sum side at M = L."""
-    prod = poly_prod((qbinom(L - k, i), qbinom(L - i, j), qbinom(L - j, k)))
-    return prod.shift(triangular(i) + triangular(j) + triangular(k))
+    return summand_poly([cycle_summand(i, j, k, L)])
 
 
 def schur_sides(j: int, k: int, L: int, M: int):

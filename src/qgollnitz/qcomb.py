@@ -107,7 +107,9 @@ def qbinom(top: int, bottom: int) -> LaurentPoly:
     return value if sign > 0 else -value
 
 
-@lru_cache(maxsize=4096)
+# 512 entries hold what the key grid reuses from tuple to tuple; a larger
+# table would keep the cube analog's large images alive after its sweep.
+@lru_cache(maxsize=512)
 def qbinom_image(top: int, bottom: int, width: int) -> int:
     """[top; bottom] at q = 2^width, for top >= bottom >= 0: the product of
     (2^(width*(top-bottom+r)) - 1) / (2^(width*r) - 1) over r = 1..bottom,

@@ -98,6 +98,61 @@ def test_key_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
     assert report.failures == expected
 
 
+def test_cube_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
+    real = corollaries.jacobi_cube_poly_summands
+
+    def corrupted(L):
+        left, right = real(L)
+        right = list(right)
+        kind = L % 3
+        if kind == 0 and left:  # 1 added to the last (2l+1) coefficient
+            shift, fs, coeff = left[-1]
+            return left[:-1] + [(shift, fs, coeff + 1)], right
+        if kind == 1:  # a cycle with a zero binomial leaves the value alone
+            return left, right + [keyid.cycle_summand(L + 1, 0, 0, L, 5)]
+        return left, [(e + 1, *rest) for e, *rest in right]  # times q
+
+    monkeypatch.setattr(corollaries, "jacobi_cube_poly_summands", corrupted)
+    report = run_sweep(SweepSpec("jacobi-cube-poly", {"L": (-2, 8)}))
+    expected = []
+    for L in range(-2, 9):
+        lhs, rhs = corollaries.jacobi_cube_poly_sides(L)
+        if lhs != rhs:
+            expected.append({"params": {"L": L}, "lhs": str(lhs), "rhs": str(rhs)})
+    assert report.total == 11
+    assert [f["params"]["L"] for f in expected] == [0, 2, 3, 5, 6, 8]
+    assert report.failures == expected
+
+
+@pytest.mark.parametrize("lo, hi", [(21, 26), (-3, 0)])
+def test_cube_sweep_outside_the_default_grid(lo, hi):
+    # for L < 0 both sides are empty sums
+    report = run_sweep(SweepSpec("jacobi-cube-poly", {"L": (lo, hi)}))
+    assert report.ok, report.failures[:1]
+    assert report.total == hi - lo + 1
+
+
+def test_raising_checker_becomes_a_failure_row(monkeypatch, capsys):
+    def check(n, L):
+        if (n, L) == (37, 64):
+            raise ZeroDivisionError("no value at this tuple")
+        return True, "", ""
+
+    spec = IdentitySpec("raises-once", ("n", "L"), {"n": (0, 99), "L": (0, 99)},
+                        check)
+    monkeypatch.setitem(IDENTITIES, spec.name, spec)
+    assert cli.main(["raises-once", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["total"] == 10 ** 4
+    assert payload["failures"] == [
+        {"params": {"n": 37, "L": 64},
+         "lhs": "ZeroDivisionError: no value at this tuple", "rhs": ""}]
+    assert "Traceback" not in out + err
+    assert cli.main(["raises-once"]) == 1
+    assert "ZeroDivisionError" in capsys.readouterr().out
+
+
 @pytest.fixture
 def corrupt_identity():
     """A key-identity checker with a deliberately shifted left side."""

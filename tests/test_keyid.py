@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import LaurentPoly, TruncSeries
-from qgollnitz.qcomb import qbinom
+from qgollnitz.qcomb import qbinom, qmultinom
+from qgollnitz.corollaries import jacobi_cube_poly_summands
 from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
                              check_key, check_key_limit,
                              check_recurrence_andrews, check_recurrence_g,
@@ -103,7 +104,11 @@ def test_check_key_small_grid_with_negatives():
 # bottoms may be negative, so factors may be zero or Laurent
 factors = st.builds(lambda top, bottoms: (top, *bottoms), st.integers(-6, 9),
                     st.lists(st.integers(-1, 5), min_size=1, max_size=3))
-summands = st.tuples(st.integers(-12, 12), st.lists(factors, max_size=3).map(tuple))
+# a summand may carry an integer coefficient, zero included, as a third element
+coefficients = st.one_of(st.just(()), st.tuples(st.integers(-9, 9)))
+summands = st.builds(lambda shift, fs, coeff: (shift, fs, *coeff),
+                     st.integers(-12, 12), st.lists(factors, max_size=3).map(tuple),
+                     coefficients)
 sides = st.lists(summands, max_size=4)
 
 
@@ -112,17 +117,23 @@ def _same_value(data, side):
     binomials, some binomials expanded by q-Pascal (which holds for all
     integers), summands shuffled."""
     out = []
-    for shift, fs in side:
+    for shift, fs, *coeff in side:
         fs = [g for top, *bottoms in fs
               for g in [(top - sum(bottoms[:n]), b) for n, b in enumerate(bottoms)]]
         pick = data.draw(st.integers(-1, len(fs) - 1))
         if pick < 0:
-            out.append((shift, tuple(fs)))
+            out.append((shift, tuple(fs), *coeff))
             continue
         (n, m), rest = fs[pick], fs[:pick] + fs[pick + 1:]
-        out.append((shift, tuple(rest) + ((n - 1, m),)))
-        out.append((shift + n - m, tuple(rest) + ((n - 1, m - 1),)))
+        out.append((shift, tuple(rest) + ((n - 1, m),), *coeff))
+        out.append((shift + n - m, tuple(rest) + ((n - 1, m - 1),), *coeff))
     return data.draw(st.permutations(out))
+
+
+def _plus_one(side, at):
+    """side with 1 added to the coefficient of its summand number at."""
+    shift, fs, *coeff = side[at]
+    return side[:at] + [(shift, fs, (coeff[0] if coeff else 1) + 1)] + side[at + 1:]
 
 
 @given(sides, sides)
@@ -140,9 +151,12 @@ def test_summands_agree_on_rewritten_side(side, data):
     assert summands_agree(other, side)
     value = summand_poly(side)
     drop = data.draw(st.integers(0, max(len(other) - 1, 0)))
-    for bad in ([(e + 1, fs) for e, fs in other],          # times q
-                other + [(data.draw(st.integers(-12, 12)), ())],  # + q^e
-                other[:drop] + other[drop + 1:]):          # one summand dropped
+    bads = [[(e + 1, *rest) for e, *rest in other],         # times q
+            other + [(data.draw(st.integers(-12, 12)), ())],  # + q^e
+            other[:drop] + other[drop + 1:]]                # one summand dropped
+    if other:
+        bads.append(_plus_one(other, drop))                 # one coefficient + 1
+    for bad in bads:
         assert summands_agree(side, bad) == (value == summand_poly(bad))
 
 
@@ -154,6 +168,10 @@ def test_summands_agree_at_the_coefficient_bound(a):
     for x in range(1, 17):
         assert not summands_agree([(1, ())] * x, [(0, ())] * (x << a))
         assert summands_agree([(1, ())] * x, [(1, ())] * x)
+        # the same with coefficients: the bound counts |coefficient|
+        assert not summands_agree([(1, (), x)], [(0, (), x << a)])
+        assert not summands_agree([(1, (), -x), (0, (), x << a)], [])
+        assert summands_agree([(1, (), x)], [(1, ())] * x)
 
 
 def _key_sides(i, j, k, L, M):
@@ -186,6 +204,38 @@ def test_key_summands_reject_corruption():
         for n in range(len(left)):  # every listed lhs summand is nonzero
             assert not summands_agree(left[:n] + left[n + 1:], right)
     assert checked > 1000
+
+
+@given(st.integers(-1, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_summands_agree_on_the_cube_analog(L, data):
+    # sum (-1)^l (2l+1) q^T(l) against the signed binomial cycle; the left
+    # side is a list of coefficient-only summands
+    left, right = jacobi_cube_poly_summands(L)
+    right = list(right)
+    assert summands_agree(left, right)
+    assert summands_agree(left, iter(right))
+    if not left:
+        return
+    at = data.draw(st.integers(0, len(left) - 1))
+    flip = [(e, fs, -c) if n == at else (e, fs, c)
+            for n, (e, fs, c) in enumerate(left)]
+    for bad in (_plus_one(left, at), flip, left[:at] + left[at + 1:]):
+        assert summand_poly(bad) != summand_poly(right)
+        assert not summands_agree(bad, right)
+    for bad in (_plus_one(right, data.draw(st.integers(0, len(right) - 1))),
+                right + [(data.draw(st.integers(0, 30)), (), 2 * L + 3)]):
+        assert not summands_agree(left, bad)
+
+
+def test_rhs_summands_are_nonzero():
+    for i, j, k, L, M in itertools.product(range(-1, 4), range(0, 4), range(0, 4),
+                                           range(-3, 7), range(-3, 7)):
+        listed = rhs_summands(i, j, k, L, M)
+        assert all(summand_poly([summand]) for summand in listed)
+        live = sum(1 for s in range(min(i, j, k) + 1)
+                   if qmultinom(L - s, (s, i - s, j - s)) and qbinom(M - i - j, k - s))
+        assert len(listed) == live
 
 
 def test_key_sides_are_laurent_for_negative_bounds():
