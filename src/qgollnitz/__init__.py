@@ -20,9 +20,8 @@ from .partcomb import (Color, ColoredPartition, InvalidImage, NotType1,
                        gollnitz_C, is_c_partition, is_type1, iter_type1,
                        iter_type1_all, remark3_transform, staircase_forward,
                        staircase_inverse)
-from .corollaries import (Decuple, FourParams, bounded_jtp_lhs,
-                          bounded_jtp_rhs, carl_poly_sides, carlitz_sides,
-                          check_bounded_jtp, enumerate_decuples,
-                          false_theta_sides, four_param_sides,
-                          jacobi_cube_poly_sides, jacobi_cube_series,
-                          jtp_series)
+from .corollaries import (Decuple, bounded_jtp_lhs, bounded_jtp_rhs,
+                          carl_poly_sides, carlitz_sides, check_bounded_jtp,
+                          enumerate_decuples, false_theta_sides,
+                          four_param_sides, jacobi_cube_poly_sides,
+                          jacobi_cube_series, jtp_series)

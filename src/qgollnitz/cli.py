@@ -66,17 +66,19 @@ def _compare(sides, render=str, holds=None):
     return check
 
 
-def _by_images(summands, sides):
+def _by_images(summands):
     """A checker that decides each tuple by keyid.summands_agree on
-    summands(**params) -> (left, right), two summand lists; the polynomials
-    sides(**params) are built only to render a failure row."""
-    summands, sides = _current(summands), _current(sides)
+    summands(**params) -> (left, right), two summand lists.  Only a failing
+    tuple has the lists' polynomials built, to render its row; they come
+    from a second call, since the comparison uses up a side given as a
+    generator."""
+    summands = _current(summands)
 
     def check(**params):
         if keyid.summands_agree(*summands()(**params)):
             return _PASS
-        lhs, rhs = sides()(**params)
-        return False, str(lhs), str(rhs)
+        lhs, rhs = summands()(**params)
+        return False, str(keyid.summand_poly(lhs)), str(keyid.summand_poly(rhs))
     return check
 
 
@@ -145,10 +147,7 @@ _KEY_PARAMS = ("i", "j", "k", "L", "M")
 _KEY_GRID = {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 8), "M": (0, 8)}
 
 IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
-    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID,
-                 _by_images(keyid.key_summands,
-                            lambda i, j, k, L, M: (keyid.lhs_g(i, j, k, L, M),
-                                                   keyid.rhs_p(i, j, k, L, M)))),
+    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID, _by_images(keyid.key_summands)),
     IdentitySpec("boundary", ("i", "j", "k", "M"),
                  {"i": (0, 4), "j": (0, 4), "k": (0, 4), "M": (0, 10)},
                  _compare(lambda i, j, k, M: (keyid.lhs_g(i, j, k, i + j - 1, M),
@@ -182,8 +181,7 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("false-theta", (), {}, _compare(corollaries.false_theta_sides),
                  default_order=30),
     IdentitySpec("jacobi-cube-poly", ("L",), {"L": (0, 20)},
-                 _by_images(corollaries.jacobi_cube_poly_summands,
-                            corollaries.jacobi_cube_poly_sides)),
+                 _by_images(corollaries.jacobi_cube_poly_summands)),
     IdentitySpec("jacobi-cube-series", (), {},
                  _compare(corollaries.jacobi_cube_series), default_order=50),
     IdentitySpec("carl", ("L",), {"L": (0, 10)},
@@ -216,6 +214,7 @@ _RANGE_FLAGS = tuple(dict.fromkeys(
 # ---------------------------------------------------------------------------
 
 # Most tuples a grid may hold before filtering, ~15x acceptance criterion 1's.
+# A sweep holds no grid, so this bounds time, not memory.
 _MAX_GRID = 10 ** 6
 # Highest truncation order: false-theta takes about 25 s at order 400.
 _MAX_ORDER = 1000
@@ -246,9 +245,10 @@ class SweepReport:
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate every tuple in the sweep grid, in grid order.  Any jobs
-    value gives the same serial sweep.  A checker that raises makes a
-    failure row whose lhs names the exception, and the sweep goes on."""
+    """Evaluate every tuple in the sweep grid, in grid order, each as it is
+    generated.  Any jobs value gives the same serial sweep.  A checker that
+    raises makes a failure row whose lhs names the exception, and the sweep
+    goes on."""
     ident = IDENTITIES.get(spec.identity)
     if ident is None:
         raise UsageError(f"unknown identity {spec.identity!r}")
@@ -279,16 +279,13 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     if spec.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {spec.jobs}")
 
-    tuples = []
+    start = time.perf_counter()
+    total, failures = 0, []
     for combo in itertools.product(*ranges):
         params = dict(zip(ident.params, combo))
         if ident.tuple_filter is not None and not ident.tuple_filter(params):
             continue
-        tuples.append(params)
-
-    start = time.perf_counter()
-    failures = []
-    for params in tuples:
+        total += 1
         try:
             ok, lhs, rhs = ident.check(**params, **extra)
         except Exception as exc:  # a checker that raises fails its tuple
@@ -296,7 +293,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         if not ok:
             failures.append({"params": {**params, **extra}, "lhs": lhs, "rhs": rhs})
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return SweepReport(ident.name, len(tuples), failures, elapsed_ms)
+    return SweepReport(ident.name, total, failures, elapsed_ms)
 
 
 def render_report(report: SweepReport, fmt: str = "text") -> str:

@@ -18,14 +18,6 @@ from .qcomb import poch_qpow, qbinom_base, qbinom_q1, triangular
 from .keyid import closed_form_diag, cycle_summand, summand_poly
 
 
-class FourParams(NamedTuple):
-    """Nonnegative color totals of the four parameter identity."""
-    i: int
-    j: int
-    k: int
-    l: int
-
-
 class Decuple(NamedTuple):
     """Summation variables (a, b, c, d, ab, ..., cd, Q) of the four
     parameter identity; t excludes Q."""

@@ -7,10 +7,9 @@ exact counts, and the color-to-residue substitution that links the two.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .qcore import LaurentPoly
@@ -154,19 +153,21 @@ class StaircaseImage:
 
     def validate(self) -> None:
         """Raise InvalidImage unless all structural conditions hold."""
+        # __init__ sorts every image largest first, so its smallest part is
+        # its last
         for name, ps in (("A", self.parts_a), ("B", self.parts_b),
                          ("C", self.parts_c)):
-            if any(v < 0 for v in ps):
+            if ps and ps[-1] < 0:
                 raise InvalidImage(f"negative part in primary image {name}")
         for name, ps in (("AB", self.parts_ab), ("AC", self.parts_ac)):
-            if any(v < 1 for v in ps):
+            if ps and ps[-1] < 1:
                 raise InvalidImage(f"part below 1 in image {name}")
-            if any(x <= y for x, y in zip(ps, ps[1:])):
+            if len(set(ps)) < len(ps):
                 raise InvalidImage(f"parts of image {name} are not distinct")
         ps = self.parts_bc
-        if any(v < 0 for v in ps):
+        if ps and ps[-1] < 0:
             raise InvalidImage("negative part in image BC")
-        if any(x <= y for x, y in zip(ps, ps[1:])):
+        if len(set(ps)) < len(ps):
             raise InvalidImage("parts of image BC are not distinct")
         if 0 in ps and 0 not in self.parts_a:
             raise InvalidImage("BC image contains 0 but A image does not")
@@ -337,26 +338,22 @@ def gollnitz_B(n: int) -> int:
     return ways[n]
 
 
-@lru_cache(maxsize=None)
-def _c_count(rem: int, upper: int) -> int:
-    # partitions of rem, largest available part <= upper, no part 1 or 3,
-    # consecutive difference >= 6 and >= 7 below a part = 0, 1, 3 mod 6
-    if rem == 0:
-        return 1
-    total = 0
-    for m in range(2, min(rem, upper) + 1):
-        if m == 3:
-            continue
-        total += _c_count(rem - m, m - 6 - (1 if m % 6 in (0, 1, 3) else 0))
-    return total
-
-
 def gollnitz_C(n: int) -> int:
     """Partitions of n with no part 1 or 3 and gaps of at least 6 between
     consecutive parts, the gap strict below parts = 0, 1, 3 mod 6."""
     if n < 0:
         return 0
-    return _c_count(n, n)
+    # cols[-d] counts, by weight 0..n, the partitions with largest part
+    # <= u - d; below a part u the next part is <= u - 6, or <= u - 7 when
+    # u = 0, 1, 3 mod 6, so seven columns and the new one suffice
+    cols = deque([[1] + [0] * n] * 7, maxlen=7)
+    for u in range(2, n + 1):
+        col = cols[-1]
+        if u != 3:
+            below = cols[-7] if u % 6 in (0, 1, 3) else cols[-6]
+            col = col[:u] + [x + y for x, y in zip(col[u:], below)]
+        cols.append(col)
+    return cols[-1][n]
 
 
 def is_c_partition(parts: Sequence[int]) -> bool:

@@ -366,6 +366,30 @@ def test_grid_ceiling_checked_before_any_tuple(monkeypatch, capsys):
     assert "exceeds the limit of 12" in capsys.readouterr().err
 
 
+def test_sweep_checks_each_tuple_as_it_is_generated():
+    filtered = []
+
+    def counting_filter(params):
+        filtered.append(params)
+        return True
+
+    def check(n, L):
+        if not at_first_check:
+            at_first_check.append(len(filtered))
+        return True, "", ""
+
+    at_first_check = []
+    spec = IdentitySpec("streamed", ("n", "L"), {"n": (0, 30), "L": (0, 30)},
+                        check, tuple_filter=counting_filter)
+    IDENTITIES[spec.name] = spec
+    try:
+        report = run_sweep(SweepSpec("streamed"))
+    finally:
+        del IDENTITIES[spec.name]
+    assert report.ok and report.total == len(filtered) == 31 ** 2
+    assert at_first_check == [1]
+
+
 def test_jobs_sweep_starts_no_thread(monkeypatch):
     serial = render_report(run_sweep(small_key_spec()), "json")
 

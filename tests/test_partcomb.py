@@ -117,6 +117,24 @@ def test_invalid_images_rejected():
         staircase_inverse(StaircaseImage(parts_a=(-1,)))
 
 
+@pytest.mark.parametrize("image, message", [
+    (StaircaseImage(parts_a=(1,), parts_c=(2, -1)), "negative part in primary image C"),
+    (StaircaseImage(parts_ac=(3, 0)), "part below 1 in image AC"),
+    (StaircaseImage(parts_ab=(1, 4, 4)), "parts of image AB are not distinct"),
+    (StaircaseImage(parts_bc=(2, -1)), "negative part in image BC"),
+    (StaircaseImage(parts_a=(0,), parts_bc=(0, 3, 0)), "parts of image BC are not distinct"),
+    (StaircaseImage(parts_a=(1,), parts_bc=(2, 0)), "BC image contains 0 but A image does not"),
+    # an image that breaks several rules is reported by the first of them
+    (StaircaseImage(parts_b=(-2,), parts_ab=(0,), parts_bc=(1, 1)),
+     "negative part in primary image B"),
+    (StaircaseImage(parts_ac=(2, 2, 0), parts_bc=(-1,)), "part below 1 in image AC"),
+])
+def test_invalid_image_messages(image, message):
+    with pytest.raises(InvalidImage) as caught:
+        image.validate()
+    assert str(caught.value) == message
+
+
 def test_staircase_round_trip_small():
     seen = 0
     for p in iter_type1_all(6):
@@ -212,6 +230,11 @@ def test_gollnitz_C_examples():
 def test_gollnitz_equal_to_30():
     for n in range(31):
         assert gollnitz_B(n) == gollnitz_C(n), n
+
+
+def test_gollnitz_C_equals_B_at_large_n():
+    assert all(gollnitz_B(n) == gollnitz_C(n) for n in range(301))
+    assert gollnitz_C(2000) == gollnitz_B(2000)
 
 
 def test_is_c_partition():
