@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import re
 import sys
 import time
@@ -388,13 +387,6 @@ def run_golden() -> SweepReport:
 # command line entry point
 # ---------------------------------------------------------------------------
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("QGOLLNITZ_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo_txt, hi_txt = text.split("..", 1)
@@ -424,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", type=int,
                         help="truncation order for series identities")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help="accepted for compatibility; sweeps run serially "
-                             "(default 1 or $QGOLLNITZ_JOBS)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; sweeps run serially")
     parser.add_argument("--emit", action="store_true",
                         help="with 'golden': print the freshly derived corpus")
     return parser

@@ -4,7 +4,7 @@ parameter key identity, each computed two-sidedly in exact arithmetic.
 
 Right sides here are signed, auxiliary-weighted sums of the same binomial
 cycle [L-k; i][L-i; j][L-j; k] that closes the diagonal of the key identity,
-so they are built on keyid.cycle_summand where the base allows it.
+so they are built on keyid.cycle_summand (in base q^2 by stretching it).
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .qcore import (ONE, BivarLaurent, LaurentPoly, TruncSeries, poly_prod,
-                    q_power)
-from .qcomb import poch_qpow, qbinom_base, qbinom_q1, triangular
-from .keyid import closed_form_diag, cycle_summand, summand_poly
+from .qcore import ONE, BivarLaurent, LaurentPoly, TruncSeries, q_power
+from .qcomb import poch_qpow, qbinom_q1, triangular
+from .keyid import (closed_form_diag, cycle_summand, poch_quotient_sum,
+                    summand_poly)
 
 
 class Decuple(NamedTuple):
@@ -69,14 +69,12 @@ def bounded_jtp_lhs(L: int) -> BivarLaurent:
 def bounded_jtp_rhs(L: int) -> BivarLaurent:
     """Right side: the base-q^2 binomial cycle
     sum (-1)^k A^(i-j) q^(i^2 + j^2 + 2T(k)) [L-k; i][L-i; j][L-j; k] (all
-    binomials in base q^2), over i, j, k >= 0 with pair sums at most L."""
-    pairs = []
-    for i, j, k in _cycle_tuples(L):
-        cycle = poly_prod((qbinom_base(L - k, i, 2), qbinom_base(L - i, j, 2),
-                           qbinom_base(L - j, k, 2)))
-        e = i * i + j * j + 2 * triangular(k)
-        pairs.append((i - j, cycle.shift(e) * _sign(k)))
-    return BivarLaurent(pairs)
+    binomials in base q^2), over i, j, k >= 0 with pair sums at most L.
+    Since 2T(n) = n^2 + n, each term is the diagonal closed form in q^2
+    shifted by -(i+j)."""
+    return BivarLaurent(
+        (i - j, closed_form_diag(i, j, k, L).stretch(2).shift(-i - j) * _sign(k))
+        for i, j, k in _cycle_tuples(L))
 
 
 def check_bounded_jtp(L: int) -> bool:
@@ -267,27 +265,18 @@ def four_param_sides(i: int, j: int, k: int, l: int,
     with E = T(t) + T(ab)+T(ac)+T(ad)+T(bc)+T(bd)+T(cd) - bc-bd-cd
         + 4T(Q-1) + Q(3+2t); the right side is
     q^(T(i)+T(j)+T(k)+T(l)) / ((q)_i (q)_j (q)_k (q)_l)."""
-    lhs = TruncSeries(order)
+    lhs_terms = []
     for dec in enumerate_decuples(i, j, k, l):
         t = dec.t
         e = (triangular(t) + triangular(dec.ab) + triangular(dec.ac)
              + triangular(dec.ad) + triangular(dec.bc) + triangular(dec.bd)
              + triangular(dec.cd) - dec.bc - dec.bd - dec.cd
              + 4 * triangular(dec.Q - 1) + dec.Q * (3 + 2 * t))
-        if e >= order:
-            continue
         head = dec.a + dec.bc + dec.bd + dec.Q
         numer = LaurentPoly([(0, 1), (dec.a, -1),
                              (head, 1), (head + dec.b, -1),
-                             (head + dec.b + dec.cd, 1)]).shift(e)
-        denom = poly_prod(poch_qpow(1, n) for n in dec)
-        lhs = lhs + TruncSeries.from_poly(numer, order) \
-            * TruncSeries.from_poly(denom, order).recip()
-
-    if min(i, j, k, l) < 0:
-        return lhs, TruncSeries(order)
+                             (head + dec.b + dec.cd, 1)])
+        lhs_terms.append((numer.shift(e), dec))
     e = triangular(i) + triangular(j) + triangular(k) + triangular(l)
-    rhs = TruncSeries.from_poly(q_power(e), order)
-    for n in (i, j, k, l):
-        rhs = rhs * TruncSeries.from_poly(poch_qpow(1, n), order).recip()
-    return lhs, rhs
+    return (poch_quotient_sum(lhs_terms, order),
+            poch_quotient_sum([(q_power(e), (i, j, k, l))], order))

@@ -348,38 +348,42 @@ def check_schur_case(j: int, k: int, L: int, M: int) -> bool:
     return left == right == lhs_g(0, j, k, L, M) == rhs_p(0, j, k, L, M)
 
 
-def key_limit_lhs(i: int, j: int, k: int, order: int) -> TruncSeries:
-    """Left side of the unbounded limit, modulo q^order:
-    sum over frequencies of
-    q^(T(t)+T(ab)+T(ac)+T(bc-1)) (1 - q^a + q^(a+bc)) / ((q)_a ... (q)_bc).
-
-    Frequencies whose minimum exponent already reaches the truncation order
-    contribute nothing and are skipped.  Negative parameters give the empty
-    sum, matching the vanishing of the bounded identity.
-    """
+def poch_quotient_sum(terms, order: int) -> TruncSeries:
+    """The sum of numer / ((q)_n1 (q)_n2 ...) modulo q^order over the
+    (numer, (n1, n2, ...)) pairs of terms, numer a nonzero polynomial in q.
+    A term is zero, and is skipped, when its numerator's valuation reaches
+    the order or when some n is negative (1/(q)_n = 0 for n < 0)."""
     total = TruncSeries(order)
-    for sx in enumerate_sextuples(i, j, k):
-        e = triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac) \
-            + triangular(sx.bc - 1)
-        if e >= order:
+    for numer, lengths in terms:
+        if numer.valuation >= order or min(lengths) < 0:
             continue
-        numer = LaurentPoly([(0, 1), (sx.a, -1), (sx.a + sx.bc, 1)]).shift(e)
-        denom = poly_prod(poch_qpow(1, n) for n in sx)
+        denom = poly_prod(poch_qpow(1, n) for n in lengths)
         total = total + TruncSeries.from_poly(numer, order) \
             * TruncSeries.from_poly(denom, order).recip()
     return total
 
 
+def key_limit_lhs(i: int, j: int, k: int, order: int) -> TruncSeries:
+    """Left side of the unbounded limit, modulo q^order:
+    sum over frequencies of
+    q^(T(t)+T(ab)+T(ac)+T(bc-1)) (1 - q^a + q^(a+bc)) / ((q)_a ... (q)_bc).
+    Negative parameters give the empty sum, matching the vanishing of the
+    bounded identity."""
+    terms = []
+    for sx in enumerate_sextuples(i, j, k):
+        e = triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac) \
+            + triangular(sx.bc - 1)
+        numer = LaurentPoly([(0, 1), (sx.a, -1), (sx.a + sx.bc, 1)])
+        terms.append((numer.shift(e), sx))
+    return poch_quotient_sum(terms, order)
+
+
 def key_limit_rhs(i: int, j: int, k: int, order: int) -> TruncSeries:
     """Right side of the unbounded limit:
-    q^(T(i)+T(j)+T(k)) / ((q)_i (q)_j (q)_k) modulo q^order."""
-    if i < 0 or j < 0 or k < 0:
-        return TruncSeries(order)
+    q^(T(i)+T(j)+T(k)) / ((q)_i (q)_j (q)_k) modulo q^order, zero when any
+    parameter is negative."""
     e = triangular(i) + triangular(j) + triangular(k)
-    numer = TruncSeries.from_poly(q_power(e), order)
-    for n in (i, j, k):
-        numer = numer * TruncSeries.from_poly(poch_qpow(1, n), order).recip()
-    return numer
+    return poch_quotient_sum([(q_power(e), (i, j, k))], order)
 
 
 def check_key_limit(i: int, j: int, k: int, order: int) -> bool:

@@ -7,12 +7,12 @@ exact counts, and the color-to-residue substitution that links the two.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Sequence
 
-from .qcore import LaurentPoly
+from .qcore import ZERO, LaurentPoly, poly_prod
 from . import keyid
 
 
@@ -265,61 +265,43 @@ def count_G(L: int, n: int, freq: Sequence[int]) -> int:
     return sum(1 for p in iter_type1(L, freq) if p.weight == n)
 
 
-def _distinct_weight_hist(count: int, bound: int) -> dict[int, int]:
-    # weight histogram of `count`-element subsets of {1..bound}; there are
-    # none for a negative count
-    hist: dict[int, int] = defaultdict(int)
-    if count == 0:
-        hist[0] = 1
-        return hist
-    if count < 0 or bound < count:
-        return hist
-    for combo in itertools.combinations(range(1, bound + 1), count):
-        hist[sum(combo)] += 1
-    return hist
+def _distinct_weight_poly(count: int, bound: int) -> LaurentPoly:
+    # weight polynomial of the `count`-element subsets of {1..bound}: 1 for
+    # count 0 (the empty subset), 0 for a negative count
+    if count < 0:
+        return ZERO
+    return LaurentPoly(Counter(
+        map(sum, itertools.combinations(range(1, bound + 1), count))))
 
 
-def _hist_convolve(h1: dict[int, int], h2: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = defaultdict(int)
-    for w1, c1 in h1.items():
-        for w2, c2 in h2.items():
-            out[w1 + w2] += c1 * c2
-    return out
-
-
-def _tricolor_hist(L: int, i: int, j: int, k: int) -> dict[int, int]:
-    hist = _distinct_weight_hist(i, L - k)
-    hist = _hist_convolve(hist, _distinct_weight_hist(j, L - i))
-    hist = _hist_convolve(hist, _distinct_weight_hist(k, L - j))
-    return hist
+def _tricolor_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
+    # weight polynomial of the tri-colored partitions counted by count_P
+    return poly_prod((_distinct_weight_poly(i, L - k),
+                      _distinct_weight_poly(j, L - i),
+                      _distinct_weight_poly(k, L - j)))
 
 
 def count_P(L: int, n: int, i: int, j: int, k: int) -> int:
     """Number of tri-colored partitions of n: i distinct parts in the first
     color bounded by L-k, j in the second bounded by L-i, k in the third
     bounded by L-j.  Exhaustive enumeration per color class."""
-    return _tricolor_hist(L, i, j, k).get(n, 0)
+    return _tricolor_poly(L, i, j, k).coeff(n)
 
 
 def check_theorem1(L: int, i: int, j: int, k: int) -> bool:
-    """Bounded double counting: for every weight n, Type-1 partitions with
-    parts <= L summed over all frequency solutions equal the tri-colored
-    count, and both weight generating polynomials match the algebraic
-    sides evaluated at M = L."""
+    """Bounded double counting: the weight polynomial of the Type-1
+    partitions with parts <= L, summed over all frequency solutions, equals
+    the tri-colored one, and the two match the algebraic sides evaluated at
+    M = L."""
     if L < max(i + j, j + k, k + i):
         raise PreconditionViolated(
             f"need L >= max(i+j, j+k, k+i), got L={L}, (i,j,k)=({i},{j},{k})")
-    g_hist: dict[int, int] = defaultdict(int)
-    for sx in keyid.enumerate_sextuples(i, j, k):
-        freq = (sx.a, sx.b, sx.c, sx.ab, sx.ac, sx.bc)
-        for p in iter_type1(L, freq):
-            g_hist[p.weight] += 1
-    p_hist = _tricolor_hist(L, i, j, k)
-    if {n: c for n, c in g_hist.items() if c} != {n: c for n, c in p_hist.items() if c}:
-        return False
-    if LaurentPoly(g_hist) != keyid.lhs_g(i, j, k, L, L):
-        return False
-    return LaurentPoly(p_hist) == keyid.closed_form_diag(i, j, k, L)
+    type1 = LaurentPoly(Counter(p.weight
+                                for sx in keyid.enumerate_sextuples(i, j, k)
+                                for p in iter_type1(L, sx)))
+    tricolor = _tricolor_poly(L, i, j, k)
+    return (type1 == tricolor and type1 == keyid.lhs_g(i, j, k, L, L)
+            and tricolor == keyid.closed_form_diag(i, j, k, L))
 
 
 # ---------------------------------------------------------------------------

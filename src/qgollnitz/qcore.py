@@ -498,8 +498,7 @@ class TruncSeries:
     def __sub__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        m = min(self._order, other._order)
-        return TruncSeries(m, [a - b for a, b in zip(self._coeffs, other._coeffs)])
+        return self + (-other)
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(self._order, [-c for c in self._coeffs])
@@ -552,7 +551,8 @@ class BivarLaurent:
 
     Coefficients are usually LaurentPoly values but any ring type with
     ``+``, ``*``, ``==`` and truthiness works (truncated series included).
-    Zero coefficients are dropped eagerly, so dict equality is exact.
+    The constructor sums the terms that share an exponent and drops zero
+    coefficients, so dict equality is exact; ``+`` and ``*`` go through it.
     """
 
     __slots__ = ("_terms",)
@@ -595,13 +595,7 @@ class BivarLaurent:
     def __add__(self, other) -> "BivarLaurent":
         if not isinstance(other, BivarLaurent):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            if e in acc:
-                acc[e] = acc[e] + c
-            else:
-                acc[e] = c
-        return BivarLaurent(acc)
+        return BivarLaurent([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "BivarLaurent":
         return BivarLaurent({e: -c for e, c in self._terms.items()})
@@ -614,16 +608,9 @@ class BivarLaurent:
     def __mul__(self, other) -> "BivarLaurent":
         if not isinstance(other, BivarLaurent):
             return NotImplemented
-        acc: dict[int, object] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                prod = c1 * c2
-                if e in acc:
-                    acc[e] = acc[e] + prod
-                else:
-                    acc[e] = prod
-        return BivarLaurent(acc)
+        return BivarLaurent((e1 + e2, c1 * c2)
+                            for e1, c1 in self._terms.items()
+                            for e2, c2 in other._terms.items())
 
     def substitute_one(self):
         """Set the auxiliary variable to 1: the sum of all coefficients."""

@@ -246,15 +246,6 @@ def test_main_usage_errors(capsys):
     assert cli.main(["key-limit", "--order", "0"]) == 2
 
 
-def test_main_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("QGOLLNITZ_JOBS", "4")
-    assert cli._default_jobs() == 4
-    monkeypatch.setenv("QGOLLNITZ_JOBS", "bogus")
-    assert cli._default_jobs() == 1
-    monkeypatch.delenv("QGOLLNITZ_JOBS")
-    assert cli._default_jobs() == 1
-
-
 def test_golden_corpus_checks_clean():
     report = run_golden()
     assert report.ok

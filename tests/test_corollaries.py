@@ -200,10 +200,20 @@ def test_four_param_single():
 def test_four_param_spot():
     lhs, rhs = four_param_sides(1, 1, 1, 1, 15)
     assert lhs == rhs
+    # a negative parameter gives two zero series
+    for params in [(-1, 1, 1, 1), (1, 0, 2, -1)]:
+        lhs, rhs = four_param_sides(*params, 10)
+        assert lhs == rhs == TruncSeries(10)
+    # T(2) * 4 = 12 reaches the order: the right side is zero, and so is the
+    # left
+    lhs, rhs = four_param_sides(2, 2, 2, 2, 12)
+    assert lhs == rhs == TruncSeries(12)
+    assert four_param_sides(2, 2, 2, 2, 13)[1] == TruncSeries(13, [0] * 12 + [1])
 
 
 def test_four_param_l0_reduces_to_limit():
     for i, j, k in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 1, 0)]:
-        lhs, rhs = four_param_sides(i, j, k, 0, 12)
-        assert lhs == key_limit_lhs(i, j, k, 12)
-        assert rhs == key_limit_rhs(i, j, k, 12)
+        for order in (1, 2, 12):
+            lhs, rhs = four_param_sides(i, j, k, 0, order)
+            assert lhs == key_limit_lhs(i, j, k, order)
+            assert rhs == key_limit_rhs(i, j, k, order)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgollnitz.qcore import LaurentPoly, TruncSeries
+from qgollnitz.qcore import LaurentPoly, TruncSeries, q_power
 from qgollnitz.qcomb import qbinom, qmultinom
 from qgollnitz.corollaries import jacobi_cube_poly_summands
 from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
@@ -15,8 +15,9 @@ from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
                              check_support, closed_form_diag,
                              enumerate_sextuples, key_limit_lhs,
                              key_limit_rhs, lhs_g, lhs_g_parts,
-                             lhs_summands, rhs_p, rhs_summands, schur_sides,
-                             summand_poly, summands_agree)
+                             lhs_summands, poch_quotient_sum, rhs_p,
+                             rhs_summands, schur_sides, summand_poly,
+                             summands_agree)
 
 
 def P(terms):
@@ -363,11 +364,19 @@ def test_key_limit_small_grid():
         for j in range(3):
             for k in range(3):
                 assert check_key_limit(i, j, k, 15)
+    # T(i) + T(j) + T(k) = 18 reaches the order: both sides vanish, and the
+    # shared sum skips a numerator of valuation >= order
+    assert not key_limit_rhs(3, 3, 3, 18) and not key_limit_lhs(3, 3, 3, 18)
+    assert key_limit_rhs(3, 3, 3, 19) == TruncSeries(19, [0] * 18 + [1])
+    assert not poch_quotient_sum([(q_power(18), (3, 3, 3))], 18)
 
 
 def test_key_limit_negative_parameters_vanish():
     assert not key_limit_lhs(-1, 0, 0, 8)
     assert not key_limit_rhs(-1, 0, 0, 8)
+    for i, j, k in [(-1, 2, 1), (2, -1, 1), (1, 2, -2)]:
+        lhs, rhs = key_limit_lhs(i, j, k, 8), key_limit_rhs(i, j, k, 8)
+        assert lhs == rhs == poch_quotient_sum([], 8) == TruncSeries(8)
 
 
 def test_key_limit_matches_bounded_truncation():

@@ -1,10 +1,12 @@
 """Colored partition tests: Type-1 rules, staircase bijection, double
 counting, Gollnitz counts, and the residue transform."""
 
+import itertools
+
 import pytest
 
 from qgollnitz.qcore import LaurentPoly
-from qgollnitz import keyid
+from qgollnitz import keyid, partcomb
 from qgollnitz.partcomb import (Color, ColoredPartition, InvalidImage,
                                 NotType1, PreconditionViolated,
                                 StaircaseImage, check_remark3,
@@ -166,11 +168,59 @@ def test_count_P_examples():
     assert count_P(3, 0, -1, 0, 0) == count_P(4, 3, 1, -2, 1) == 0
 
 
+def _subsets(count, bound):
+    # every subset of {1..bound} with exactly `count` elements, found among
+    # all subsets, so a negative count or one above the bound finds none
+    values = range(1, bound + 1)
+    return [s for r in range(len(values) + 1)
+            for s in itertools.combinations(values, r) if len(s) == count]
+
+
+def test_count_P_matches_brute_force():
+    for L in range(-1, 7):
+        for i, j, k in itertools.product(range(-1, 4), repeat=3):
+            weights = [sum(x) + sum(y) + sum(z) for x, y, z in itertools.product(
+                _subsets(i, L - k), _subsets(j, L - i), _subsets(k, L - j))]
+            for n in range(-1, 3 * max(L, 0) ** 2 + 2):
+                assert count_P(L, n, i, j, k) == weights.count(n), (L, n, i, j, k)
+
+
 def test_theorem1_examples():
     assert check_theorem1(3, 1, 1, 1)
     assert check_theorem1(0, 0, 0, 0)
     assert check_theorem1(5, 2, 1, 1)
     assert check_theorem1(2, -1, 0, 0)
+
+
+def _drop_first_partition(walk):
+    def corrupted(max_part, freq):
+        parts = walk(max_part, freq)
+        next(parts, None)
+        yield from parts
+    return corrupted
+
+
+def _shifted(fn):
+    return lambda *args: fn(*args).shift(1)
+
+
+@pytest.mark.parametrize("patches", [
+    [(partcomb, "iter_type1", _drop_first_partition)],
+    [(partcomb, "_tricolor_poly", _shifted)],
+    [(keyid, "lhs_g", _shifted)],
+    [(keyid, "closed_form_diag", _shifted)],
+    # the tri-colored count and its closed form corrupted alike: only the
+    # direct comparison of the two counts sees it
+    [(partcomb, "_tricolor_poly", _shifted),
+     (keyid, "closed_form_diag", _shifted)],
+], ids=["type1-walk", "tricolor", "lhs_g", "closed_form_diag", "both-counts"])
+def test_theorem1_fails_on_corrupted_values(monkeypatch, patches):
+    cases = [(3, 1, 1, 1), (5, 2, 1, 1), (4, 0, 2, 1)]
+    assert all(check_theorem1(*case) for case in cases)
+    for module, name, corrupt in patches:
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    for case in cases:
+        assert not check_theorem1(*case), case
 
 
 def test_theorem1_precondition():

@@ -247,6 +247,41 @@ bivars = st.dictionaries(st.integers(-3, 3), polys, max_size=4) \
     .map(BivarLaurent)
 
 
+def flat(x):
+    """A BivarLaurent as {(aux exponent, q exponent): coefficient}."""
+    return {(a, e): c for a, p in x.terms.items() for e, c in p.terms.items()}
+
+
+def flat_add(f, g, sign=1):
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def flat_mul(f, g):
+    out = {}
+    for (a1, e1), c1 in f.items():
+        for (a2, e2), c2 in g.items():
+            key = (a1 + a2, e1 + e2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+@given(bivars, bivars, st.data())
+def test_bivar_ops_match_dict_oracle(x, z, data):
+    # y repeats some of x's coefficients negated, so x + y cancels there;
+    # (x + y) * (x - y) = x^2 - y^2 cancels its cross terms
+    keep = data.draw(st.sets(st.sampled_from(sorted(x.terms)))) if x else set()
+    y = BivarLaurent({**z.terms, **{a: -x.coeff(a) for a in keep}})
+    fx, fy = flat(x), flat(y)
+    fsum, fdiff = flat_add(fx, fy), flat_add(fx, fy, -1)
+    for got, want in ((x + y, fsum), (x - y, fdiff), (x * y, flat_mul(fx, fy)),
+                      ((x + y) * (x - y), flat_mul(fsum, fdiff))):
+        assert flat(got) == want
+        assert all(got.terms.values())  # no zero coefficient is stored
+
+
 @given(bivars, bivars)
 def test_substitute_one_is_a_ring_map(x, y):
     assert (x * y).substitute_one() == x.substitute_one() * y.substitute_one()
