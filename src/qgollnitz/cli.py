@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 import time
@@ -353,12 +354,12 @@ def golden_lines():
 def run_golden() -> SweepReport:
     """Re-derive the shipped golden corpus and diff it line by line; a
     failure carries the stored and freshly computed renderings."""
+    start = time.perf_counter()
     text = resources.files("qgollnitz").joinpath("data/golden_key.txt") \
         .read_text(encoding="utf-8")
     stored = [ln for ln in text.splitlines() if ln.strip()]
     derived = list(golden_lines())
     failures = []
-    start = time.perf_counter()
     total = max(len(stored), len(derived))
     for idx in range(total):
         if idx >= len(stored) or idx >= len(derived):
@@ -431,11 +432,10 @@ def main(argv=None) -> int:
         if args.identity == "golden":
             if ranges or args.order is not None:
                 raise UsageError("'golden' takes no range and no order")
-            if args.emit:
-                for line in golden_lines():
-                    print(line)
-                return 0
-            report = run_golden()
+            if args.jobs < 1:
+                raise UsageError(f"jobs must be >= 1, got {args.jobs}")
+            if not args.emit:
+                report = run_golden()
         else:
             if args.emit:
                 raise UsageError("--emit only goes with 'golden'")
@@ -444,9 +444,20 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = render_report(report, args.format)
-    sys.stdout.write(out)
-    return 0 if report.ok else 1
+    if args.emit:
+        out, status = (f"{line}\n" for line in golden_lines()), 0
+    else:
+        out, status = [render_report(report, args.format)], 0 if report.ok else 1
+    try:
+        for text in out:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (say, `| head -1`).  As the Python docs
+        # advise, point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

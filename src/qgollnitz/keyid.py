@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, poly_prod, q_power
 from . import qcomb
-from .qcomb import (poch_qpow, qbinom, qbinom_is_nonzero, qbinom_normal,
-                    qmultinom, triangular)
+from .qcomb import (qbinom, qbinom_is_nonzero, qbinom_normal, qmultinom,
+                    triangular)
 
 
 class Sextuple(NamedTuple):
@@ -352,15 +352,20 @@ def poch_quotient_sum(terms, order: int) -> TruncSeries:
     """The sum of numer / ((q)_n1 (q)_n2 ...) modulo q^order over the
     (numer, (n1, n2, ...)) pairs of terms, numer a nonzero polynomial in q.
     A term is zero, and is skipped, when its numerator's valuation reaches
-    the order or when some n is negative (1/(q)_n = 0 for n < 0)."""
-    total = TruncSeries(order)
+    the order or when some n is negative (1/(q)_n = 0 for n < 0).  A factor
+    1 - q^r with r at or past the numerator's run is 1 modulo the order."""
+    total = [0] * order
     for numer, lengths in terms:
-        if numer.valuation >= order or min(lengths) < 0:
+        val = numer.valuation
+        if val >= order or min(lengths) < 0:
             continue
-        denom = poly_prod(poch_qpow(1, n) for n in lengths)
-        total = total + TruncSeries.from_poly(numer, order) \
-            * TruncSeries.from_poly(denom, order).recip()
-    return total
+        run = list(TruncSeries.from_poly(numer, order).coeffs[val:])
+        for n in lengths:
+            for r in range(1, min(n, len(run) - 1) + 1):
+                qcomb.divide_one_minus(run, r)
+        for e, c in enumerate(run, val):
+            total[e] += c
+    return TruncSeries(order, total)
 
 
 def key_limit_lhs(i: int, j: int, k: int, order: int) -> TruncSeries:

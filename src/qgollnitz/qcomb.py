@@ -73,20 +73,26 @@ def qbinom_normal(top: int, bottom: int):
         bottom + alpha - 1
 
 
+def divide_one_minus(run: list, r: int) -> None:
+    """Divide the coefficient run in place by 1 - q^r (r >= 1) modulo
+    q^len(run): a running sum over each residue class of exponents mod r."""
+    for res in range(r):
+        run[res::r] = accumulate(run[res::r])
+
+
 @lru_cache(maxsize=4096)
 def _qbinom_nonneg(top: int, bottom: int) -> LaurentPoly:
     # [top; bottom] = prod_{r=1..bottom} (1 - q^(top-bottom+r)) / (1 - q^r).
     # Each step multiplies a coefficient run by 1 - q^a and divides it by
-    # 1 - q^r, a running sum of stride r that is exact because the quotient
-    # [top-bottom+r; r] is a polynomial.
+    # 1 - q^r; the division is exact because the quotient [top-bottom+r; r]
+    # is a polynomial, so the run's last r coefficients come out zero.
     if 2 * bottom > top:
         return _qbinom_nonneg(top, top - bottom)
     run = [1]
     for r in range(1, bottom + 1):
         a = top - bottom + r
         run = [x - y for x, y in zip(run + [0] * a, [0] * a + run)]
-        for res in range(r):
-            run[res::r] = accumulate(run[res::r])
+        divide_one_minus(run, r)
         del run[-r:]
     return LaurentPoly(enumerate(run))
 

@@ -334,89 +334,30 @@ def render_poly(p: LaurentPoly) -> str:
     return "".join(parts)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<sym>[q+\-*^]))")
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad character in polynomial at offset {pos}: {text[pos:]!r}")
-        if m.group("num") is not None:
-            tokens.append(int(m.group("num")))
-        else:
-            tokens.append(m.group("sym"))
-        pos = m.end()
-    return tokens
+# One signed term: a coefficient, q, q^e, c*q or c*q^e, with blanks allowed
+# between any two tokens.  The c*q forms come first so that a bare
+# coefficient does not match the start of c*q.
+_TERM_RE = re.compile(r"""\s*(?P<sign>[+-])?\s*
+    (?: (?:(?P<coeff>\d+)\s*\*\s*)? q (?:\s*\^\s*(?P<neg>-?)\s*(?P<exp>\d+))?
+      | (?P<const>\d+) )\s*""", re.VERBOSE)
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the canonical rendering back into a LaurentPoly."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
+    """Parse the canonical rendering back into a LaurentPoly.  Only the
+    first term may leave out its sign; bad text raises ValueError."""
     terms: list[tuple[int, int]] = []
-    i = 0
-
-    def term_at(i):
-        # returns (exponent, coefficient-magnitude, next index)
-        coeff = 1
-        exp = 0
-        saw_coeff = False
-        if i < len(tokens) and isinstance(tokens[i], int):
-            coeff = tokens[i]
-            saw_coeff = True
-            i += 1
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-                if i >= len(tokens) or tokens[i] != "q":
-                    raise ValueError("expected q after '*'")
-            elif i < len(tokens) and tokens[i] == "q":
-                raise ValueError("missing '*' between coefficient and q")
-            else:
-                return exp, coeff, i
-        if i < len(tokens) and tokens[i] == "q":
-            exp = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == "^":
-                i += 1
-                sign = 1
-                if i < len(tokens) and tokens[i] == "-":
-                    sign = -1
-                    i += 1
-                if i >= len(tokens) or not isinstance(tokens[i], int):
-                    raise ValueError("expected integer exponent after '^'")
-                exp = sign * tokens[i]
-                i += 1
-        elif not saw_coeff:
-            raise ValueError("expected a term")
-        return exp, coeff, i
-
-    sign = 1
-    if tokens[0] == "-":
-        sign = -1
-        i = 1
-    elif tokens[0] == "+":
-        i = 1
-    while True:
-        exp, mag, i = term_at(i)
-        terms.append((exp, sign * mag))
-        if i == len(tokens):
-            break
-        if tokens[i] == "+":
-            sign = 1
-        elif tokens[i] == "-":
-            sign = -1
+    pos = 0
+    while pos < len(text) or not terms:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (terms and m["sign"] is None):
+            raise ValueError(f"bad polynomial text at offset {pos}: {text[pos:]!r}")
+        if m["const"] is not None:
+            exp, coeff = 0, int(m["const"])
         else:
-            raise ValueError(f"expected '+' or '-' between terms, got {tokens[i]!r}")
-        i += 1
-        if i == len(tokens):
-            raise ValueError("dangling sign at end of polynomial")
+            exp = int(m["neg"] + m["exp"]) if m["exp"] else 1
+            coeff = int(m["coeff"]) if m["coeff"] else 1
+        terms.append((exp, -coeff if m["sign"] == "-" else coeff))
+        pos = m.end()
     return LaurentPoly(terms)
 
 

@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -267,6 +270,23 @@ def test_golden_rejects_range_and_order(capsys):
     assert cli.main(["golden", "--order", "5"]) == 2
     assert cli.main(["golden", "--emit", "--L", "2"]) == 2
     assert "takes no range and no order" in capsys.readouterr().err
+    assert cli.main(["golden", "--jobs", "0"]) == 2
+
+
+def test_golden_emit_into_a_closed_pipe_ends_without_traceback():
+    # the reader closes its end after one line, as `| head -1` does; an
+    # unbuffered child writes each later line into the closed pipe
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "qgollnitz.cli", "golden", "--emit"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith(b"0 0 0 0 0\t")
+    assert b"Traceback" not in err
+    assert proc.returncode in (0, 1)
 
 
 def test_emit_rejected_without_golden(capsys):

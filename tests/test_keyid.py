@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgollnitz.qcore import LaurentPoly, TruncSeries, q_power
-from qgollnitz.qcomb import qbinom, qmultinom
+from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
+                             poly_prod, q_power)
+from qgollnitz.qcomb import poch_qpow, qbinom, qmultinom
 from qgollnitz.corollaries import jacobi_cube_poly_summands
 from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
                              check_key, check_key_limit,
@@ -369,6 +370,31 @@ def test_key_limit_small_grid():
     assert not key_limit_rhs(3, 3, 3, 18) and not key_limit_lhs(3, 3, 3, 18)
     assert key_limit_rhs(3, 3, 3, 19) == TruncSeries(19, [0] * 18 + [1])
     assert not poch_quotient_sum([(q_power(18), (3, 3, 3))], 18)
+
+
+def test_poch_quotient_sum_matches_reciprocal_formula():
+    # oracle: each numerator times the series reciprocal of its product of
+    # Pochhammer polynomials; a negative length makes the term zero
+    def oracle(terms, order):
+        total = TruncSeries(order)
+        for numer, lengths in terms:
+            if min(lengths) >= 0:
+                denom = poly_prod(poch_qpow(1, n) for n in lengths)
+                total = total + TruncSeries.from_poly(numer, order) \
+                    * TruncSeries.from_poly(denom, order).recip()
+        return total
+
+    for order in range(1, 31):
+        numers = [P({0: 1, 1: -2, 3: 5}), P({order - 1: 3, order + 2: -1}),
+                  q_power(order), P({order + 1: 4, 2 * order: 1})]
+        lengths = [(0,), (1,), (order,), (order + 3,), (1, 2, 3),
+                   (2, 0, order + 1), (3, -1)]
+        terms = list(itertools.product(numers, lengths))
+        for term in terms:
+            assert poch_quotient_sum([term], order) == oracle([term], order)
+        assert poch_quotient_sum(terms, order) == oracle(terms, order)
+    with pytest.raises(NegativeExponent):
+        poch_quotient_sum([(P({-1: 1, 2: 1}), (2,))], 5)
 
 
 def test_key_limit_negative_parameters_vanish():

@@ -303,9 +303,15 @@ def test_parse_examples():
     assert parse_poly("0") == P({})
     assert parse_poly("-q^-1") == P({-1: -1})
     assert parse_poly("  q^-2 - 3 + q ") == P({-2: 1, 0: -3, 1: 1})
+    assert parse_poly("2 * q ^ - 3") == P({-3: 2})
+    assert parse_poly("+q") == P({1: 1})
+    assert parse_poly("q ^3") == P({3: 1})
+    assert parse_poly(" - 0 ") == P({})
 
 
-@pytest.mark.parametrize("bad", ["", "q^", "3*", "1 +", "x + 1", "2q", "^3"])
+@pytest.mark.parametrize("bad", ["", "q^", "3*", "1 +", "x + 1", "2q", "^3",
+                                 "1 2", "q q", "*q", "q^+3", "--q", "1 + -q",
+                                 "q^3^2", "2**q", " "])
 def test_parse_rejects_junk(bad):
     with pytest.raises(ValueError):
         parse_poly(bad)
