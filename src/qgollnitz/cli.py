@@ -89,8 +89,9 @@ def _in_a(side) -> str:
 def _check_theorem1(i, j, k, L):
     if partcomb.check_theorem1(L, i, j, k):
         return _PASS
-    return False, str(keyid.lhs_g(i, j, k, L, L)), \
-        str(keyid.closed_form_diag(i, j, k, L))
+    left, right = next(pair for pair in partcomb.theorem1_pairs(L, i, j, k)
+                       if pair[0] != pair[1])
+    return False, str(left), str(right)
 
 
 def _check_gollnitz(n):
@@ -104,8 +105,7 @@ def _check_gollnitz(n):
 def _check_remark3(n):
     if partcomb.check_remark3(n):
         return _PASS
-    total = sum(1 for p in partcomb.iter_type1_transformed(n)
-                if partcomb.transformed_weight(p) == n)
+    total = sum(1 for _ in partcomb.iter_type1_transformed(n))
     return False, f"{total} transformed Type-1 partitions", \
         f"C({n}) = {partcomb.gollnitz_C(n)}"
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .qcore import ZERO, LaurentPoly, poly_prod
@@ -51,9 +52,14 @@ RESIDUE_OFFSET = {
     Color.A: 4, Color.B: 2, Color.C: 1,
     Color.AB: 6, Color.AC: 5, Color.BC: 3,
 }
+_COLOR_OF_RESIDUE = {-offset % 6: c for c, offset in RESIDUE_OFFSET.items()}
 
-# Frequency records run (a, b, c, ab, ac, bc).
+# Frequency records run (a, b, c, ab, ac, bc); _SLOT[rank] is a color's place.
 _FREQ_ORDER = (Color.A, Color.B, Color.C, Color.AB, Color.AC, Color.BC)
+_SLOT = tuple(_FREQ_ORDER.index(c) for c in _COLORS_BY_RANK)
+
+# The letters (A, B, C) each color spends, by rank: AB spends (1, 1, 0).
+_LETTERS = tuple((c, tuple(int(x in c.name) for x in "ABC")) for c in Color)
 
 
 def _gap_one_ok(upper: Color, lower: Color) -> bool:
@@ -69,8 +75,9 @@ class ColoredPartition:
     parts: tuple[tuple[int, Color], ...]
 
     def __init__(self, parts: Iterable[tuple[int, Color]] = ()):
-        norm = sorted(((int(v), c) for v, c in parts), reverse=True)
-        if any(v < 1 for v, _ in norm):
+        norm = sorted([(int(v), c if type(c) is Color else Color(c))
+                       for v, c in parts], reverse=True)
+        if norm and norm[-1][0] < 1:
             raise ValueError("part values must be positive")
         object.__setattr__(self, "parts", tuple(norm))
 
@@ -128,20 +135,16 @@ class StaircaseImage:
 
     def __init__(self, parts_a=(), parts_b=(), parts_c=(),
                  parts_ab=(), parts_ac=(), parts_bc=()):
-        for name, val in (("parts_a", parts_a), ("parts_b", parts_b),
-                          ("parts_c", parts_c), ("parts_ab", parts_ab),
-                          ("parts_ac", parts_ac), ("parts_bc", parts_bc)):
+        for name, val in zip(_IMAGE_FIELDS, (parts_a, parts_b, parts_c,
+                                             parts_ab, parts_ac, parts_bc)):
             object.__setattr__(self, name, tuple(sorted(val, reverse=True)))
 
     def by_color(self) -> dict[Color, tuple[int, ...]]:
-        return {Color.A: self.parts_a, Color.B: self.parts_b,
-                Color.C: self.parts_c, Color.AB: self.parts_ab,
-                Color.AC: self.parts_ac, Color.BC: self.parts_bc}
+        return dict(zip(_FREQ_ORDER, _images(self)))
 
     @property
     def frequencies(self) -> tuple[int, int, int, int, int, int]:
-        return (len(self.parts_a), len(self.parts_b), len(self.parts_c),
-                len(self.parts_ab), len(self.parts_ac), len(self.parts_bc))
+        return tuple(map(len, _images(self)))
 
     @property
     def t(self) -> int:
@@ -149,34 +152,36 @@ class StaircaseImage:
 
     @property
     def weight(self) -> int:
-        return sum(sum(ps) for ps in self.by_color().values())
+        return sum(map(sum, _images(self)))
 
     def validate(self) -> None:
         """Raise InvalidImage unless all structural conditions hold."""
-        # __init__ sorts every image largest first, so its smallest part is
-        # its last
-        for name, ps in (("A", self.parts_a), ("B", self.parts_b),
-                         ("C", self.parts_c)):
+        # every image is stored largest first, so its smallest part is last
+        a, b, c, ab, ac, bc = _images(self)
+        for name, ps in (("A", a), ("B", b), ("C", c)):
             if ps and ps[-1] < 0:
                 raise InvalidImage(f"negative part in primary image {name}")
-        for name, ps in (("AB", self.parts_ab), ("AC", self.parts_ac)):
+        for name, ps in (("AB", ab), ("AC", ac)):
             if ps and ps[-1] < 1:
                 raise InvalidImage(f"part below 1 in image {name}")
             if len(set(ps)) < len(ps):
                 raise InvalidImage(f"parts of image {name} are not distinct")
-        ps = self.parts_bc
-        if ps and ps[-1] < 0:
+        if bc and bc[-1] < 0:
             raise InvalidImage("negative part in image BC")
-        if len(set(ps)) < len(ps):
+        if len(set(bc)) < len(bc):
             raise InvalidImage("parts of image BC are not distinct")
-        if 0 in ps and 0 not in self.parts_a:
+        if bc and bc[-1] == 0 and not (a and a[-1] == 0):
             raise InvalidImage("BC image contains 0 but A image does not")
 
     def fits_bound(self, max_part: int) -> bool:
         """Largest-part condition relative to a bound L: every image part
         is at most L - t."""
         cap = max_part - self.t
-        return all(not ps or ps[0] <= cap for ps in self.by_color().values())
+        return all(not ps or ps[0] <= cap for ps in _images(self))
+
+
+_IMAGE_FIELDS = tuple(f.name for f in fields(StaircaseImage))
+_images = attrgetter(*_IMAGE_FIELDS)  # the six images, in field order
 
 
 def staircase_forward(p: ColoredPartition) -> StaircaseImage:
@@ -185,10 +190,12 @@ def staircase_forward(p: ColoredPartition) -> StaircaseImage:
     color.  Requires a Type-1 input."""
     if not is_type1(p):
         raise NotType1(f"not a Type-1 partition: {p}")
-    buckets: list[list[int]] = [[] for _ in Color]
-    for idx, (v, c) in enumerate(reversed(p.parts), start=1):  # ascending
-        buckets[c].append(v - idx)
-    img = StaircaseImage(*(buckets[c] for c in _FREQ_ORDER))
+    buckets = ([], [], [], [], [], [])
+    # largest part first, so it loses t and each bucket comes out sorted
+    for idx, (v, c) in enumerate(p.parts, start=-len(p.parts)):
+        buckets[_SLOT[c]].append(v + idx)
+    img = object.__new__(StaircaseImage)  # the buckets need no __init__ sort
+    vars(img).update(zip(_IMAGE_FIELDS, map(tuple, buckets)))
     img.validate()
     return img
 
@@ -197,12 +204,10 @@ def staircase_inverse(img: StaircaseImage) -> ColoredPartition:
     """Rebuild the Type-1 partition: merge the images smallest first
     (ties resolved by color rank) and add back 1, 2, ..., t."""
     img.validate()
-    merged = []
-    for color, ps in img.by_color().items():
-        merged.extend((v, color) for v in ps)
-    merged.sort()
-    return ColoredPartition((v + idx, c)
-                            for idx, (v, c) in enumerate(merged, start=1))
+    merged = sorted([(v, c) for c, ps in zip(_FREQ_ORDER, _images(img))
+                     for v in ps])
+    return ColoredPartition([(v + idx, c)
+                             for idx, (v, c) in enumerate(merged, start=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +250,7 @@ def iter_type1(max_part: int, freq: Sequence[int]) -> Iterator[ColoredPartition]
     frequencies freq = (a, b, c, ab, ac, bc)."""
     if any(f < 0 for f in freq):
         return
-    counts = [0] * 6
-    for color, f in zip(_FREQ_ORDER, freq):
-        counts[color] = f
+    counts = [freq[slot] for slot in _SLOT]
     for parts in _dfs_type1(max_part, counts, None, []):
         yield ColoredPartition(parts)
 
@@ -288,20 +291,51 @@ def count_P(L: int, n: int, i: int, j: int, k: int) -> int:
     return _tricolor_poly(L, i, j, k).coeff(n)
 
 
-def check_theorem1(L: int, i: int, j: int, k: int) -> bool:
-    """Bounded double counting: the weight polynomial of the Type-1
-    partitions with parts <= L, summed over all frequency solutions, equals
-    the tri-colored one, and the two match the algebraic sides evaluated at
-    M = L."""
+def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
+    # weight polynomial of the Type-1 partitions with parts <= L spending i
+    # letters A, j B and k C, by columns v = 1..L.  A state is the color of
+    # part v (None: no part v) and the letters owed; its counts by weight
+    # are the base-2^width digits of one int, each < (6L+1)^(i+j+k) < 2^width.
+    if min(i, j, k) < 0:
+        return ZERO
+    width = (i + j + k) * (6 * L + 1).bit_length() + 1
+    col = {(None, i, j, k): 1}
+    for v in range(1, L + 1):
+        nxt: dict[tuple, int] = {}
+        for (low, a, b, c), counts in col.items():
+            nxt[None, a, b, c] = nxt.get((None, a, b, c), 0) + counts
+            counts <<= width * v
+            for color, (da, db, dc) in _LETTERS:
+                if (a < da or b < db or c < dc
+                        or (v == 1 and color not in _PRIMARY)
+                        or (low is not None and not _gap_one_ok(color, low))):
+                    continue
+                key = (color, a - da, b - db, c - dc)
+                nxt[key] = nxt.get(key, 0) + counts
+        col = nxt
+    counts = sum(n for (_, a, b, c), n in col.items() if a == b == c == 0)
+    mask = (1 << width) - 1
+    return LaurentPoly((w, counts >> w * width & mask)
+                       for w in range(counts.bit_length() // width + 1))
+
+
+def theorem1_pairs(L: int, i: int, j: int, k: int) -> Iterator[tuple]:
+    """The pairs check_theorem1 compares, in order, each side built when its
+    pair is reached: Type-1 (parts <= L) against tri-colored, Type-1 against
+    lhs_g at M = L, tri-colored against closed_form_diag."""
     if L < max(i + j, j + k, k + i):
         raise PreconditionViolated(
             f"need L >= max(i+j, j+k, k+i), got L={L}, (i,j,k)=({i},{j},{k})")
-    type1 = LaurentPoly(Counter(p.weight
-                                for sx in keyid.enumerate_sextuples(i, j, k)
-                                for p in iter_type1(L, sx)))
-    tricolor = _tricolor_poly(L, i, j, k)
-    return (type1 == tricolor and type1 == keyid.lhs_g(i, j, k, L, L)
-            and tricolor == keyid.closed_form_diag(i, j, k, L))
+    type1, tricolor = _type1_poly(L, i, j, k), _tricolor_poly(L, i, j, k)
+    yield type1, tricolor
+    yield type1, keyid.lhs_g(i, j, k, L, L)
+    yield tricolor, keyid.closed_form_diag(i, j, k, L)
+
+
+def check_theorem1(L: int, i: int, j: int, k: int) -> bool:
+    """Bounded double counting: the Type-1 and tri-colored weight polynomials
+    are equal, and match the algebraic sides evaluated at M = L."""
+    return all(left == right for left, right in theorem1_pairs(L, i, j, k))
 
 
 # ---------------------------------------------------------------------------
@@ -359,52 +393,48 @@ def remark3_transform(p: ColoredPartition) -> list[int]:
     return sorted((6 * v - RESIDUE_OFFSET[c] for v, c in p.parts), reverse=True)
 
 
-def transformed_weight(p: ColoredPartition) -> int:
-    """Weight of the residue transform of p."""
-    return sum(6 * v - RESIDUE_OFFSET[c] for v, c in p.parts)
-
-
 def _dfs_transformed(v, budget, prev_color, acc):
-    # Type-1 partitions whose transform weighs at most the remaining budget;
-    # no largest-part bound beyond what the budget itself forces.  Cheapest
-    # transformed part costs 2, so a budget under 2 ends the path.
-    if v < 1 or budget < 2:
+    # Type-1 partitions with parts <= v whose transform weighs exactly the
+    # budget; parts 1..v all in C, the dearest color, weigh v(3v + 2).  Costs
+    # rise with color rank, so the images come out in increasing order.
+    if budget == 0:
         yield tuple(acc)
+        return
+    if v < 1 or budget > v * (3 * v + 2):
         return
     yield from _dfs_transformed(v - 1, budget, None, acc)
     for color in _COLORS_BY_RANK:
+        cost = 6 * v - RESIDUE_OFFSET[color]
+        if cost > budget:
+            break
         if v == 1 and color not in _PRIMARY:
             continue
         if prev_color is not None and not _gap_one_ok(prev_color, color):
-            continue
-        cost = 6 * v - RESIDUE_OFFSET[color]
-        if cost > budget:
             continue
         acc.append((v, color))
         yield from _dfs_transformed(v - 1, budget - cost, color, acc)
         acc.pop()
 
 
-def iter_type1_transformed(max_weight: int) -> Iterator[ColoredPartition]:
+def iter_type1_transformed(n: int) -> Iterator[ColoredPartition]:
     """All Type-1 partitions (no part bound) whose residue transform weighs
-    at most max_weight."""
-    vmax = (max_weight + 6) // 6
-    for parts in _dfs_transformed(vmax, max_weight, None, []):
+    exactly n, in increasing order of their images, largest part first."""
+    for parts in _dfs_transformed((n + 6) // 6, n, None, []):
         yield ColoredPartition(parts)
 
 
 def check_remark3(n: int) -> bool:
-    """Certify the residue transform at one weight: the images of all Type-1
-    partitions transforming to weight n are distinct, satisfy the gap
-    conditions, and are exactly gollnitz_C(n) in number."""
-    seen = set()
+    """Certify the residue transform at one weight: each Type-1 partition
+    transforming to weight n lands in the gap-condition class, and
+    x -> ((x + 6) // 6, color of x mod 6) maps it back; the images strictly
+    increase, so are distinct, and number gollnitz_C(n)."""
+    count, last = 0, None
     for p in iter_type1_transformed(n):
-        if transformed_weight(p) != n:
-            continue
         image = tuple(remark3_transform(p))
-        if not is_c_partition(image):
+        back = ColoredPartition(((x + 6) // 6, _COLOR_OF_RESIDUE[x % 6])
+                                for x in image)
+        if (sum(image) != n or not is_c_partition(image) or back != p
+                or (last is not None and image <= last)):
             return False
-        if image in seen:
-            return False
-        seen.add(image)
-    return len(seen) == gollnitz_C(n)
+        count, last = count + 1, image
+    return count == gollnitz_C(n)

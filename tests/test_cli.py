@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from qgollnitz import cli, corollaries, keyid
+from qgollnitz import cli, corollaries, keyid, partcomb
+from qgollnitz.qcore import q_power
 from qgollnitz.cli import (IDENTITIES, IdentitySpec, SweepSpec, UsageError,
                            render_report, run_golden, run_sweep)
 
@@ -62,6 +63,27 @@ def test_theorem1_sweep_filters_unbounded_tuples():
     expected = sum(1 for i in range(3) for j in range(3) for k in range(3)
                    for L in range(5) if L >= max(i + j, j + k, k + i))
     assert report.total == expected
+
+
+@pytest.mark.parametrize("module, name, side, shown", [
+    (partcomb, "_type1_poly", "type1", ("type1", "tricolor")),
+    (keyid, "lhs_g", "lhs_g", ("type1", "lhs_g")),
+    (keyid, "closed_form_diag", "closed_form_diag", ("tricolor", "closed_form_diag")),
+])
+def test_theorem1_failure_row_shows_the_sides_that_differ(monkeypatch, module,
+                                                          name, side, shown):
+    # one side loses q^3; the row renders the first compared pair that differs
+    i, j, k, L = 1, 1, 1, 3
+    sides = {"type1": partcomb._type1_poly(L, i, j, k),
+             "tricolor": partcomb._tricolor_poly(L, i, j, k),
+             "lhs_g": keyid.lhs_g(i, j, k, L, L),
+             "closed_form_diag": keyid.closed_form_diag(i, j, k, L)}
+    sides[side] -= q_power(3)
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) - q_power(3))
+    ok, left, right = cli._check_theorem1(i, j, k, L)
+    assert not ok and left != right
+    assert (left, right) == (str(sides[shown[0]]), str(sides[shown[1]]))
 
 
 def test_key_sweep_on_wide_bounds():

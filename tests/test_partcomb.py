@@ -4,6 +4,7 @@ counting, Gollnitz counts, and the residue transform."""
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qgollnitz.qcore import LaurentPoly
 from qgollnitz import keyid, partcomb
@@ -14,8 +15,7 @@ from qgollnitz.partcomb import (Color, ColoredPartition, InvalidImage,
                                 gollnitz_C, is_c_partition, is_type1,
                                 iter_type1, iter_type1_all,
                                 iter_type1_transformed, remark3_transform,
-                                staircase_forward, staircase_inverse,
-                                transformed_weight)
+                                staircase_forward, staircase_inverse)
 
 A, B, C, AB, AC, BC = Color.A, Color.B, Color.C, Color.AB, Color.AC, Color.BC
 
@@ -30,6 +30,17 @@ def test_color_order_and_primaries():
     assert [c.name for c in sorted(Color)] == \
         ["AB", "AC", "A", "BC", "B", "C"]
     assert {c for c in Color if c.is_primary} == {A, B, C}
+
+
+def test_partition_colors_are_colors():
+    # an int names the color of that rank; anything else is refused
+    assert CP([(1, 2)]).parts == ((1, A),) and str(CP([(1, 2)])) == "1_A"
+    assert type(CP([(3, 5)]).parts[0][1]) is Color
+    for bad in (-1, 6, 7, "A", None):
+        with pytest.raises(ValueError):
+            CP([(2, bad)])
+    with pytest.raises(ValueError, match="positive"):
+        CP([(3, A), (0, B)])
 
 
 # -- Type-1 test -------------------------------------------------------------
@@ -152,6 +163,28 @@ def test_image_bound_matches_partition_bound():
         assert staircase_forward(p).fits_bound(L)
 
 
+@st.composite
+def type1_partitions(draw, max_part=30):
+    # one draw per value, largest first: no part, or a color; a color that
+    # breaks the Type-1 rules against the part above is dropped
+    parts = []
+    choices = draw(st.lists(st.sampled_from((None, *Color)),
+                            min_size=max_part, max_size=max_part))
+    for v, color in zip(range(max_part, 0, -1), choices):
+        if color is not None and is_type1(CP(parts[-1:] + [(v, color)])):
+            parts.append((v, color))
+    return CP(parts)
+
+
+@given(type1_partitions())
+def test_staircase_round_trip_property(p):
+    img = staircase_forward(p)
+    img.validate()
+    assert img.weight == p.weight - img.t * (img.t + 1) // 2
+    assert img.t == p.num_parts and img.fits_bound(30)
+    assert staircase_inverse(img) == p
+
+
 # -- counting ----------------------------------------------------------------
 
 def test_count_G_examples():
@@ -190,13 +223,35 @@ def test_theorem1_examples():
     assert check_theorem1(0, 0, 0, 0)
     assert check_theorem1(5, 2, 1, 1)
     assert check_theorem1(2, -1, 0, 0)
+    # past what enumerating the Type-1 side could reach in a test
+    assert check_theorem1(12, 3, 3, 3)
+    assert check_theorem1(16, 4, 4, 4)
+    assert check_theorem1(20, 4, 4, 4)
 
 
-def _drop_first_partition(walk):
-    def corrupted(max_part, freq):
-        parts = walk(max_part, freq)
-        next(parts, None)
-        yield from parts
+def _letters(p):
+    # letters (A, B, C) the colors of p spend
+    return tuple(sum(letter in c.name for _, c in p.parts) for letter in "ABC")
+
+
+def test_type1_column_count_matches_enumeration():
+    # one walk over parts <= 8, histogrammed by letters, largest part, weight
+    hist = {}
+    for p in iter_type1_all(8):
+        key = (_letters(p), p.parts[0][0] if p.parts else 0, p.weight)
+        hist[key] = hist.get(key, 0) + 1
+    for L in range(9):
+        for ijk in itertools.product(range(4), repeat=3):
+            want = LaurentPoly((weight, n) for (letters, largest, weight), n
+                               in hist.items() if letters == ijk and largest <= L)
+            assert partcomb._type1_poly(L, *ijk) == want, (L, ijk)
+    assert partcomb._type1_poly(5, -1, 2, 2) == LaurentPoly()
+
+
+def _drop_one_partition(count):
+    def corrupted(*args):
+        poly = count(*args)
+        return poly - LaurentPoly.monomial(1, poly.degree)
     return corrupted
 
 
@@ -205,7 +260,7 @@ def _shifted(fn):
 
 
 @pytest.mark.parametrize("patches", [
-    [(partcomb, "iter_type1", _drop_first_partition)],
+    [(partcomb, "_type1_poly", _drop_one_partition)],
     [(partcomb, "_tricolor_poly", _shifted)],
     [(keyid, "lhs_g", _shifted)],
     [(keyid, "closed_form_diag", _shifted)],
@@ -310,14 +365,36 @@ def test_remark3_offsets():
     p = CP([(6, C), (5, B), (4, BC), (3, A), (2, AC)])
     assert is_type1(p)
     assert remark3_transform(p) == [35, 28, 21, 14, 7]
-    assert transformed_weight(p) == 105
+    assert sum(remark3_transform(p)) == 105
 
 
 def test_remark3_images_are_c_partitions():
-    for p in iter_type1_transformed(40):
-        assert is_c_partition(remark3_transform(p))
+    for n in range(41):
+        for p in iter_type1_transformed(n):
+            image = remark3_transform(p)
+            assert sum(image) == n and is_c_partition(image)
 
 
 def test_remark3_bijection_to_30():
     for n in range(31):
         assert check_remark3(n), n
+    assert check_remark3(-1)
+
+
+def test_remark3_fails_on_repeated_partition(monkeypatch):
+    # the walk emits its first partition twice and drops its second: the
+    # count still matches C(n), so only the distinctness check sees it
+    def corrupted(walk):
+        def repeat_first(n):
+            parts = walk(n)
+            first = next(parts)
+            next(parts)
+            yield first
+            yield first
+            yield from parts
+        return repeat_first
+
+    assert check_remark3(30)
+    monkeypatch.setattr(partcomb, "iter_type1_transformed",
+                        corrupted(partcomb.iter_type1_transformed))
+    assert not check_remark3(30)
