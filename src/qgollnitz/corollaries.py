@@ -108,10 +108,11 @@ def jtp_series(order: int) -> tuple[BivarLaurent, BivarLaurent]:
 
 def poch_series(k: int, n: int, order: int) -> TruncSeries:
     """(q^k; q)_n modulo q^order for k >= 1.  Factors 1 - q^(k+j) with
-    k + j >= order are 1 modulo q^order, so they are left out."""
+    k + j >= order are 1 modulo q^order, so they are left out.  Raises
+    NegativeLength for n < 0, as poch_qpow does."""
     if k < 1:
         raise ValueError("poch_series needs k >= 1")
-    return TruncSeries.from_poly(poch_qpow(k, max(0, min(n, order - k))), order)
+    return TruncSeries.from_poly(poch_qpow(k, min(n, max(0, order - k))), order)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ Z^5; no argument is range-restricted.
 
 Each side is written once, as a list of summands: an integer times q^shift
 times a product of q-binomials and q-multinomials (lhs_summands,
-rhs_summands, and cycle_summand for the diagonal closed form).  summand_poly
-turns a list into its polynomial; check_key instead compares the two lists'
-values at q = 2^W, with W large enough that equal integers mean equal
-polynomials (summands_agree), and so builds no polynomial at all.
+rhs_summands, and cycle_summand for the diagonal closed form).  One
+evaluator, _image, gives a list's value at q = 2^W as an integer.
+check_key compares the two lists' images, with W large enough that equal
+integers mean equal polynomials (summands_agree), and builds no polynomial
+at all; summand_poly reads a list's polynomial off the signed base-2^W
+digits of its image, so every memoised side (lhs_g, rhs_p) and every
+failure row comes from that same evaluator.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, poly_prod, q_power
+from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power, unpack_signed
 from . import qcomb
-from .qcomb import (qbinom, qbinom_is_nonzero, qbinom_normal, qmultinom,
-                    triangular)
+from .qcomb import qbinom_is_nonzero, qbinom_normal, triangular
 
 
 class Sextuple(NamedTuple):
@@ -131,21 +133,6 @@ def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
             ((L - k, i), (L - i, j), (L - j, k)), coeff)
 
 
-def summand_poly(summands) -> LaurentPoly:
-    """The value of a summand list (or any iterable of summands) as a
-    Laurent polynomial."""
-    total = ZERO
-    for shift, factors, *coeff in summands:
-        # a binomial [n; 0] is 1 for every n, so it is skipped
-        term = poly_prod([qbinom(*f) if len(f) == 2 else qmultinom(f[0], f[1:])
-                          for f in factors if len(f) > 2 or f[1]])
-        if coeff:
-            term = term * coeff[0]
-        term = term.shift(shift)
-        total = total + term if total else term
-    return total
-
-
 def _normal(summand, side):
     """A nonzero summand, times side (1 or -1), as (weight, term): term is the
     flat list [c, e, n1, m1, n2, m2, ...] for c q^e [n1; m1] [n2; m2] ...,
@@ -176,6 +163,35 @@ def _normal(summand, side):
     return weight, term
 
 
+def _normal_terms(sides):
+    """The nonzero summands of each (side, summands) pair of sides as _normal
+    terms, and B, the sum of their weights: (B, terms)."""
+    bound, terms = 0, []
+    for side, summands in sides:
+        for summand in summands:
+            normal = _normal(summand, side)
+            if normal is not None:
+                bound += normal[0]
+                terms.append(normal[1])
+    return bound, terms
+
+
+def _image(terms, width):
+    """The sum of a nonempty list of _normal terms at q = 2^width, times
+    2^(-width*low) for low the lowest term exponent: (low, image)."""
+    low = min(term[1] for term in terms)
+    # reached through qcomb: a memo imported here would also be listed
+    # among keyid's by tools that scan module namespaces
+    binomial_image = qcomb.qbinom_image
+    image = 0
+    for term in terms:
+        value = term[0] << width * (term[1] - low)
+        for at in range(2, len(term), 2):
+            value *= binomial_image(term[at], term[at + 1], width)
+        image += value
+    return low, image
+
+
 def summands_agree(left, right) -> bool:
     """Do two summand lists (or iterables of summands) have equal values?
     Decided by one comparison of integers, without building a polynomial.
@@ -195,28 +211,22 @@ def summands_agree(left, right) -> bool:
     so a long side passed as a generator (the cube analog's cycle sum) costs
     little memory.
     """
-    terms = []
-    bound = 0
-    for side, summands in ((1, left), (-1, right)):
-        for summand in summands:
-            normal = _normal(summand, side)
-            if normal is not None:
-                bound += normal[0]
-                terms.append(normal[1])
+    bound, terms = _normal_terms(((1, left), (-1, right)))
+    return not terms or _image(terms, bound.bit_length())[1] == 0
+
+
+def summand_poly(summands) -> LaurentPoly:
+    """The value of a summand list (or any iterable of summands) as a
+    Laurent polynomial, decoded from its image at q = 2^W (see
+    summands_agree).  W is a whole number of bytes above the bit length of
+    B, so every coefficient c has |c| <= B < 2^(W-1), and the image's signed
+    base-2^W digits are the coefficients."""
+    bound, terms = _normal_terms(((1, summands),))
     if not terms:
-        return True
-    width = bound.bit_length()
-    low = min(term[1] for term in terms)
-    # reached through qcomb: a memo imported here would also be listed
-    # among keyid's by tools that scan module namespaces
-    binomial_image = qcomb.qbinom_image
-    image = 0
-    for term in terms:
-        value = term[0] << width * (term[1] - low)
-        for at in range(2, len(term), 2):
-            value *= binomial_image(term[at], term[at + 1], width)
-        image += value
-    return image == 0
+        return ZERO
+    nbytes = bound.bit_length() // 8 + 1
+    low, image = _image(terms, 8 * nbytes)
+    return LaurentPoly._raw(low, unpack_signed(image, nbytes))
 
 
 def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -228,8 +238,8 @@ def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, La
 @lru_cache(maxsize=8192)
 def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     """Left side of the key identity: the double sum over color frequencies."""
-    first, second = lhs_g_parts(i, j, k, L, M)
-    return first + second
+    first, second = lhs_summands(i, j, k, L, M)
+    return summand_poly(first + second)
 
 
 @lru_cache(maxsize=8192)

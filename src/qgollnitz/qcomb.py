@@ -10,8 +10,10 @@ identity
     [-alpha; k] = (-1)^k [k+alpha-1; k] q^(-alpha*k - T(k-1)),
 
 which is where negative q-exponents enter the engine.  The same product
-formula over the integers gives a binomial's value at q = 2^W, from which
-keyid decides the key identity without building polynomials.
+formula over the integers gives a binomial's value at q = 2^W
+(qbinom_image), from which keyid decides the key identity and decodes the
+polynomials of its summand lists; qbinom and qmultinom stay polynomial
+products, for the recurrences on them and as the tests' oracle.
 
 Everything here behaves as a pure function.  The memo tables hold only the
 entries asked for, are bounded, and hold immutable values.

@@ -55,37 +55,38 @@ def _pack(coeffs, width):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def unpack_signed(value, nbytes):
+    """The signed digits of value in base F = 2^(8*nbytes), lowest first and
+    with no trailing zero digit: the one run of d with -F/2 <= d < F/2 and
+    value == sum d_i F^i.  value's two's complement bytes, at least one slot
+    longer than it needs, are read slot by slot with a borrow carry; the
+    spare slot takes the final carry, so the digits are exact."""
+    field = 8 * nbytes
+    half, full = 1 << field - 1, 1 << field
+    raw = value.to_bytes(((value.bit_length() + 1) // field + 2) * nbytes,
+                         "little", signed=True)
+    out = []
+    carry = 0
+    for at in range(0, len(raw), nbytes):
+        d = int.from_bytes(raw[at:at + nbytes], "little") + carry
+        carry = d >= half
+        out.append(d - full if carry else d)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _kron_conv(a, b):
     """Convolution via Kronecker substitution.
 
     The slot width is chosen so every true product coefficient fits in a
-    signed slot; decoding walks the slots once with a borrow carry, so signs
-    come back exactly.
+    signed slot, so unpack_signed gives the coefficients back exactly.
     """
     amax = max(map(abs, a))
     bmax = max(map(abs, b))
-    bits = (amax * bmax * min(len(a), len(b))).bit_length() + 2
-    width = (bits + 7) // 8
-    field = width * 8
-    half = 1 << (field - 1)
-    full = 1 << field
-
-    n = len(a) + len(b) - 1
-    prod = _pack(a, width) * _pack(b, width)
-    prod += 1 << (field * (n + 1))  # keep to_bytes nonnegative
-    raw = prod.to_bytes((n + 2) * width, "little")
-
-    out = [0] * n
-    carry = 0
-    for i in range(n):
-        d = int.from_bytes(raw[i * width:(i + 1) * width], "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out[i] = d
-    return out
+    width = ((amax * bmax * min(len(a), len(b))).bit_length() + 9) // 8
+    out = unpack_signed(_pack(a, width) * _pack(b, width), width)
+    return out + [0] * (len(a) + len(b) - 1 - len(out))
 
 
 class LaurentPoly:

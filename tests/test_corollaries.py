@@ -3,6 +3,9 @@ q = 1 collapse, and the four parameter identity."""
 
 import itertools
 
+import pytest
+
+from qgollnitz.qcomb import NegativeLength
 from qgollnitz.qcore import BivarLaurent, LaurentPoly, TruncSeries
 from qgollnitz.keyid import key_limit_lhs, key_limit_rhs
 from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
@@ -120,6 +123,17 @@ def test_poch_series_matches_polynomial():
         for n in (0, 1, 2, 3, 4, 11, 12, 13, 20):
             assert poch_series(k, n, 12) == \
                 TruncSeries.from_poly(poch_qpow(k, n), 12)
+
+
+def test_poch_series_rejects_negative_lengths():
+    # as poch_qpow does, also where every factor would be left out (k >= order)
+    from qgollnitz.qcomb import poch_qpow
+    for k in (1, 3, 5, 12, 15):
+        for n in (-1, -3):
+            with pytest.raises(NegativeLength):
+                poch_qpow(k, n)
+            with pytest.raises(NegativeLength):
+                poch_series(k, n, 5)
 
 
 # -- a-weighted cycle and Carlitz collapse ------------------------------------

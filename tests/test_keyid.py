@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
                              poly_prod, q_power)
+from qgollnitz import qcomb, qcore
 from qgollnitz.qcomb import poch_qpow, qbinom, qmultinom
 from qgollnitz.corollaries import jacobi_cube_poly_summands
 from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
@@ -14,7 +15,7 @@ from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
                              check_recurrence_andrews, check_recurrence_g,
                              check_recurrence_p, check_schur_case,
                              check_support, closed_form_diag,
-                             enumerate_sextuples, key_limit_lhs,
+                             cycle_summand, enumerate_sextuples, key_limit_lhs,
                              key_limit_rhs, lhs_g, lhs_g_parts,
                              lhs_summands, poch_quotient_sum, rhs_p,
                              rhs_summands, schur_sides, summand_poly,
@@ -114,6 +115,19 @@ summands = st.builds(lambda shift, fs, coeff: (shift, fs, *coeff),
 sides = st.lists(summands, max_size=4)
 
 
+def product_poly(summands):
+    """A summand list's value by the polynomial product formulas: the
+    product of each summand's qbinom / qmultinom factors, times its
+    coefficient and q^shift.  It shares no code with the image evaluator
+    behind summand_poly and summands_agree, so the tests hold both to it."""
+    total = LaurentPoly()
+    for shift, fs, *coeff in summands:
+        term = poly_prod([qbinom(*f) if len(f) == 2 else qmultinom(f[0], f[1:])
+                          for f in fs])
+        total = total + (term * (coeff[0] if coeff else 1)).shift(shift)
+    return total
+
+
 def _same_value(data, side):
     """A different summand list with the same value: multinomials split into
     binomials, some binomials expanded by q-Pascal (which holds for all
@@ -141,17 +155,61 @@ def _plus_one(side, at):
 @given(sides, sides)
 @settings(max_examples=300)
 def test_summands_agree_iff_polynomials_equal(left, right):
-    assert summands_agree(left, right) == (summand_poly(left) == summand_poly(right))
+    assert summands_agree(left, right) == (product_poly(left) == product_poly(right))
+
+
+@given(sides)
+@settings(max_examples=300)
+def test_summand_poly_matches_product_oracle(side):
+    assert summand_poly(side) == product_poly(side)
+    assert summand_poly(iter(side)) == product_poly(side)
+
+
+def test_summand_poly_matches_product_oracle_on_listed_families():
+    families = [
+        [],                                                  # empty
+        [(3, ((5, 0),)), (-2, ((-4, 0), (0, 0)), 7)],        # [n; 0] factors
+        [(0, (), 5), (2, (), -3), (2, (), 3), (-4, (), -1)],  # coefficients only
+        [(1, ((-3, 2, 1),), 2), (0, ((-5, 1, 1, 2), (6, 2)))],  # negative tops
+        [(2, ((-2, 3, -1),)), (0, ((4, 5),), 3), (1, (), 0)],   # zero summands
+    ]
+    for L in range(-3, 9):
+        families.append([cycle_summand(i, j, k, L, (L + 2) * (-1 if (i + j + k) % 2 else 1))
+                         for i, j, k in itertools.product(range(-1, 4), repeat=3)])
+    for side in families:
+        assert summand_poly(side) == product_poly(side), side
+        assert summand_poly(x for x in side) == product_poly(side), side
+
+
+def test_summand_poly_matches_product_oracle_on_key_summands():
+    for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
+                                  range(-3, 9), range(-3, 9)):
+        first, second = lhs_summands(*args)
+        right = rhs_summands(*args)
+        for side in (first, second, right):
+            assert summand_poly(side) == product_poly(side), args
+
+
+def test_summand_poly_builds_no_polynomial_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("summand_poly built a polynomial product")
+    side = [(1, ((7, 3), (-2, 2)), -3), (0, ((9, 2, 3),)), (4, ((6, 3),), 2)]
+    expected = product_poly(side)
+    for owner, name in ((qcomb, "qbinom"), (qcomb, "_qmultinom"),
+                        (qcomb, "_qbinom_nonneg"), (qcore, "poly_prod"),
+                        (LaurentPoly, "__mul__")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert summand_poly(side) == expected
 
 
 @given(sides, st.data())
 @settings(max_examples=300)
 def test_summands_agree_on_rewritten_side(side, data):
     other = _same_value(data, side)
-    assert summand_poly(other) == summand_poly(side)
+    assert product_poly(other) == product_poly(side)
     assert summands_agree(side, other)
     assert summands_agree(other, side)
-    value = summand_poly(side)
+    value = product_poly(side)
     drop = data.draw(st.integers(0, max(len(other) - 1, 0)))
     bads = [[(e + 1, *rest) for e, *rest in other],         # times q
             other + [(data.draw(st.integers(-12, 12)), ())],  # + q^e
@@ -159,7 +217,7 @@ def test_summands_agree_on_rewritten_side(side, data):
     if other:
         bads.append(_plus_one(other, drop))                 # one coefficient + 1
     for bad in bads:
-        assert summands_agree(side, bad) == (value == summand_poly(bad))
+        assert summands_agree(side, bad) == (value == product_poly(bad))
 
 
 @pytest.mark.parametrize("a", range(1, 7))
@@ -176,6 +234,25 @@ def test_summands_agree_at_the_coefficient_bound(a):
         assert summands_agree([(1, (), x)], [(1, ())] * x)
 
 
+@pytest.mark.parametrize("a", range(1, 7))
+def test_summand_poly_at_the_coefficient_bound(a):
+    # every coefficient is at most B in size, and here one coefficient is
+    # +B or -B exactly; B = x * 2^a runs past 2^7, 2^8, 2^15 and 2^16 - 1, so
+    # a width of whole bytes without a spare sign bit decodes +B wrongly
+    for x in [*range(1, 17), 32, 64, 127, 255, 257, 32767, 65535]:
+        b = x << a
+        for c in (b, -b, b - 1, 1 - b):
+            assert summand_poly([(1, (), c)]) == P({1: c})
+            assert summand_poly([(2, (), c), (-1, (), 0)]) == P({2: c})
+        assert summand_poly([(1, (), x)] * (1 << a)) == P({1: b})
+        assert summand_poly([(-3, (), -x)] * (1 << a)) == P({-3: -b})
+        # +B next to smaller coefficients of either sign, and a whole
+        # binomial at that scale
+        assert summand_poly([(0, (), b), (-1, (), -1), (1, (), -1)]) \
+            == P({0: b, -1: -1, 1: -1})
+        assert summand_poly([(0, ((4, 2),), b)]) == qbinom(4, 2) * b
+
+
 def _key_sides(i, j, k, L, M):
     first, second = lhs_summands(i, j, k, L, M)
     return first + second, rhs_summands(i, j, k, L, M)
@@ -185,8 +262,9 @@ def test_key_summands_evaluate_to_both_sides():
     for args in itertools.product(range(-1, 3), range(-1, 3), range(0, 3),
                                   range(-2, 5), range(-2, 5)):
         first, second = lhs_summands(*args)
-        assert (summand_poly(first), summand_poly(second)) == lhs_g_parts(*args)
-        assert summand_poly(rhs_summands(*args)) == rhs_p(*args)
+        assert (product_poly(first), product_poly(second)) == lhs_g_parts(*args)
+        assert product_poly(first + second) == lhs_g(*args)
+        assert product_poly(rhs_summands(*args)) == rhs_p(*args)
 
 
 def test_key_summands_reject_corruption():
@@ -195,7 +273,7 @@ def test_key_summands_reject_corruption():
                                   range(-3, 7), range(-3, 7)):
         left, right = _key_sides(*args)
         assert summands_agree(left, right), args
-        value = summand_poly(right)
+        value = product_poly(right)
         if not value:
             continue
         checked += 1
@@ -223,7 +301,7 @@ def test_summands_agree_on_the_cube_analog(L, data):
     flip = [(e, fs, -c) if n == at else (e, fs, c)
             for n, (e, fs, c) in enumerate(left)]
     for bad in (_plus_one(left, at), flip, left[:at] + left[at + 1:]):
-        assert summand_poly(bad) != summand_poly(right)
+        assert product_poly(bad) != product_poly(right)
         assert not summands_agree(bad, right)
     for bad in (_plus_one(right, data.draw(st.integers(0, len(right) - 1))),
                 right + [(data.draw(st.integers(0, 30)), (), 2 * L + 3)]):
@@ -234,7 +312,7 @@ def test_rhs_summands_are_nonzero():
     for i, j, k, L, M in itertools.product(range(-1, 4), range(0, 4), range(0, 4),
                                            range(-3, 7), range(-3, 7)):
         listed = rhs_summands(i, j, k, L, M)
-        assert all(summand_poly([summand]) for summand in listed)
+        assert all(product_poly([summand]) for summand in listed)
         live = sum(1 for s in range(min(i, j, k) + 1)
                    if qmultinom(L - s, (s, i - s, j - s)) and qbinom(M - i - j, k - s))
         assert len(listed) == live

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import (BivarLaurent, LaurentPoly, NegativeExponent,
                              NonUnitConstantTerm, TruncSeries, parse_poly,
-                             q_power, render_poly)
-from qgollnitz.qcore import _conv, _kron_conv
+                             q_power, render_poly, unpack_signed)
+from qgollnitz.qcore import _SCHOOLBOOK_CAP, _conv, _kron_conv
 
 
 def P(terms):
@@ -121,6 +121,63 @@ def test_kron_conv_matches_schoolbook(a, b):
     if not any(b):
         b[0] = 1
     assert _kron_conv(a, b) == _conv(a, b)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kron_conv_matches_schoolbook_around_the_cap(data):
+    # runs with len(a) * len(b) on both sides of the schoolbook cap, zeros
+    # (leading and trailing ones too) and signs mixed in; the product
+    # through LaurentPoly takes whichever path the cap picks.  A run that
+    # is all zeros is never multiplied, so each run gets a nonzero entry.
+    coeff = st.one_of(st.just(0), st.integers(-(1 << 70), 1 << 70))
+    n = data.draw(st.integers(1, 60))
+    m = max(1, data.draw(st.integers(_SCHOOLBOOK_CAP // 2, 2 * _SCHOOLBOOK_CAP)) // n)
+    a = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    b = data.draw(st.lists(coeff, min_size=m, max_size=m))
+    for run in (a, b):
+        if not any(run):
+            run[data.draw(st.integers(0, len(run) - 1))] = data.draw(coeff) or -1
+    expected = _conv(a, b)
+    assert _kron_conv(a, b) == expected
+    assert LaurentPoly._raw(0, a) * LaurentPoly._raw(-3, b) == LaurentPoly._raw(-3, expected)
+
+
+def _digits_value(digits, nbytes):
+    return sum(d << 8 * nbytes * at for at, d in enumerate(digits))
+
+
+def _trimmed(digits):
+    digits = list(digits)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=300)
+def test_unpack_signed_round_trips_digit_runs(nbytes, data):
+    half = 1 << 8 * nbytes - 1
+    digit = st.one_of(st.sampled_from([0, 1, -1, half - 1, 1 - half, -half]),
+                      st.integers(-half, half - 1))
+    digits = data.draw(st.lists(digit, max_size=12))
+    assert unpack_signed(_digits_value(digits, nbytes), nbytes) == _trimmed(digits)
+
+
+@pytest.mark.parametrize("nbytes", range(1, 10))
+def test_unpack_signed_edges(nbytes):
+    half = 1 << 8 * nbytes - 1
+    top, bottom = half - 1, 1 - half
+    for digits in ([], [0], [0, 0, 0], [top], [bottom], [-half], [1], [-1],
+                   [top] * 5, [bottom] * 5, [-half] * 5, [top, bottom] * 3,
+                   [top, 0, 0], [0, 0, top, 0], [3, -1], [top, -1, 0, 0],
+                   [bottom, top, -half], [-half, top], [0, -half, 0]):
+        value = _digits_value(digits, nbytes)
+        assert unpack_signed(value, nbytes) == _trimmed(digits), digits
+    assert unpack_signed(0, nbytes) == []
+    # a slot one past the largest digit carries into the next one
+    assert unpack_signed(half, nbytes) == [-half, 1]
+    assert unpack_signed(-half - 1, nbytes) == [top, -1]
 
 
 # -- truncated series --------------------------------------------------------
