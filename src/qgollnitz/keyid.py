@@ -15,18 +15,19 @@ check_key compares the two lists' images, with W large enough that equal
 integers mean equal polynomials (summands_agree), and builds no polynomial
 at all; summand_poly reads a list's polynomial off the signed base-2^W
 digits of its image, so every memoised side (lhs_g, rhs_p) and every
-failure row comes from that same evaluator.
+failure row comes from that same evaluator.  Under a sweep, the sextuple
+rows of an (i, j, k) (_sextuple_rows) and the normal form of each factor
+(qcomb.factor_normal) come from small bounded memos, not per tuple.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from typing import NamedTuple
 
 from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power, unpack_signed
 from . import qcomb
-from .qcomb import qbinom_is_nonzero, qbinom_normal, triangular
+from .qcomb import qbinom_is_nonzero, triangular
 
 
 class Sextuple(NamedTuple):
@@ -57,6 +58,15 @@ def enumerate_sextuples(i: int, j: int, k: int) -> list[Sextuple]:
                 out.append(Sextuple(i - ab - ac, j - ab - bc, k - ac - bc,
                                     ab, ac, bc))
     return out
+
+
+@lru_cache(maxsize=8)
+def _sextuple_rows(i: int, j: int, k: int) -> tuple:
+    """(sextuple, t, T(t) + T(ab) + T(ac)) for each of enumerate_sextuples(i,
+    j, k): what lhs_summands needs of a sextuple at every (L, M).  A sweep
+    visits one (i, j, k) for many (L, M) in a row, so a few entries suffice."""
+    return tuple((sx, sx.t, triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac))
+                 for sx in enumerate_sextuples(i, j, k))
 
 
 _FIRST, _SECOND = 1, 2
@@ -96,13 +106,11 @@ def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
     mirrors the smallest-part dichotomy of the staircase image.
     """
     first, second = [], []
-    for sx in enumerate_sextuples(i, j, k):
-        t = sx.t
+    for sx, t, base in _sextuple_rows(i, j, k):
         live = _live_sums(sx, t, L, M)
         if not live:
             continue
         a, b, c, ab, ac, bc = sx
-        base = triangular(t) + triangular(ab) + triangular(ac)
         common = ((L - t + b, b), (M - t + c, c), (L - t, ab), (M - t, ac))
         if live & _FIRST:
             first.append((base + triangular(bc),
@@ -133,51 +141,35 @@ def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
             ((L - k, i), (L - i, j), (L - j, k)), coeff)
 
 
-def _normal(summand, side):
-    """A nonzero summand, times side (1 or -1), as (weight, term): term is the
-    flat list [c, e, n1, m1, n2, m2, ...] for c q^e [n1; m1] [n2; m2] ...,
-    each n >= m > 0, and weight is |c| times that product at q = 1.  None
-    when the summand is zero."""
-    exp, factors = summand[0], summand[1]
-    coeff = side * summand[2] if len(summand) > 2 else side
-    if not coeff:
-        return None
-    weight, term = abs(coeff), [coeff, exp]
-    for factor in factors:
-        top = factor[0]
-        for bottom in factor[1:]:
-            if not bottom:  # [top; 0] = 1
-                continue
-            if 0 < bottom <= top:  # already in normal form
-                n = top
-            else:
-                normal = qbinom_normal(top, bottom)
-                if normal is None:
-                    return None
-                sign, shift, n = normal
-                term[0] *= sign
-                term[1] += shift
-            weight *= comb(n, bottom)
-            term += n, bottom
-            top -= bottom
-    return weight, term
-
-
 def _normal_terms(sides):
-    """The nonzero summands of each (side, summands) pair of sides as _normal
-    terms, and B, the sum of their weights: (B, terms)."""
+    """The nonzero summands of each (side, summands) pair of sides (side 1 or
+    -1) as flat terms [c, e, n1, m1, n2, m2, ...], c q^e [n1; m1] [n2; m2] ...
+    with each n >= m > 0 (qcomb.factor_normal), and B, the sum of their
+    weights |c| [n1; m1] [n2; m2] ... at q = 1: (B, terms)."""
+    factor_normal = qcomb.factor_normal  # not imported: see _image
     bound, terms = 0, []
     for side, summands in sides:
         for summand in summands:
-            normal = _normal(summand, side)
-            if normal is not None:
-                bound += normal[0]
-                terms.append(normal[1])
+            coeff = side * summand[2] if len(summand) > 2 else side
+            if not coeff:
+                continue
+            weight, term = abs(coeff), [coeff, summand[0]]
+            for factor in summand[1]:
+                normal = factor_normal(factor)
+                if normal is None:
+                    break
+                term[0] *= normal[0]
+                term[1] += normal[1]
+                term += normal[2]
+                weight *= normal[3]
+            else:
+                bound += weight
+                terms.append(term)
     return bound, terms
 
 
 def _image(terms, width):
-    """The sum of a nonempty list of _normal terms at q = 2^width, times
+    """The sum of a nonempty list of flat terms at q = 2^width, times
     2^(-width*low) for low the lowest term exponent: (low, image)."""
     low = min(term[1] for term in terms)
     # reached through qcomb: a memo imported here would also be listed
@@ -199,7 +191,7 @@ def summands_agree(left, right) -> bool:
     A summand may carry an integer coefficient as a third element, which
     defaults to 1.  Every [n; m] with n >= m >= 0 has nonnegative
     coefficients summing to C(n, m), and a negative top only adds a sign and
-    a power of q (_normal).  So B, the sum over both lists of each
+    a power of q (qcomb.factor_normal).  So B, the sum over both lists of each
     summand's weight (|coefficient| times that product of C(n, m)), bounds
     every |coefficient| of left - right.  Take W with 2^W > B and D the
     lowest summand exponent: q^-D (left - right) is then a polynomial whose

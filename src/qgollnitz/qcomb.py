@@ -14,6 +14,8 @@ formula over the integers gives a binomial's value at q = 2^W
 (qbinom_image), from which keyid decides the key identity and decodes the
 polynomials of its summand lists; qbinom and qmultinom stay polynomial
 products, for the recurrences on them and as the tests' oracle.
+factor_normal memoises one summand factor's normal form: a key sweep
+normalises a few hundred distinct factors over a million times.
 
 Everything here behaves as a pure function.  The memo tables hold only the
 entries asked for, are bounded, and hold immutable values.
@@ -73,6 +75,26 @@ def qbinom_normal(top: int, bottom: int):
     alpha = -top
     return (-1 if bottom & 1 else 1), -alpha * bottom - triangular(bottom - 1), \
         bottom + alpha - 1
+
+
+@lru_cache(maxsize=4096)
+def factor_normal(factor: tuple):
+    """The factor (top, b1, b2, ...) = [top; b1, b2, ...] as sign * q^shift *
+    [n1; m1] [n2; m2] ..., returned as (sign, shift, (n1, m1, n2, m2, ...),
+    weight) with each n >= m > 0 and weight the product of the C(n, m);
+    None when the factor is zero."""
+    sign, shift, pairs, weight = 1, 0, (), 1
+    top = factor[0]
+    for bottom in factor[1:]:
+        if bottom:  # [top; 0] = 1
+            normal = qbinom_normal(top, bottom)
+            if normal is None:
+                return None
+            s, e, n = normal
+            sign, shift, pairs = sign * s, shift + e, pairs + (n, bottom)
+            weight *= comb(n, bottom)
+            top -= bottom
+    return sign, shift, pairs, weight
 
 
 def divide_one_minus(run: list, r: int) -> None:

@@ -79,11 +79,12 @@ def unpack_signed(value, nbytes):
 def _kron_conv(a, b):
     """Convolution via Kronecker substitution.
 
-    The slot width is chosen so every true product coefficient fits in a
-    signed slot, so unpack_signed gives the coefficients back exactly.
+    The slot width is chosen so every true product coefficient and every
+    coefficient of either run fits in a signed slot (an all-zero run counts
+    its largest as 1), so unpack_signed gives the coefficients back exactly.
     """
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
+    amax = max(max(map(abs, a)), 1)
+    bmax = max(max(map(abs, b)), 1)
     width = ((amax * bmax * min(len(a), len(b))).bit_length() + 9) // 8
     out = unpack_signed(_pack(a, width) * _pack(b, width), width)
     return out + [0] * (len(a) + len(b) - 1 - len(out))

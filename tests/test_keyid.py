@@ -1,22 +1,23 @@
 """Key identity tests: both sides, boundary, recurrences, specializations."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
                              poly_prod, q_power)
-from qgollnitz import qcomb, qcore
-from qgollnitz.qcomb import poch_qpow, qbinom, qmultinom
+from qgollnitz import keyid, qcomb, qcore
+from qgollnitz.qcomb import poch_qpow, qbinom, qmultinom, triangular
 from qgollnitz.corollaries import jacobi_cube_poly_summands
-from qgollnitz.keyid import (Sextuple, boundary_value, check_boundary,
-                             check_key, check_key_limit,
+from qgollnitz.keyid import (Sextuple, _sextuple_rows, boundary_value,
+                             check_boundary, check_key, check_key_limit,
                              check_recurrence_andrews, check_recurrence_g,
                              check_recurrence_p, check_schur_case,
                              check_support, closed_form_diag,
                              cycle_summand, enumerate_sextuples, key_limit_lhs,
-                             key_limit_rhs, lhs_g, lhs_g_parts,
+                             key_limit_rhs, key_summands, lhs_g, lhs_g_parts,
                              lhs_summands, poch_quotient_sum, rhs_p,
                              rhs_summands, schur_sides, summand_poly,
                              summands_agree)
@@ -50,6 +51,33 @@ def test_sextuple_constraints_hold():
         assert s.b + s.ab + s.bc == 2
         assert s.c + s.ac + s.bc == 4
         assert s.t == sum(s)
+
+
+def test_sextuple_rows_match_enumeration():
+    for i, j, k in itertools.product(range(-2, 6), repeat=3):
+        rows = [(sx, sx.t, triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac))
+                for sx in enumerate_sextuples(i, j, k)]
+        assert list(_sextuple_rows(i, j, k)) == rows, (i, j, k)
+
+
+def _clear_memos():
+    for module in (qcomb, keyid):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+
+
+def test_memo_state_never_changes_an_answer():
+    # a shuffle of acceptance-grid tuples, so (i, j, k) changes between
+    # calls and sextuple rows are evicted and rebuilt; each answer must
+    # match the one computed from empty memos
+    grid = list(itertools.product(range(-2, 5), range(-2, 5), range(-2, 5),
+                                  range(-3, 11), range(-3, 11)))
+    tuples = random.Random(13).sample(grid, 5000)
+    warm = [(key_summands(*args), check_key(*args)) for args in tuples]
+    for args, answer in zip(tuples, warm):
+        _clear_memos()
+        assert answer == (key_summands(*args), check_key(*args)), args
 
 
 # -- the two sides -----------------------------------------------------------

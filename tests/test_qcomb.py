@@ -1,18 +1,19 @@
 """q-binomial and q-multinomial tests against counting oracles."""
 
 import importlib
+import itertools
 import math
 import pkgutil
 
 import pytest
 
 import qgollnitz
-from qgollnitz.qcore import LaurentPoly
+from qgollnitz.qcore import LaurentPoly, poly_prod
 from qgollnitz import qcomb
 from qgollnitz.qcomb import (NegativeLength, check_multinom_recurrence,
-                             check_qpascal, poch_qpow, qbinom, qbinom_base,
-                             qbinom_image, qbinom_is_nonzero, qbinom_normal,
-                             qbinom_q1, qmultinom, triangular)
+                             check_qpascal, factor_normal, poch_qpow, qbinom,
+                             qbinom_base, qbinom_image, qbinom_is_nonzero,
+                             qbinom_normal, qbinom_q1, qmultinom, triangular)
 
 
 def P(terms):
@@ -87,7 +88,8 @@ def test_every_package_memo_is_bounded():
         module = importlib.import_module(f"qgollnitz.{info.name}")
         caches.update((f"{info.name}.{name}", obj) for name, obj in vars(module).items()
                       if hasattr(obj, "cache_info"))
-    assert "qcomb._qbinom_nonneg" in caches
+    assert {"qcomb._qbinom_nonneg", "qcomb.factor_normal",
+            "keyid._sextuple_rows"} <= set(caches)
     unbounded = [name for name, cache in caches.items()
                  if cache.cache_parameters()["maxsize"] is None]
     assert unbounded == []
@@ -103,6 +105,24 @@ def test_qbinom_normal_form():
             sign, shift, n = normal
             assert n >= bottom >= 0
             assert qbinom(top, bottom) == qbinom(n, bottom).shift(shift) * sign
+    # factor_normal on pairs and 2- and 3-part multinomials (top, b1, ...)
+    parts = range(-2, 7)
+    for top in range(-8, 13):
+        for bottoms in itertools.chain(itertools.product(parts, repeat=1),
+                                       itertools.product(parts, repeat=2),
+                                       itertools.product(parts, repeat=3)):
+            factor = (top, *bottoms)
+            value = qmultinom(top, bottoms)
+            normal = factor_normal(factor)
+            assert (normal is None) == (not value), factor
+            if normal is None:
+                continue
+            sign, shift, pairs, weight = normal
+            ns, ms = pairs[::2], pairs[1::2]
+            assert all(n >= m > 0 for n, m in zip(ns, ms)), factor
+            product = poly_prod([qbinom(n, m) for n, m in zip(ns, ms)])
+            assert value == product.shift(shift) * sign, factor
+            assert weight == abs(sum(c for _, c in value.iter_terms())), factor
 
 
 def test_qbinom_image_is_value_at_power_of_two():

@@ -123,6 +123,18 @@ def test_kron_conv_matches_schoolbook(a, b):
     assert _kron_conv(a, b) == _conv(a, b)
 
 
+@given(wide_runs, wide_runs, st.sampled_from(["a", "b", "both"]))
+def test_kron_conv_matches_schoolbook_on_all_zero_runs(a, b, zeros):
+    # an all-zero run must not shrink the slots below the other run's
+    # coefficients
+    if zeros != "b":
+        a = [0] * len(a)
+    if zeros != "a":
+        b = [0] * len(b)
+    assert _kron_conv(a, b) == _conv(a, b)
+    assert _kron_conv([0], [300]) == _conv([0], [300]) == [0]
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_kron_conv_matches_schoolbook_around_the_cap(data):
