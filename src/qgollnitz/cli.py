@@ -67,18 +67,18 @@ def _compare(sides, render=str, holds=None):
 
 
 def _by_images(summands):
-    """A checker that decides each tuple by keyid.summands_agree on
+    """A checker that decides each tuple by qcomb.summands_agree on
     summands(**params) -> (left, right), two summand lists.  Only a failing
-    tuple has the lists' polynomials built, to render its row; they come
-    from a second call, since the comparison uses up a side given as a
-    generator."""
+    tuple has the lists' polynomials built by qcomb.summand_poly, to render
+    its row; they come from a second call, since the comparison uses up a
+    side given as a generator."""
     summands = _current(summands)
 
     def check(**params):
-        if keyid.summands_agree(*summands()(**params)):
+        if qcomb.summands_agree(*summands()(**params)):
             return _PASS
         lhs, rhs = summands()(**params)
-        return False, str(keyid.summand_poly(lhs)), str(keyid.summand_poly(rhs))
+        return False, str(qcomb.summand_poly(lhs)), str(qcomb.summand_poly(rhs))
     return check
 
 
@@ -319,13 +319,11 @@ def render_report(report: SweepReport, fmt: str = "text") -> str:
     if report.failures:
         rows = [(", ".join(f"{k}={v}" for k, v in f["params"].items()),
                  f["lhs"], f["rhs"]) for f in report.failures]
-        widths = [max(len(r[col]) for r in rows) for col in range(3)]
-        header = ("params".ljust(widths[0]), "lhs".ljust(widths[1]),
-                  "rhs".ljust(widths[2]))
-        widths = [max(w, len(h)) for w, h in zip(widths, header)]
+        names = ("params", "lhs", "rhs")
+        widths = [max(len(name), *(len(r[col]) for r in rows))
+                  for col, name in enumerate(names)]
         lines.append("")
-        lines.append(" | ".join(s.ljust(w) for s, w in
-                                zip(("params", "lhs", "rhs"), widths)))
+        lines.append(" | ".join(s.ljust(w) for s, w in zip(names, widths)))
         lines.append("-+-".join("-" * w for w in widths))
         for row in rows:
             lines.append(" | ".join(s.ljust(w) for s, w in zip(row, widths)))
@@ -389,17 +387,12 @@ def run_golden() -> SweepReport:
 # ---------------------------------------------------------------------------
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_txt, hi_txt = text.split("..", 1)
-        try:
-            return int(lo_txt), int(hi_txt)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
+    lo_txt, dots, hi_txt = text.partition("..")
     try:
-        v = int(text)
+        lo = int(lo_txt)
+        return lo, int(hi_txt) if dots else lo
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
-    return v, v
 
 
 def build_parser() -> argparse.ArgumentParser:

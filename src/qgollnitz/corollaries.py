@@ -13,9 +13,9 @@ from math import isqrt
 from typing import NamedTuple
 
 from .qcore import ONE, BivarLaurent, LaurentPoly, TruncSeries, q_power
-from .qcomb import poch_qpow, qbinom_q1, triangular
-from .keyid import (closed_form_diag, cycle_summand, poch_quotient_sum,
-                    summand_poly)
+from .qcomb import (poch_qpow, poch_quotient_sum, qbinom_q1, summand_poly,
+                    triangular)
+from .keyid import closed_form_diag, cycle_summand
 
 
 class Decuple(NamedTuple):

@@ -7,17 +7,11 @@ Conventions: g(i, j, k, L, M) is the colored-frequency double sum (lhs_g),
 p(i, j, k, L, M) is the single s-sum (rhs_p).  Both are total functions on
 Z^5; no argument is range-restricted.
 
-Each side is written once, as a list of summands: an integer times q^shift
-times a product of q-binomials and q-multinomials (lhs_summands,
-rhs_summands, and cycle_summand for the diagonal closed form).  One
-evaluator, _image, gives a list's value at q = 2^W as an integer.
-check_key compares the two lists' images, with W large enough that equal
-integers mean equal polynomials (summands_agree), and builds no polynomial
-at all; summand_poly reads a list's polynomial off the signed base-2^W
-digits of its image, so every memoised side (lhs_g, rhs_p) and every
-failure row comes from that same evaluator.  Under a sweep, the sextuple
-rows of an (i, j, k) (_sextuple_rows) and the normal form of each factor
-(qcomb.factor_normal) come from small bounded memos, not per tuple.
+Each side is written once, as a summand list (lhs_summands, rhs_summands,
+and cycle_summand for the diagonal closed form).  check_key compares the
+two lists with qcomb's summands_agree, and every memoised side (lhs_g,
+rhs_p) is decoded from the same images by summand_poly.  Under a sweep the
+sextuple rows of an (i, j, k) come from a small bounded memo (_sextuple_rows).
 """
 
 from __future__ import annotations
@@ -25,9 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power, unpack_signed
-from . import qcomb
-from .qcomb import qbinom_is_nonzero, triangular
+from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power
+from .qcomb import (poch_quotient_sum, qbinom_is_nonzero, summand_poly,
+                    summands_agree, triangular)
 
 
 class Sextuple(NamedTuple):
@@ -139,86 +133,6 @@ def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
     as a summand (see lhs_summands), the one place the cycle is written."""
     return (triangular(i) + triangular(j) + triangular(k),
             ((L - k, i), (L - i, j), (L - j, k)), coeff)
-
-
-def _normal_terms(sides):
-    """The nonzero summands of each (side, summands) pair of sides (side 1 or
-    -1) as flat terms [c, e, n1, m1, n2, m2, ...], c q^e [n1; m1] [n2; m2] ...
-    with each n >= m > 0 (qcomb.factor_normal), and B, the sum of their
-    weights |c| [n1; m1] [n2; m2] ... at q = 1: (B, terms)."""
-    factor_normal = qcomb.factor_normal  # not imported: see _image
-    bound, terms = 0, []
-    for side, summands in sides:
-        for summand in summands:
-            coeff = side * summand[2] if len(summand) > 2 else side
-            if not coeff:
-                continue
-            weight, term = abs(coeff), [coeff, summand[0]]
-            for factor in summand[1]:
-                normal = factor_normal(factor)
-                if normal is None:
-                    break
-                term[0] *= normal[0]
-                term[1] += normal[1]
-                term += normal[2]
-                weight *= normal[3]
-            else:
-                bound += weight
-                terms.append(term)
-    return bound, terms
-
-
-def _image(terms, width):
-    """The sum of a nonempty list of flat terms at q = 2^width, times
-    2^(-width*low) for low the lowest term exponent: (low, image)."""
-    low = min(term[1] for term in terms)
-    # reached through qcomb: a memo imported here would also be listed
-    # among keyid's by tools that scan module namespaces
-    binomial_image = qcomb.qbinom_image
-    image = 0
-    for term in terms:
-        value = term[0] << width * (term[1] - low)
-        for at in range(2, len(term), 2):
-            value *= binomial_image(term[at], term[at + 1], width)
-        image += value
-    return low, image
-
-
-def summands_agree(left, right) -> bool:
-    """Do two summand lists (or iterables of summands) have equal values?
-    Decided by one comparison of integers, without building a polynomial.
-
-    A summand may carry an integer coefficient as a third element, which
-    defaults to 1.  Every [n; m] with n >= m >= 0 has nonnegative
-    coefficients summing to C(n, m), and a negative top only adds a sign and
-    a power of q (qcomb.factor_normal).  So B, the sum over both lists of each
-    summand's weight (|coefficient| times that product of C(n, m)), bounds
-    every |coefficient| of left - right.  Take W with 2^W > B and D the
-    lowest summand exponent: q^-D (left - right) is then a polynomial whose
-    coefficients are all below 2^W in size, and its value at q = 2^W is zero
-    exactly when it is the zero polynomial.  The comparison is exact, not a
-    random-point test.
-
-    Until W is known each summand is held as one flat list of small ints,
-    so a long side passed as a generator (the cube analog's cycle sum) costs
-    little memory.
-    """
-    bound, terms = _normal_terms(((1, left), (-1, right)))
-    return not terms or _image(terms, bound.bit_length())[1] == 0
-
-
-def summand_poly(summands) -> LaurentPoly:
-    """The value of a summand list (or any iterable of summands) as a
-    Laurent polynomial, decoded from its image at q = 2^W (see
-    summands_agree).  W is a whole number of bytes above the bit length of
-    B, so every coefficient c has |c| <= B < 2^(W-1), and the image's signed
-    base-2^W digits are the coefficients."""
-    bound, terms = _normal_terms(((1, summands),))
-    if not terms:
-        return ZERO
-    nbytes = bound.bit_length() // 8 + 1
-    low, image = _image(terms, 8 * nbytes)
-    return LaurentPoly._raw(low, unpack_signed(image, nbytes))
 
 
 def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -348,26 +262,6 @@ def check_schur_case(j: int, k: int, L: int, M: int) -> bool:
     full two-sided evaluators at i = 0."""
     left, right = schur_sides(j, k, L, M)
     return left == right == lhs_g(0, j, k, L, M) == rhs_p(0, j, k, L, M)
-
-
-def poch_quotient_sum(terms, order: int) -> TruncSeries:
-    """The sum of numer / ((q)_n1 (q)_n2 ...) modulo q^order over the
-    (numer, (n1, n2, ...)) pairs of terms, numer a nonzero polynomial in q.
-    A term is zero, and is skipped, when its numerator's valuation reaches
-    the order or when some n is negative (1/(q)_n = 0 for n < 0).  A factor
-    1 - q^r with r at or past the numerator's run is 1 modulo the order."""
-    total = [0] * order
-    for numer, lengths in terms:
-        val = numer.valuation
-        if val >= order or min(lengths) < 0:
-            continue
-        run = list(TruncSeries.from_poly(numer, order).coeffs[val:])
-        for n in lengths:
-            for r in range(1, min(n, len(run) - 1) + 1):
-                qcomb.divide_one_minus(run, r)
-        for e, c in enumerate(run, val):
-            total[e] += c
-    return TruncSeries(order, total)
 
 
 def key_limit_lhs(i: int, j: int, k: int, order: int) -> TruncSeries:

@@ -13,7 +13,7 @@ from enum import IntEnum
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .qcore import ZERO, LaurentPoly, poly_prod
+from .qcore import ZERO, LaurentPoly, poly_prod, unpack_signed
 from . import keyid
 
 
@@ -295,10 +295,12 @@ def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
     # weight polynomial of the Type-1 partitions with parts <= L spending i
     # letters A, j B and k C, by columns v = 1..L.  A state is the color of
     # part v (None: no part v) and the letters owed; its counts by weight
-    # are the base-2^width digits of one int, each < (6L+1)^(i+j+k) < 2^width.
+    # are the signed base-2^width digits of one int, each at most
+    # (6L+1)^(i+j+k) < 2^(width-1), with width a whole number of bytes.
     if min(i, j, k) < 0:
         return ZERO
-    width = (i + j + k) * (6 * L + 1).bit_length() + 1
+    nbytes = ((6 * L + 1) ** (i + j + k)).bit_length() // 8 + 1
+    width = 8 * nbytes
     col = {(None, i, j, k): 1}
     for v in range(1, L + 1):
         nxt: dict[tuple, int] = {}
@@ -314,9 +316,7 @@ def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
                 nxt[key] = nxt.get(key, 0) + counts
         col = nxt
     counts = sum(n for (_, a, b, c), n in col.items() if a == b == c == 0)
-    mask = (1 << width) - 1
-    return LaurentPoly((w, counts >> w * width & mask)
-                       for w in range(counts.bit_length() // width + 1))
+    return LaurentPoly._raw(0, unpack_signed(counts, nbytes))
 
 
 def theorem1_pairs(L: int, i: int, j: int, k: int) -> Iterator[tuple]:

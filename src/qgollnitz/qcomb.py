@@ -9,13 +9,22 @@ identity
 
     [-alpha; k] = (-1)^k [k+alpha-1; k] q^(-alpha*k - T(k-1)),
 
-which is where negative q-exponents enter the engine.  The same product
-formula over the integers gives a binomial's value at q = 2^W
-(qbinom_image), from which keyid decides the key identity and decodes the
-polynomials of its summand lists; qbinom and qmultinom stay polynomial
-products, for the recurrences on them and as the tests' oracle.
-factor_normal memoises one summand factor's normal form: a key sweep
-normalises a few hundred distinct factors over a million times.
+which is where negative q-exponents enter the engine.  qbinom and
+qmultinom are polynomial products, for the recurrences on them and as the
+tests' oracle.
+
+Every sum of q-binomial products in the engine (both sides of the key
+identity, its diagonal closed form, the cube analog) is a summand list: an
+integer times q^shift times a product of q-binomials and q-multinomials.
+One evaluator, _image, gives a list's value at q = 2^W as an integer, each
+binomial by the product formula over the integers (qbinom_image), each
+factor reduced once to [n; m] pairs with n >= m > 0 (factor_normal; a key
+sweep normalises a few hundred distinct factors over a million times).
+summands_agree compares two lists' images, with W large enough that equal
+integers mean equal polynomials, and builds no polynomial; summand_poly
+reads a list's polynomial off the signed base-2^W digits of its image.
+poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
+with the running sum that builds the q-binomials (divide_one_minus).
 
 Everything here behaves as a pure function.  The memo tables hold only the
 entries asked for, are bounded, and hold immutable values.
@@ -28,7 +37,7 @@ from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from .qcore import ONE, ZERO, LaurentPoly, q_power
+from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power, unpack_signed
 
 
 class NegativeLength(ValueError):
@@ -150,6 +159,102 @@ def qbinom_image(top: int, bottom: int, width: int) -> int:
         value = value * ((1 << width * (top - bottom + r)) - 1) \
             // ((1 << width * r) - 1)
     return value
+
+
+def _normal_terms(sides):
+    """The nonzero summands of each (side, summands) pair of sides (side 1 or
+    -1) as flat terms [c, e, n1, m1, n2, m2, ...], c q^e [n1; m1] [n2; m2] ...
+    with each n >= m > 0 (factor_normal), and B, the sum of their
+    weights |c| [n1; m1] [n2; m2] ... at q = 1: (B, terms)."""
+    bound, terms = 0, []
+    for side, summands in sides:
+        for summand in summands:
+            coeff = side * summand[2] if len(summand) > 2 else side
+            if not coeff:
+                continue
+            weight, term = abs(coeff), [coeff, summand[0]]
+            for factor in summand[1]:
+                normal = factor_normal(factor)
+                if normal is None:
+                    break
+                term[0] *= normal[0]
+                term[1] += normal[1]
+                term += normal[2]
+                weight *= normal[3]
+            else:
+                bound += weight
+                terms.append(term)
+    return bound, terms
+
+
+def _image(terms, width):
+    """The sum of a nonempty list of flat terms at q = 2^width, times
+    2^(-width*low) for low the lowest term exponent: (low, image)."""
+    low = min(term[1] for term in terms)
+    image = 0
+    for term in terms:
+        value = term[0] << width * (term[1] - low)
+        for at in range(2, len(term), 2):
+            value *= qbinom_image(term[at], term[at + 1], width)
+        image += value
+    return low, image
+
+
+def summands_agree(left, right) -> bool:
+    """Do two summand lists (or iterables of summands) have equal values?
+    Decided by one comparison of integers, without building a polynomial.
+
+    A summand may carry an integer coefficient as a third element, which
+    defaults to 1.  Every [n; m] with n >= m >= 0 has nonnegative
+    coefficients summing to C(n, m), and a negative top only adds a sign and
+    a power of q (factor_normal).  So B, the sum over both lists of each
+    summand's weight (|coefficient| times that product of C(n, m)), bounds
+    every |coefficient| of left - right.  Take W with 2^W > B and D the
+    lowest summand exponent: q^-D (left - right) is then a polynomial whose
+    coefficients are all below 2^W in size, and its value at q = 2^W is zero
+    exactly when it is the zero polynomial.  The comparison is exact, not a
+    random-point test.
+
+    Until W is known each summand is held as one flat list of small ints,
+    so a long side passed as a generator (the cube analog's cycle sum) costs
+    little memory.
+    """
+    bound, terms = _normal_terms(((1, left), (-1, right)))
+    return not terms or _image(terms, bound.bit_length())[1] == 0
+
+
+def summand_poly(summands) -> LaurentPoly:
+    """The value of a summand list (or any iterable of summands) as a
+    Laurent polynomial, decoded from its image at q = 2^W (see
+    summands_agree).  W is a whole number of bytes above the bit length of
+    B, so every coefficient c has |c| <= B < 2^(W-1), and the image's signed
+    base-2^W digits are the coefficients."""
+    bound, terms = _normal_terms(((1, summands),))
+    if not terms:
+        return ZERO
+    nbytes = bound.bit_length() // 8 + 1
+    low, image = _image(terms, 8 * nbytes)
+    return LaurentPoly._raw(low, unpack_signed(image, nbytes))
+
+
+def poch_quotient_sum(terms, order: int) -> TruncSeries:
+    """The sum of numer / ((q)_n1 (q)_n2 ...) modulo q^order over the
+    (numer, (n1, n2, ...)) pairs of terms, numer a nonzero polynomial in q.
+    A term is zero, and is skipped, when its numerator's valuation reaches
+    the order or when some n is negative (1/(q)_n = 0 for n < 0).  A factor
+    1 - q^r with r at or past the numerator's run is 1 modulo the order."""
+    total = [0] * order
+    for numer, lengths in terms:
+        val = numer.valuation
+        if val >= order or min(lengths) < 0:
+            continue
+        run = list(TruncSeries.from_poly(numer, order).coeffs[val:])
+        for n in lengths:
+            for r in range(1, min(n, len(run) - 1) + 1):
+                divide_one_minus(run, r)
+        for e, c in enumerate(run, val):
+            total[e] += c
+    return TruncSeries(order, total)
 
 
 def qbinom_base(top: int, bottom: int, base_power: int) -> LaurentPoly:

@@ -1,5 +1,6 @@
 """Harness tests: sweeping, reporting, determinism, exit codes, golden corpus."""
 
+import argparse
 import itertools
 import json
 import os
@@ -231,6 +232,17 @@ def test_render_text_table(corrupt_identity):
     assert "identity: corrupt-key" in text
     assert "params" in text and "lhs" in text and "rhs" in text
     assert "i=0, j=0, k=0, L=1, M=1" in text
+
+
+@pytest.mark.parametrize("text, want", [("5", (5, 5)), ("-2..4", (-2, 4))])
+def test_parse_range_reads_a_value_or_a_range(text, want):
+    assert cli._parse_range(text) == want
+
+
+@pytest.mark.parametrize("text", ["3..", "..4", "1..2..3", "a"])
+def test_parse_range_rejects_malformed_text(text):
+    with pytest.raises(argparse.ArgumentTypeError, match=f"bad range {text!r}"):
+        cli._parse_range(text)
 
 
 def test_render_rejects_unknown_format():

@@ -1,6 +1,8 @@
 """q-binomial and q-multinomial tests against counting oracles."""
 
+import ast
 import importlib
+import inspect
 import itertools
 import math
 import pkgutil
@@ -93,6 +95,32 @@ def test_every_package_memo_is_bounded():
     unbounded = [name for name, cache in caches.items()
                  if cache.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_memos_live_in_their_own_module_and_qcomb_imports_no_consumer():
+    # the benchmark's tracer sums memo stats per module namespace, so a memo
+    # bound in a second module would be counted twice, and under the wrong
+    # module; qcomb, which holds the memos, sits below every module using them
+    homes = {}
+    for info in pkgutil.iter_modules(qgollnitz.__path__):
+        module = importlib.import_module(f"qgollnitz.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                homes.setdefault(obj, []).append(module.__name__)
+    assert homes
+    assert {cache: where for cache, where in homes.items()
+            if where != [cache.__module__]} == {}
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(qcomb))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            if node.module is None:
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    consumers = {"keyid", "partcomb", "corollaries", "cli"}
+    assert {name for name in imported if name and
+            name.rsplit(".", 1)[-1] in consumers} == set()
 
 
 def test_qbinom_normal_form():
