@@ -6,8 +6,7 @@ exact counts, and the color-to-residue substitution that links the two.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from operator import attrgetter
@@ -54,9 +53,8 @@ RESIDUE_OFFSET = {
 }
 _COLOR_OF_RESIDUE = {-offset % 6: c for c, offset in RESIDUE_OFFSET.items()}
 
-# Frequency records run (a, b, c, ab, ac, bc); _SLOT[rank] is a color's place.
+# Frequency records and staircase images run (a, b, c, ab, ac, bc).
 _FREQ_ORDER = (Color.A, Color.B, Color.C, Color.AB, Color.AC, Color.BC)
-_SLOT = tuple(_FREQ_ORDER.index(c) for c in _COLORS_BY_RANK)
 
 # The letters (A, B, C) each color spends, by rank: AB spends (1, 1, 0).
 _LETTERS = tuple((c, tuple(int(x in c.name) for x in "ABC")) for c in Color)
@@ -68,9 +66,15 @@ def _gap_one_ok(upper: Color, lower: Color) -> bool:
     return upper > lower or (upper is lower and upper in _PRIMARY)
 
 
+# The colors, by rank, allowed one below a part of each color (None: no part).
+_BELOW = {None: _COLORS_BY_RANK, **{
+    c: tuple(d for d in Color if _gap_one_ok(c, d)) for c in Color}}
+
+
 @dataclass(frozen=True)
 class ColoredPartition:
-    """A partition with colored parts, stored largest part first."""
+    """A partition whose parts are in normal form: (int, Color) pairs, each
+    value >= 1, sorted largest first.  ``_raw`` wraps a tuple already so."""
 
     parts: tuple[tuple[int, Color], ...]
 
@@ -80,6 +84,12 @@ class ColoredPartition:
         if norm and norm[-1][0] < 1:
             raise ValueError("part values must be positive")
         object.__setattr__(self, "parts", tuple(norm))
+
+    @classmethod
+    def _raw(cls, parts: tuple) -> ColoredPartition:
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
 
     @property
     def weight(self) -> int:
@@ -108,13 +118,9 @@ def is_type1(p: ColoredPartition) -> bool:
     parts = p.parts
     for (v1, c1), (v2, c2) in zip(parts, parts[1:]):
         gap = v1 - v2
-        if gap < 1:
+        if gap < 1 or gap == 1 and not _gap_one_ok(c1, c2):
             return False
-        if gap == 1 and not _gap_one_ok(c1, c2):
-            return False
-    if parts and parts[-1][0] == 1 and parts[-1][1] not in _PRIMARY:
-        return False
-    return True
+    return not parts or parts[-1][0] != 1 or parts[-1][1] in _PRIMARY
 
 
 @dataclass(frozen=True)
@@ -155,20 +161,23 @@ class StaircaseImage:
         return sum(map(sum, _images(self)))
 
     def validate(self) -> None:
-        """Raise InvalidImage unless all structural conditions hold."""
-        # every image is stored largest first, so its smallest part is last
+        """Raise InvalidImage naming the first of the conditions below that
+        fails; images are stored largest first, so the smallest is last."""
         a, b, c, ab, ac, bc = _images(self)
-        for name, ps in (("A", a), ("B", b), ("C", c)):
-            if ps and ps[-1] < 0:
-                raise InvalidImage(f"negative part in primary image {name}")
+        if a and a[-1] < 0:
+            raise InvalidImage("negative part in primary image A")
+        if b and b[-1] < 0:
+            raise InvalidImage("negative part in primary image B")
+        if c and c[-1] < 0:
+            raise InvalidImage("negative part in primary image C")
         for name, ps in (("AB", ab), ("AC", ac)):
             if ps and ps[-1] < 1:
                 raise InvalidImage(f"part below 1 in image {name}")
-            if len(set(ps)) < len(ps):
+            if ps and len(set(ps)) < len(ps):
                 raise InvalidImage(f"parts of image {name} are not distinct")
         if bc and bc[-1] < 0:
             raise InvalidImage("negative part in image BC")
-        if len(set(bc)) < len(bc):
+        if bc and len(set(bc)) < len(bc):
             raise InvalidImage("parts of image BC are not distinct")
         if bc and bc[-1] == 0 and not (a and a[-1] == 0):
             raise InvalidImage("BC image contains 0 but A image does not")
@@ -182,6 +191,8 @@ class StaircaseImage:
 
 _IMAGE_FIELDS = tuple(f.name for f in fields(StaircaseImage))
 _images = attrgetter(*_IMAGE_FIELDS)  # the six images, in field order
+_FIELD_OF = tuple(_IMAGE_FIELDS[_FREQ_ORDER.index(c)] for c in _COLORS_BY_RANK)
+_NO_IMAGES = dict.fromkeys(_IMAGE_FIELDS, ())
 
 
 def staircase_forward(p: ColoredPartition) -> StaircaseImage:
@@ -190,24 +201,24 @@ def staircase_forward(p: ColoredPartition) -> StaircaseImage:
     color.  Requires a Type-1 input."""
     if not is_type1(p):
         raise NotType1(f"not a Type-1 partition: {p}")
-    buckets = ([], [], [], [], [], [])
-    # largest part first, so it loses t and each bucket comes out sorted
+    img = object.__new__(StaircaseImage)  # the images need no __init__ sort
+    images = vars(img)
+    images.update(_NO_IMAGES)
+    # largest part first, so it loses t and each image comes out sorted
     for idx, (v, c) in enumerate(p.parts, start=-len(p.parts)):
-        buckets[_SLOT[c]].append(v + idx)
-    img = object.__new__(StaircaseImage)  # the buckets need no __init__ sort
-    vars(img).update(zip(_IMAGE_FIELDS, map(tuple, buckets)))
+        images[_FIELD_OF[c]] += (v + idx,)
     img.validate()
     return img
 
 
 def staircase_inverse(img: StaircaseImage) -> ColoredPartition:
-    """Rebuild the Type-1 partition: merge the images smallest first
-    (ties resolved by color rank) and add back 1, 2, ..., t."""
+    """Rebuild the Type-1 partition: merge the images largest first (ties
+    by color rank) and add back t, ..., 2, 1, which yields normal form."""
     img.validate()
     merged = sorted([(v, c) for c, ps in zip(_FREQ_ORDER, _images(img))
-                     for v in ps])
-    return ColoredPartition([(v + idx, c)
-                             for idx, (v, c) in enumerate(merged, start=1)])
+                     for v in ps], reverse=True)
+    return ColoredPartition._raw(tuple([
+        (v - idx, c) for idx, (v, c) in enumerate(merged, start=-len(merged))]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +240,10 @@ def _dfs_type1(v, counts, prev_color, acc):
         yield tuple(acc)
         return
     yield from _dfs_type1(v - 1, counts, None, acc)
-    for color in _COLORS_BY_RANK:
+    for color in _BELOW[prev_color]:
         if counts is not None and counts[color] == 0:
             continue
         if v == 1 and color not in _PRIMARY:
-            continue
-        if prev_color is not None and not _gap_one_ok(prev_color, color):
             continue
         if counts is not None:
             counts[color] -= 1
@@ -250,16 +259,14 @@ def iter_type1(max_part: int, freq: Sequence[int]) -> Iterator[ColoredPartition]
     frequencies freq = (a, b, c, ab, ac, bc)."""
     if any(f < 0 for f in freq):
         return
-    counts = [freq[slot] for slot in _SLOT]
-    for parts in _dfs_type1(max_part, counts, None, []):
-        yield ColoredPartition(parts)
+    counts = [freq[_FREQ_ORDER.index(c)] for c in _COLORS_BY_RANK]
+    yield from map(ColoredPartition._raw, _dfs_type1(max_part, counts, None, []))
 
 
 def iter_type1_all(max_part: int) -> Iterator[ColoredPartition]:
     """All Type-1 partitions with parts <= max_part, any color frequencies
     (the empty partition included)."""
-    for parts in _dfs_type1(max_part, None, None, []):
-        yield ColoredPartition(parts)
+    yield from map(ColoredPartition._raw, _dfs_type1(max_part, None, None, []))
 
 
 def count_G(L: int, n: int, freq: Sequence[int]) -> int:
@@ -270,11 +277,16 @@ def count_G(L: int, n: int, freq: Sequence[int]) -> int:
 
 def _distinct_weight_poly(count: int, bound: int) -> LaurentPoly:
     # weight polynomial of the `count`-element subsets of {1..bound}: 1 for
-    # count 0 (the empty subset), 0 for a negative count
+    # count 0 (the empty subset), 0 for a negative count.  rows[m] counts
+    # the m-subsets of {1..x} by weight, as base-2^(8 nbytes) digits
     if count < 0:
         return ZERO
-    return LaurentPoly(Counter(
-        map(sum, itertools.combinations(range(1, bound + 1), count))))
+    nbytes = max(bound, 0) // 8 + 1  # a count is at most 2^bound
+    rows = [1] + [0] * count
+    for x in range(1, bound + 1):
+        for m in range(min(x, count), 0, -1):
+            rows[m] += rows[m - 1] << 8 * nbytes * x
+    return LaurentPoly._raw(0, unpack_signed(rows[count], nbytes))
 
 
 def _tricolor_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
@@ -403,13 +415,11 @@ def _dfs_transformed(v, budget, prev_color, acc):
     if v < 1 or budget > v * (3 * v + 2):
         return
     yield from _dfs_transformed(v - 1, budget, None, acc)
-    for color in _COLORS_BY_RANK:
+    for color in _BELOW[prev_color]:  # rank order, so costs rise
         cost = 6 * v - RESIDUE_OFFSET[color]
         if cost > budget:
             break
         if v == 1 and color not in _PRIMARY:
-            continue
-        if prev_color is not None and not _gap_one_ok(prev_color, color):
             continue
         acc.append((v, color))
         yield from _dfs_transformed(v - 1, budget - cost, color, acc)
@@ -419,8 +429,8 @@ def _dfs_transformed(v, budget, prev_color, acc):
 def iter_type1_transformed(n: int) -> Iterator[ColoredPartition]:
     """All Type-1 partitions (no part bound) whose residue transform weighs
     exactly n, in increasing order of their images, largest part first."""
-    for parts in _dfs_transformed((n + 6) // 6, n, None, []):
-        yield ColoredPartition(parts)
+    yield from map(ColoredPartition._raw,
+                   _dfs_transformed((n + 6) // 6, n, None, []))
 
 
 def check_remark3(n: int) -> bool:

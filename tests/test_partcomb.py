@@ -185,6 +185,38 @@ def test_staircase_round_trip_property(p):
     assert staircase_inverse(img) == p
 
 
+def _small_valid_images():
+    # every valid image whose parts come from a few short runs per color,
+    # ties across colors included
+    primary, secondary = [(), (0,), (0, 0), (1, 0)], [(), (1,), (2, 1)]
+    bc = [(), (0,), (1, 0)]
+    for runs in itertools.product(primary, primary, primary,
+                                  secondary, secondary, bc):
+        img = StaircaseImage(*runs)
+        try:
+            img.validate()
+        except InvalidImage:
+            continue
+        yield img
+
+
+def test_producers_build_partitions_in_normal_form():
+    # the enumerators and the staircase inverse skip the constructor's
+    # normalisation, so what they build must be what it would build
+    produced = [*iter_type1_all(6),
+                *(p for L in range(6)
+                  for freq in itertools.product(range(2), repeat=6)
+                  for p in iter_type1(L, freq)),
+                *(p for n in range(61) for p in iter_type1_transformed(n))]
+    produced += [staircase_inverse(staircase_forward(p)) for p in produced]
+    produced += map(staircase_inverse, _small_valid_images())
+    assert len(produced) > 18000
+    for p in produced:
+        norm = ColoredPartition(p.parts)
+        assert p == norm and p.parts == norm.parts, p.parts
+        assert all(type(v) is int and type(c) is Color for v, c in p.parts)
+
+
 # -- counting ----------------------------------------------------------------
 
 def test_count_G_examples():
