@@ -66,19 +66,17 @@ def _compare(sides, render=str, holds=None):
     return check
 
 
-def _by_images(summands):
-    """A checker that decides each tuple by qcomb.summands_agree on
-    summands(**params) -> (left, right), two summand lists.  Only a failing
-    tuple has the lists' polynomials built by qcomb.summand_poly, to render
-    its row; they come from a second call, since the comparison uses up a
-    side given as a generator."""
-    summands = _current(summands)
+def _decided(holds, sides):
+    """A checker that decides each tuple by holds(**params), which builds no
+    polynomial (keyid.check_key, qcomb.summands_agree).  Only a failing tuple
+    calls sides(**params) -> (lhs, rhs) for the polynomials of its row."""
+    holds, sides = _current(holds), _current(sides)
 
     def check(**params):
-        if qcomb.summands_agree(*summands()(**params)):
+        if holds()(**params):
             return _PASS
-        lhs, rhs = summands()(**params)
-        return False, str(qcomb.summand_poly(lhs)), str(qcomb.summand_poly(rhs))
+        lhs, rhs = sides()(**params)
+        return False, str(lhs), str(rhs)
     return check
 
 
@@ -147,7 +145,9 @@ _KEY_PARAMS = ("i", "j", "k", "L", "M")
 _KEY_GRID = {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 8), "M": (0, 8)}
 
 IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
-    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID, _by_images(keyid.key_summands)),
+    IdentitySpec("key", _KEY_PARAMS, _KEY_GRID,
+                 _decided(keyid.check_key, lambda i, j, k, L, M: (
+                     keyid.lhs_g(i, j, k, L, M), keyid.rhs_p(i, j, k, L, M)))),
     IdentitySpec("boundary", ("i", "j", "k", "M"),
                  {"i": (0, 4), "j": (0, 4), "k": (0, 4), "M": (0, 10)},
                  _compare(lambda i, j, k, M: (keyid.lhs_g(i, j, k, i + j - 1, M),
@@ -181,7 +181,9 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("false-theta", (), {}, _compare(corollaries.false_theta_sides),
                  default_order=30),
     IdentitySpec("jacobi-cube-poly", ("L",), {"L": (0, 20)},
-                 _by_images(corollaries.jacobi_cube_poly_summands)),
+                 _decided(lambda L: qcomb.summands_agree(
+                     *corollaries.jacobi_cube_poly_summands(L)),
+                     corollaries.jacobi_cube_poly_sides)),
     IdentitySpec("jacobi-cube-series", (), {},
                  _compare(corollaries.jacobi_cube_series), default_order=50),
     IdentitySpec("carl", ("L",), {"L": (0, 10)},
@@ -425,6 +427,8 @@ def main(argv=None) -> int:
         if args.identity == "golden":
             if ranges or args.order is not None:
                 raise UsageError("'golden' takes no range and no order")
+            if args.emit and args.format != "text":
+                raise UsageError("'golden --emit' prints text; it takes no --format")
             if args.jobs < 1:
                 raise UsageError(f"jobs must be >= 1, got {args.jobs}")
             if not args.emit:

@@ -7,11 +7,11 @@ Conventions: g(i, j, k, L, M) is the colored-frequency double sum (lhs_g),
 p(i, j, k, L, M) is the single s-sum (rhs_p).  Both are total functions on
 Z^5; no argument is range-restricted.
 
-Each side is written once, as a summand list (lhs_summands, rhs_summands,
-and cycle_summand for the diagonal closed form).  check_key compares the
-two lists with qcomb's summands_agree, and every memoised side (lhs_g,
-rhs_p) is decoded from the same images by summand_poly.  Under a sweep the
-sextuple rows of an (i, j, k) come from a small bounded memo (_sextuple_rows).
+Each side is written once: the left side straight in qcomb's normal form
+(lhs_normal, viewed as a summand list by lhs_summands), the right side and
+the diagonal closed form's cycle_summand as summand lists.  check_key joins
+the two normal forms and decides them on one image; lhs_g and rhs_p decode
+them.  The sextuple rows come from a small bounded memo (_sextuple_rows).
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power
-from .qcomb import (poch_quotient_sum, qbinom_is_nonzero, summand_poly,
-                    summands_agree, triangular)
+from . import qcomb
+from .qcomb import (_normal_terms, normal_is_zero, normal_poly, poch_quotient_sum,
+                    qbinom_is_nonzero, summand_poly, triangular)
 
 
 class Sextuple(NamedTuple):
@@ -56,63 +57,61 @@ def enumerate_sextuples(i: int, j: int, k: int) -> list[Sextuple]:
 
 @lru_cache(maxsize=8)
 def _sextuple_rows(i: int, j: int, k: int) -> tuple:
-    """(sextuple, t, T(t) + T(ab) + T(ac)) for each of enumerate_sextuples(i,
-    j, k): what lhs_summands needs of a sextuple at every (L, M).  A sweep
-    visits one (i, j, k) for many (L, M) in a row, so a few entries suffice."""
-    return tuple((sx, sx.t, triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac))
-                 for sx in enumerate_sextuples(i, j, k))
+    """(a, b, c, ab, ac, bc, t, e1, e2) for each of enumerate_sextuples(i, j,
+    k), with e1 = T(t) + T(ab) + T(ac) + T(bc) and e2 the same with T(bc-1):
+    what lhs_normal needs of a sextuple at every (L, M).  A sweep visits one
+    (i, j, k) for many (L, M) in a row, so a few entries suffice."""
+    return tuple((*sx, sx.t, base + triangular(sx.bc), base + triangular(sx.bc - 1))
+                 for sx in enumerate_sextuples(i, j, k)
+                 for base in [triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac)])
 
 
-_FIRST, _SECOND = 1, 2
+def _lhs_normal(rows, L: int, M: int) -> tuple:
+    """The left side's two displayed sums over the sextuple rows, each as a
+    qcomb normal form (B, terms): terms [c, e, n1, m1, ...] with n >= m > 0.
+
+    The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomials
+    ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
+    'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split mirrors
+    the smallest-part dichotomy of the staircase image.  The four binomials
+    both share are normalised once per row, as [L-t+b; b, ab] = [L-t+b; b]
+    [L-t; ab] and [M-t+c; c, ac].  qcomb.factor_normal gives None for a zero
+    factor, which drops the summand: that is the support rule."""
+    normal = qcomb.factor_normal  # a local; the memo stays bound in qcomb only
+    bound1 = bound2 = 0
+    first, second = [], []
+    for a, b, c, ab, ac, bc, t, e1, e2 in rows:
+        lt, mt = L - t, M - t
+        u, v = normal((lt + b, b, ab)), normal((mt + c, c, ac))
+        if u is None or v is None:
+            continue
+        sign, shift, pairs = u[0] * v[0], u[1] + v[1], u[2] + v[2]
+        weight = u[3] * v[3]
+        x, y = normal((lt + a, a)), normal((mt, bc))
+        if x is not None and y is not None:
+            first.append([sign * x[0] * y[0], e1 + shift + x[1] + y[1],
+                          *pairs, *x[2], *y[2]])
+            bound1 += weight * x[3] * y[3]
+        x, y = normal((lt + a - 1, a - 1)), normal((mt, bc - 1))
+        if x is not None and y is not None:
+            second.append([sign * x[0] * y[0], e2 + shift + x[1] + y[1],
+                           *pairs, *x[2], *y[2]])
+            bound2 += weight * x[3] * y[3]
+    return (bound1, first), (bound2, second)
 
 
-def _live_sums(sx: Sextuple, t: int, L: int, M: int) -> int:
-    """Which of the two displayed sums has a nonzero summand at this
-    sextuple: the bits _FIRST and _SECOND, 0 for neither.  An int, so that
-    the hot loop of lhs_summands allocates nothing for it."""
-    a, b, c, ab, ac, bc = sx
-    if not (qbinom_is_nonzero(L - t + b, b)
-            and qbinom_is_nonzero(M - t + c, c)
-            and qbinom_is_nonzero(L - t, ab)
-            and qbinom_is_nonzero(M - t, ac)):
-        return 0
-    live = 0
-    if qbinom_is_nonzero(L - t + a, a) and qbinom_is_nonzero(M - t, bc):
-        live = _FIRST
-    if a >= 1 and bc >= 1 and qbinom_is_nonzero(L - t + a - 1, a - 1) \
-            and qbinom_is_nonzero(M - t, bc - 1):
-        live |= _SECOND
-    return live
+def lhs_normal(i: int, j: int, k: int, L: int, M: int) -> tuple:
+    """The normal forms of the left side's two displayed sums (_lhs_normal)."""
+    return _lhs_normal(_sextuple_rows(i, j, k), L, M)
 
 
 def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
-    """The two displayed sums of the identity's left side, as summand lists.
-
-    A summand is (shift, factors) or (shift, factors, coeff): coeff (1 when
-    left out) times q^shift times the product of the factors, where a factor
-    (top, b1, b2, ...) is the q-multinomial [top; b1, b2, ...] and so (n, m)
-    is the q-binomial [n; m].  Only summands whose factors _live_sums finds
-    nonzero are listed.
-
-    The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomial
-    factors ending in [M-t; bc]; the second shifts bc down by one and the
-    'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split
-    mirrors the smallest-part dichotomy of the staircase image.
-    """
-    first, second = [], []
-    for sx, t, base in _sextuple_rows(i, j, k):
-        live = _live_sums(sx, t, L, M)
-        if not live:
-            continue
-        a, b, c, ab, ac, bc = sx
-        common = ((L - t + b, b), (M - t + c, c), (L - t, ab), (M - t, ac))
-        if live & _FIRST:
-            first.append((base + triangular(bc),
-                          common + ((L - t + a, a), (M - t, bc))))
-        if live & _SECOND:
-            second.append((base + triangular(bc - 1),
-                           common + ((L - t + a - 1, a - 1), (M - t, bc - 1))))
-    return first, second
+    """The two sums of lhs_normal as summand lists.  A summand (shift,
+    factors, coeff) is coeff (1 when left out) times q^shift times the product
+    of its factors (top, b1, b2, ...) = [top; b1, b2, ...]; here each factor
+    is a q-binomial (n, m) = [n; m] with n >= m > 0."""
+    return tuple([(term[1], tuple(zip(term[2::2], term[3::2])), term[0])
+                  for term in terms] for _, terms in lhs_normal(i, j, k, L, M))
 
 
 def rhs_summands(i: int, j: int, k: int, L: int, M: int) -> list:
@@ -135,17 +134,17 @@ def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
             ((L - k, i), (L - i, j), (L - j, k)), coeff)
 
 
-def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple[LaurentPoly, LaurentPoly]:
+def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple:
     """The two displayed sums of the identity's left side, separately."""
-    first, second = lhs_summands(i, j, k, L, M)
-    return summand_poly(first), summand_poly(second)
+    first, second = lhs_normal(i, j, k, L, M)
+    return normal_poly(*first), normal_poly(*second)
 
 
 @lru_cache(maxsize=8192)
 def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     """Left side of the key identity: the double sum over color frequencies."""
-    first, second = lhs_summands(i, j, k, L, M)
-    return summand_poly(first + second)
+    (bound1, first), (bound2, second) = lhs_normal(i, j, k, L, M)
+    return normal_poly(bound1 + bound2, first + second)
 
 
 @lru_cache(maxsize=8192)
@@ -154,17 +153,12 @@ def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     return summand_poly(rhs_summands(i, j, k, L, M))
 
 
-def key_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
-    """Both sides of the key identity as summand lists: the left side's two
-    sums in one list, and the right side."""
-    first, second = lhs_summands(i, j, k, L, M)
-    return first + second, rhs_summands(i, j, k, L, M)
-
-
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
-    """Exact equality of the two sides at one integer 5-tuple, decided on
-    their summand lists by summands_agree."""
-    return summands_agree(*key_summands(i, j, k, L, M))
+    """Exact equality of the two sides at one integer 5-tuple, decided by
+    normal_is_zero on the left normal form joined to the negated right's."""
+    (bound1, first), (bound2, second) = lhs_normal(i, j, k, L, M)
+    bound, right = _normal_terms(((-1, rhs_summands(i, j, k, L, M)),))
+    return normal_is_zero(bound1 + bound2 + bound, first + second + right)
 
 
 def boundary_value(i: int, j: int, k: int, M: int) -> LaurentPoly:
@@ -294,13 +288,9 @@ def check_key_limit(i: int, j: int, k: int, order: int) -> bool:
 
 def check_support(i: int, j: int, k: int, L: int) -> bool:
     """On the diagonal M = L with L >= max(i+j, j+k, k+i): every frequency
-    tuple whose summand is nonzero has t <= L.  Nonzero-ness of a summand is
-    decided factor by factor through the support predicate (the coefficient
-    ring has no zero divisors)."""
+    tuple whose summand is nonzero has t <= L.  A summand is nonzero when
+    _lhs_normal lists it: when none of its binomials is zero."""
     if L < max(i + j, j + k, k + i):
         raise ValueError("support property needs L >= max(i+j, j+k, k+i)")
-    for sx in enumerate_sextuples(i, j, k):
-        t = sx.t
-        if L - t < 0 and _live_sums(sx, t, L, L):
-            return False
-    return True
+    past = [row for row in _sextuple_rows(i, j, k) if row[6] > L]
+    return not any(terms for _, terms in _lhs_normal(past, L, L))

@@ -16,13 +16,13 @@ tests' oracle.
 Every sum of q-binomial products in the engine (both sides of the key
 identity, its diagonal closed form, the cube analog) is a summand list: an
 integer times q^shift times a product of q-binomials and q-multinomials.
-One evaluator, _image, gives a list's value at q = 2^W as an integer, each
-binomial by the product formula over the integers (qbinom_image), each
-factor reduced once to [n; m] pairs with n >= m > 0 (factor_normal; a key
-sweep normalises a few hundred distinct factors over a million times).
-summands_agree compares two lists' images, with W large enough that equal
-integers mean equal polynomials, and builds no polynomial; summand_poly
-reads a list's polynomial off the signed base-2^W digits of its image.
+_normal_terms reduces a list to its normal form, flat terms of [n; m] pairs
+with n >= m > 0 (factor_normal) and B, their summed weight; keyid builds the
+key identity's left side in that form directly.  One evaluator, _image,
+gives a normal form's value at q = 2^W, each binomial by the product formula
+over the integers (qbinom_image).  normal_is_zero decides on it, with W
+large enough that equal integers mean equal polynomials; normal_poly reads
+the polynomial off its signed base-2^W digits.
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
 with the running sum that builds the q-binomials (divide_one_minus).
 
@@ -200,6 +200,23 @@ def _image(terms, width):
     return low, image
 
 
+def normal_is_zero(bound: int, terms: list) -> bool:
+    """Is the sum of the normal form (B, terms) zero?  Decided on its image
+    at q = 2^W with W = B.bit_length(), so 2^W > B (see summands_agree)."""
+    return not terms or _image(terms, bound.bit_length())[1] == 0
+
+
+def normal_poly(bound: int, terms: list) -> LaurentPoly:
+    """The sum of the normal form (B, terms) as a Laurent polynomial: with W
+    whole bytes above B's bit length, every coefficient c has |c| <= B <
+    2^(W-1), so the image's signed base-2^W digits are the coefficients."""
+    if not terms:
+        return ZERO
+    nbytes = bound.bit_length() // 8 + 1
+    low, image = _image(terms, 8 * nbytes)
+    return LaurentPoly._raw(low, unpack_signed(image, nbytes))
+
+
 def summands_agree(left, right) -> bool:
     """Do two summand lists (or iterables of summands) have equal values?
     Decided by one comparison of integers, without building a polynomial.
@@ -212,29 +229,17 @@ def summands_agree(left, right) -> bool:
     every |coefficient| of left - right.  Take W with 2^W > B and D the
     lowest summand exponent: q^-D (left - right) is then a polynomial whose
     coefficients are all below 2^W in size, and its value at q = 2^W is zero
-    exactly when it is the zero polynomial.  The comparison is exact, not a
-    random-point test.
-
-    Until W is known each summand is held as one flat list of small ints,
-    so a long side passed as a generator (the cube analog's cycle sum) costs
-    little memory.
-    """
-    bound, terms = _normal_terms(((1, left), (-1, right)))
-    return not terms or _image(terms, bound.bit_length())[1] == 0
+    exactly when it is the zero polynomial (normal_is_zero): an exact test,
+    not a random-point one.  Until W is known each summand is one flat list
+    of small ints, so a long side passed as a generator (the cube analog's
+    cycle sum) costs little memory."""
+    return normal_is_zero(*_normal_terms(((1, left), (-1, right))))
 
 
 def summand_poly(summands) -> LaurentPoly:
     """The value of a summand list (or any iterable of summands) as a
-    Laurent polynomial, decoded from its image at q = 2^W (see
-    summands_agree).  W is a whole number of bytes above the bit length of
-    B, so every coefficient c has |c| <= B < 2^(W-1), and the image's signed
-    base-2^W digits are the coefficients."""
-    bound, terms = _normal_terms(((1, summands),))
-    if not terms:
-        return ZERO
-    nbytes = bound.bit_length() // 8 + 1
-    low, image = _image(terms, 8 * nbytes)
-    return LaurentPoly._raw(low, unpack_signed(image, nbytes))
+    Laurent polynomial, decoded from its image by normal_poly."""
+    return normal_poly(*_normal_terms(((1, summands),)))
 
 
 def poch_quotient_sum(terms, order: int) -> TruncSeries:

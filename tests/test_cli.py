@@ -307,6 +307,20 @@ def test_golden_rejects_range_and_order(capsys):
     assert cli.main(["golden", "--jobs", "0"]) == 2
 
 
+def test_golden_emit_rejects_a_json_format(capsys):
+    # --emit prints the text corpus, so a JSON request is a usage error
+    assert cli.main(["golden", "--emit", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "--format" in captured.err and captured.out == ""
+
+
+def test_golden_json_report_still_works(capsys):
+    assert cli.main(["golden", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["identity"] == "golden" and report["total"] == 54
+    assert report["failures"] == []
+
+
 def test_golden_emit_into_a_closed_pipe_ends_without_traceback():
     # the reader closes its end after one line, as `| head -1` does; an
     # unbuffered child writes each later line into the closed pipe

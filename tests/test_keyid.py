@@ -1,7 +1,9 @@
 """Key identity tests: both sides, boundary, recurrences, specializations."""
 
+import inspect
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,18 +11,18 @@ from hypothesis import given, settings, strategies as st
 from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
                              poly_prod, q_power)
 from qgollnitz import keyid, qcomb, qcore
-from qgollnitz.qcomb import poch_qpow, qbinom, qmultinom, triangular
+from qgollnitz.qcomb import (poch_qpow, qbinom, qmultinom, summand_poly,
+                             summands_agree, triangular)
 from qgollnitz.corollaries import jacobi_cube_poly_summands
-from qgollnitz.keyid import (Sextuple, _sextuple_rows, boundary_value,
+from qgollnitz.keyid import (Sextuple, _lhs_normal, _sextuple_rows, boundary_value,
                              check_boundary, check_key, check_key_limit,
                              check_recurrence_andrews, check_recurrence_g,
                              check_recurrence_p, check_schur_case,
                              check_support, closed_form_diag,
                              cycle_summand, enumerate_sextuples, key_limit_lhs,
-                             key_limit_rhs, key_summands, lhs_g, lhs_g_parts,
+                             key_limit_rhs, lhs_g, lhs_g_parts,
                              lhs_summands, poch_quotient_sum, rhs_p,
-                             rhs_summands, schur_sides, summand_poly,
-                             summands_agree)
+                             rhs_summands, schur_sides)
 
 
 def P(terms):
@@ -55,7 +57,10 @@ def test_sextuple_constraints_hold():
 
 def test_sextuple_rows_match_enumeration():
     for i, j, k in itertools.product(range(-2, 6), repeat=3):
-        rows = [(sx, sx.t, triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac))
+        rows = [(*sx, sx.t, triangular(sx.t) + triangular(sx.ab)
+                 + triangular(sx.ac) + triangular(sx.bc),
+                 triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac)
+                 + triangular(sx.bc - 1))
                 for sx in enumerate_sextuples(i, j, k)]
         assert list(_sextuple_rows(i, j, k)) == rows, (i, j, k)
 
@@ -74,10 +79,10 @@ def test_memo_state_never_changes_an_answer():
     grid = list(itertools.product(range(-2, 5), range(-2, 5), range(-2, 5),
                                   range(-3, 11), range(-3, 11)))
     tuples = random.Random(13).sample(grid, 5000)
-    warm = [(key_summands(*args), check_key(*args)) for args in tuples]
+    warm = [(_key_sides(*args), check_key(*args)) for args in tuples]
     for args, answer in zip(tuples, warm):
         _clear_memos()
-        assert answer == (key_summands(*args), check_key(*args)), args
+        assert answer == (_key_sides(*args), check_key(*args)), args
 
 
 # -- the two sides -----------------------------------------------------------
@@ -532,3 +537,70 @@ def test_support_property_grid():
 def test_support_requires_bound():
     with pytest.raises(ValueError):
         check_support(2, 2, 0, 3)
+
+
+def _raw_sums(sx, L, M):
+    """The two displayed summands of one sextuple, written out with their
+    raw binomial tops (negative tops included) for product_poly."""
+    a, b, c, ab, ac, bc = sx
+    t = sx.t
+    common = ((L - t + b, b), (M - t + c, c), (L - t, ab), (M - t, ac))
+    return ([(0, common + ((L - t + a, a), (M - t, bc)))],
+            [(0, common + ((L - t + a - 1, a - 1), (M - t, bc - 1)))])
+
+
+def test_check_support_matches_a_brute_force_rule():
+    # the brute-force rule: a summand is live when its polynomial product is
+    # nonzero; the builder must list exactly the live summands of each sum
+    for i, j, k in itertools.product(range(5), repeat=3):
+        for L in range(max(i + j, j + k, k + i), 13):
+            holds = True
+            for sx, row in zip(enumerate_sextuples(i, j, k), _sextuple_rows(i, j, k)):
+                live = [bool(product_poly(side)) for side in _raw_sums(sx, L, L)]
+                listed = [bool(terms) for _, terms in _lhs_normal([row], L, L)]
+                assert listed == live, (sx, L)
+                holds = holds and not (sx.t > L and any(live))
+            assert check_support(i, j, k, L) == holds, (i, j, k, L)
+
+
+# -- mutants of the left side --------------------------------------------------
+
+def _mutant(old, new, count=1):
+    """A fresh copy of keyid with old replaced by new in its source."""
+    source = inspect.getsource(keyid)
+    assert source.count(old) == count, old
+    module = types.ModuleType("qgollnitz.keyid_mutant")
+    module.__package__ = "qgollnitz"
+    exec(compile(source.replace(old, new), keyid.__file__, "exec"), vars(module))
+    return module
+
+
+_MUTANT_GRID = (range(-1, 4), range(-1, 4), range(-1, 4), range(-3, 9), range(-3, 9))
+
+
+def test_unmutated_copy_passes_the_mutant_grid():
+    copy = _mutant("normal((lt + b, b, ab))", "normal((lt + b, b, ab))")
+    assert all(copy.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
+
+
+@pytest.mark.parametrize("old, new, count", [
+    # a shared binomial's top off by one, on the L side and on the M side
+    pytest.param("normal((lt + b, b, ab))", "normal((lt + b + 1, b, ab))", 1,
+                 id="shared-L-top"),
+    pytest.param("normal((mt + c, c, ac))", "normal((mt + c - 1, c, ac))", 1,
+                 id="shared-M-top"),
+    # the second sum's exponent T(bc-1) replaced by T(bc)
+    pytest.param("base + triangular(sx.bc - 1)", "base + triangular(sx.bc)", 1,
+                 id="second-exponent"),
+    pytest.param("return (bound1, first), (bound2, second)",
+                 "return (bound1, first), (0, [])", 1, id="second-dropped"),
+    # the sign or the power of q of a reflected negative top lost, for the
+    # shared binomials and for each sum's own two
+    pytest.param("u[0] * v[0]", "1", 1, id="shared-sign"),
+    pytest.param("u[1] + v[1]", "0", 1, id="shared-shift"),
+    pytest.param("sign * x[0] * y[0]", "sign", 2, id="own-sign"),
+    pytest.param("shift + x[1] + y[1]", "shift", 2, id="own-shift"),
+])
+def test_check_key_catches_a_left_side_mutant(old, new, count):
+    mutant = _mutant(old, new, count)
+    assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
