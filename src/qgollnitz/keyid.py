@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power
+from .qcore import ZERO, LaurentPoly, TruncSeries, poly_sum, q_power
 from . import qcomb
 from .qcomb import (_normal_terms, normal_is_zero, normal_poly, poch_quotient_sum,
                     qbinom_is_nonzero, summand_poly, triangular)
@@ -40,11 +40,16 @@ class Sextuple(NamedTuple):
         return self.a + self.b + self.c + self.ab + self.ac + self.bc
 
 
+def _no_sextuples(i: int, j: int, k: int) -> bool:
+    """Is there no sextuple for (i, j, k)?  Exactly when one of them is negative."""
+    return min(i, j, k) < 0
+
+
 def enumerate_sextuples(i: int, j: int, k: int) -> list[Sextuple]:
     """All nonnegative (a, b, c, ab, ac, bc) with a+ab+ac = i, b+ab+bc = j,
     c+ac+bc = k, in lexicographic (ab, ac, bc) order.  Empty when any of
-    i, j, k is negative."""
-    if i < 0 or j < 0 or k < 0:
+    i, j, k is negative (_no_sextuples)."""
+    if _no_sextuples(i, j, k):
         return []
     out = []
     for ab in range(min(i, j) + 1):
@@ -68,7 +73,7 @@ def _sextuple_rows(i: int, j: int, k: int) -> tuple:
 
 def _lhs_normal(rows, L: int, M: int) -> tuple:
     """The left side's two displayed sums over the sextuple rows, each as a
-    qcomb normal form (B, terms): terms [c, e, n1, m1, ...] with n >= m > 0.
+    qcomb normal form (B, terms): terms [c, e, n1, m1, ...] with n > m > 0.
 
     The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomials
     ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
@@ -109,7 +114,7 @@ def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
     """The two sums of lhs_normal as summand lists.  A summand (shift,
     factors, coeff) is coeff (1 when left out) times q^shift times the product
     of its factors (top, b1, b2, ...) = [top; b1, b2, ...]; here each factor
-    is a q-binomial (n, m) = [n; m] with n >= m > 0."""
+    is a q-binomial (n, m) = [n; m] with n > m > 0."""
     return tuple([(term[1], tuple(zip(term[2::2], term[3::2])), term[0])
                   for term in terms] for _, terms in lhs_normal(i, j, k, L, M))
 
@@ -140,9 +145,14 @@ def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple:
     return normal_poly(*first), normal_poly(*second)
 
 
-@lru_cache(maxsize=8192)
 def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
-    """Left side of the key identity: the double sum over color frequencies."""
+    """Left side of the key identity: the double sum over color frequencies.
+    Without a sextuple it is the empty sum, ZERO, and takes no memo entry."""
+    return ZERO if _no_sextuples(i, j, k) else _lhs_g(i, j, k, L, M)
+
+
+@lru_cache(maxsize=8192)
+def _lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     (bound1, first), (bound2, second) = lhs_normal(i, j, k, L, M)
     return normal_poly(bound1 + bound2, first + second)
 
@@ -177,11 +187,11 @@ def check_boundary(i: int, j: int, k: int, M: int) -> bool:
 def _recurrence_sides(f, i, j, k, L, M):
     # f(L,M) = f(L-1,M) + q^L f[i-1](L-1,M-1) + q^L f[j-1](L-1,M-1)
     #        + q^L f[i-1,j-1](L-2,M-1) - q^(2L-1) f[i-1,j-1](L-2,M-2)
-    rhs = f(i, j, k, L - 1, M) \
-        + f(i - 1, j, k, L - 1, M - 1).shift(L) \
-        + f(i, j - 1, k, L - 1, M - 1).shift(L) \
-        + f(i - 1, j - 1, k, L - 2, M - 1).shift(L) \
-        - f(i - 1, j - 1, k, L - 2, M - 2).shift(2 * L - 1)
+    rhs = poly_sum([(1, 0, f(i, j, k, L - 1, M)),
+                    (1, L, f(i - 1, j, k, L - 1, M - 1)),
+                    (1, L, f(i, j - 1, k, L - 1, M - 1)),
+                    (1, L, f(i - 1, j - 1, k, L - 2, M - 1)),
+                    (-1, 2 * L - 1, f(i - 1, j - 1, k, L - 2, M - 2))])
     return f(i, j, k, L, M), rhs
 
 
@@ -211,19 +221,19 @@ def andrews_sides(i: int, j: int, k: int, L: int, M: int):
     """g(L, M) against the twelve-term fourth order recurrence combination
     (the generalized form of Andrews' diagonal recursion)."""
     g = lhs_g
-    one_minus = ONE - q_power(L - 1)
-    rhs = g(i, j, k, L - 1, M - 1) \
-        + g(i - 1, j, k, L - 1, M - 1).shift(L) \
-        + g(i, j - 1, k, L - 1, M - 1).shift(L) \
-        + g(i, j, k - 1, L - 1, M - 1).shift(M) \
-        + one_minus * (g(i - 1, j - 1, k, L - 2, M - 2).shift(L)
-                       + g(i - 1, j, k - 1, L - 2, M - 2).shift(M)
-                       + g(i, j - 1, k - 1, L - 2, M - 2).shift(M)) \
-        + g(i - 1, j - 1, k - 1, L - 3, M - 3).shift(2 * L + M - 3) \
-        + g(i - 2, j - 1, k - 1, L - 3, M - 3).shift(L + M - 1) \
-        + g(i - 1, j - 2, k - 1, L - 3, M - 3).shift(L + M - 1) \
-        + g(i - 1, j - 1, k - 2, L - 3, M - 3).shift(2 * M - 1) \
-        + g(i - 2, j - 2, k - 2, L - 4, M - 4).shift(L + 2 * M - 3)
+    # (1 - q^(L-1)) times each of the three middle terms, as two signed terms
+    rhs = poly_sum([(1, 0, g(i, j, k, L - 1, M - 1)),
+                    (1, L, g(i - 1, j, k, L - 1, M - 1)),
+                    (1, L, g(i, j - 1, k, L - 1, M - 1)),
+                    (1, M, g(i, j, k - 1, L - 1, M - 1)),
+                    (1, L, x := g(i - 1, j - 1, k, L - 2, M - 2)), (-1, 2 * L - 1, x),
+                    (1, M, y := g(i - 1, j, k - 1, L - 2, M - 2)), (-1, L + M - 1, y),
+                    (1, M, z := g(i, j - 1, k - 1, L - 2, M - 2)), (-1, L + M - 1, z),
+                    (1, 2 * L + M - 3, g(i - 1, j - 1, k - 1, L - 3, M - 3)),
+                    (1, L + M - 1, g(i - 2, j - 1, k - 1, L - 3, M - 3)),
+                    (1, L + M - 1, g(i - 1, j - 2, k - 1, L - 3, M - 3)),
+                    (1, 2 * M - 1, g(i - 1, j - 1, k - 2, L - 3, M - 3)),
+                    (1, L + 2 * M - 3, g(i - 2, j - 2, k - 2, L - 4, M - 4))])
     return g(i, j, k, L, M), rhs
 
 

@@ -17,7 +17,7 @@ Every sum of q-binomial products in the engine (both sides of the key
 identity, its diagonal closed form, the cube analog) is a summand list: an
 integer times q^shift times a product of q-binomials and q-multinomials.
 _normal_terms reduces a list to its normal form, flat terms of [n; m] pairs
-with n >= m > 0 (factor_normal) and B, their summed weight; keyid builds the
+with n > m > 0 (factor_normal) and B, their summed weight; keyid builds the
 key identity's left side in that form directly.  One evaluator, _image,
 gives a normal form's value at q = 2^W, each binomial by the product formula
 over the integers (qbinom_image).  normal_is_zero decides on it, with W
@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, q_power, unpack_signed
+from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, poly_sum, unpack_signed
 
 
 class NegativeLength(ValueError):
@@ -90,7 +90,7 @@ def qbinom_normal(top: int, bottom: int):
 def factor_normal(factor: tuple):
     """The factor (top, b1, b2, ...) = [top; b1, b2, ...] as sign * q^shift *
     [n1; m1] [n2; m2] ..., returned as (sign, shift, (n1, m1, n2, m2, ...),
-    weight) with each n >= m > 0 and weight the product of the C(n, m);
+    weight) with each n > m > 0 and weight the product of the C(n, m);
     None when the factor is zero."""
     sign, shift, pairs, weight = 1, 0, (), 1
     top = factor[0]
@@ -100,8 +100,9 @@ def factor_normal(factor: tuple):
             if normal is None:
                 return None
             s, e, n = normal
-            sign, shift, pairs = sign * s, shift + e, pairs + (n, bottom)
-            weight *= comb(n, bottom)
+            sign, shift = sign * s, shift + e
+            if n != bottom:  # [n; n] = 1
+                pairs, weight = pairs + (n, bottom), weight * comb(n, bottom)
             top -= bottom
     return sign, shift, pairs, weight
 
@@ -164,7 +165,7 @@ def qbinom_image(top: int, bottom: int, width: int) -> int:
 def _normal_terms(sides):
     """The nonzero summands of each (side, summands) pair of sides (side 1 or
     -1) as flat terms [c, e, n1, m1, n2, m2, ...], c q^e [n1; m1] [n2; m2] ...
-    with each n >= m > 0 (factor_normal), and B, the sum of their
+    with each n > m > 0 (factor_normal), and B, the sum of their
     weights |c| [n1; m1] [n2; m2] ... at q = 1: (B, terms)."""
     bound, terms = 0, []
     for side, summands in sides:
@@ -310,7 +311,8 @@ def _qmultinom(total: int, parts: tuple[int, ...]) -> LaurentPoly:
 def qpascal_sides(top: int, bottom: int) -> tuple[LaurentPoly, LaurentPoly]:
     """[top; bottom] against [top-1; bottom] + q^(top-bottom) [top-1; bottom-1]."""
     lhs = qbinom(top, bottom)
-    rhs = qbinom(top - 1, bottom) + qbinom(top - 1, bottom - 1).shift(top - bottom)
+    rhs = poly_sum([(1, 0, qbinom(top - 1, bottom)),
+                    (1, top - bottom, qbinom(top - 1, bottom - 1))])
     return lhs, rhs
 
 
@@ -325,11 +327,12 @@ def _multinom_three_sides(L, s, i, j):
     # [L; s,i,j] = [L-1; s,i,j] + q^(L-i)[L-1; s,i-1,j] + q^(L-j)[L-1; s,i,j-1]
     #            + q^(L-s-i-j)[L-1; s-1,i,j] + q^(L-i-j)(1-q^(L-1))[L-2; s,i-1,j-1]
     lhs = qmultinom(L, (s, i, j))
-    rhs = qmultinom(L - 1, (s, i, j)) \
-        + qmultinom(L - 1, (s, i - 1, j)).shift(L - i) \
-        + qmultinom(L - 1, (s, i, j - 1)).shift(L - j) \
-        + qmultinom(L - 1, (s - 1, i, j)).shift(L - s - i - j) \
-        + (ONE - q_power(L - 1)) * qmultinom(L - 2, (s, i - 1, j - 1)).shift(L - i - j)
+    tail = qmultinom(L - 2, (s, i - 1, j - 1))
+    rhs = poly_sum([(1, 0, qmultinom(L - 1, (s, i, j))),
+                    (1, L - i, qmultinom(L - 1, (s, i - 1, j))),
+                    (1, L - j, qmultinom(L - 1, (s, i, j - 1))),
+                    (1, L - s - i - j, qmultinom(L - 1, (s - 1, i, j))),
+                    (1, L - i - j, tail), (-1, 2 * L - 1 - i - j, tail)])
     return lhs, rhs
 
 
@@ -337,13 +340,12 @@ def _multinom_shifted_sides(L, s, i, j):
     # Same recurrence after L -> L-s, i -> i-s, j -> j-s, regrouping the last
     # two terms as (q^(L+s-i-j) - q^(2L-1-i-j)) [L-2-s; s,i-1-s,j-1-s].
     lhs = qmultinom(L - s, (s, i - s, j - s))
-    tail = (q_power(L + s - i - j) - q_power(2 * L - 1 - i - j)) \
-        * qmultinom(L - 2 - s, (s, i - 1 - s, j - 1 - s))
-    rhs = qmultinom(L - 1 - s, (s, i - s, j - s)) \
-        + qmultinom(L - 1 - s, (s, i - 1 - s, j - s)).shift(L - i) \
-        + qmultinom(L - 1 - s, (s, i - s, j - 1 - s)).shift(L - j) \
-        + qmultinom(L - 1 - s, (s - 1, i - s, j - s)).shift(L - i - j) \
-        + tail
+    tail = qmultinom(L - 2 - s, (s, i - 1 - s, j - 1 - s))
+    rhs = poly_sum([(1, 0, qmultinom(L - 1 - s, (s, i - s, j - s))),
+                    (1, L - i, qmultinom(L - 1 - s, (s, i - 1 - s, j - s))),
+                    (1, L - j, qmultinom(L - 1 - s, (s, i - s, j - 1 - s))),
+                    (1, L - i - j, qmultinom(L - 1 - s, (s - 1, i - s, j - s))),
+                    (1, L + s - i - j, tail), (-1, 2 * L - 1 - i - j, tail)])
     return lhs, rhs
 
 
@@ -351,10 +353,11 @@ def _multinom_symmetric_sides(L, i, j):
     # [L; i,j] = [L-1; i,j] + q^(L-i)[L-1; i-1,j] + q^(L-j)[L-1; i,j-1]
     #          + q^(L-i-j)(1-q^(L-1))[L-2; i-1,j-1]
     lhs = qmultinom(L, (i, j))
-    rhs = qmultinom(L - 1, (i, j)) \
-        + qmultinom(L - 1, (i - 1, j)).shift(L - i) \
-        + qmultinom(L - 1, (i, j - 1)).shift(L - j) \
-        + (ONE - q_power(L - 1)) * qmultinom(L - 2, (i - 1, j - 1)).shift(L - i - j)
+    tail = qmultinom(L - 2, (i - 1, j - 1))
+    rhs = poly_sum([(1, 0, qmultinom(L - 1, (i, j))),
+                    (1, L - i, qmultinom(L - 1, (i - 1, j))),
+                    (1, L - j, qmultinom(L - 1, (i, j - 1))),
+                    (1, L - i - j, tail), (-1, 2 * L - 1 - i - j, tail)])
     return lhs, rhs
 
 

@@ -13,6 +13,7 @@ thousands of identity instances fast without leaving exact integer land.
 from __future__ import annotations
 
 import re
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -198,13 +199,13 @@ class LaurentPoly:
             return self
         if not self._coeffs:
             return other
-        lo = min(self._val, other._val)
-        hi = max(self._val + len(self._coeffs), other._val + len(other._coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self._coeffs):
-            out[self._val - lo + i] = c
-        for i, c in enumerate(other._coeffs):
-            out[other._val - lo + i] += c
+        a, b = self._coeffs, other._coeffs
+        lo, at = self._val, other._val - self._val
+        if at < 0:
+            a, b, lo, at = b, a, other._val, -at
+        end = at + len(b)
+        out = [*a, *[0] * (end - len(a))]  # the lower-starting run, padded
+        out[at:end] = map(add, out[at:end], b)
         return LaurentPoly._raw(lo, out)
 
     __radd__ = __add__
@@ -302,6 +303,19 @@ Q = LaurentPoly.monomial(1, 1)
 def q_power(exp: int) -> LaurentPoly:
     """The monomial q^exp."""
     return LaurentPoly.monomial(1, exp)
+
+
+def poly_sum(terms) -> LaurentPoly:
+    """The sum of sign * q^shift * poly over the (sign, shift, poly) triples of
+    terms, each sign 1 or -1: one slice add or subtract per term into one run."""
+    runs = [(sign, shift + p._val, p._coeffs) for sign, shift, p in terms if p._coeffs]
+    lo = min((run[1] for run in runs), default=0)
+    out = [0] * (max((run[1] + len(run[2]) for run in runs), default=lo) - lo)
+    for sign, at, coeffs in runs:
+        at -= lo
+        end = at + len(coeffs)
+        out[at:end] = map(add if sign > 0 else sub, out[at:end], coeffs)
+    return LaurentPoly._raw(lo, out)
 
 
 def poly_prod(polys: Iterable[LaurentPoly]) -> LaurentPoly:

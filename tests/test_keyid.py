@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import operator
 import random
 import types
 
@@ -13,6 +14,7 @@ from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
 from qgollnitz import keyid, qcomb, qcore
 from qgollnitz.qcomb import (poch_qpow, qbinom, qmultinom, summand_poly,
                              summands_agree, triangular)
+from qgollnitz.cli import SweepSpec, run_sweep
 from qgollnitz.corollaries import jacobi_cube_poly_summands
 from qgollnitz.keyid import (Sextuple, _lhs_normal, _sextuple_rows, boundary_value,
                              check_boundary, check_key, check_key_limit,
@@ -83,6 +85,43 @@ def test_memo_state_never_changes_an_answer():
     for args, answer in zip(tuples, warm):
         _clear_memos()
         assert answer == (_key_sides(*args), check_key(*args)), args
+
+
+def test_lhs_g_keeps_no_memo_entry_without_sextuples():
+    keyid._lhs_g.cache_clear()
+    for args in [(-1, 2, 0, 5, 5), (2, -1, 0, 5, 5), (0, 2, -1, 5, 5), (-3, -1, -2, 0, 0)]:
+        assert lhs_g(*args) == qcore.ZERO
+        assert keyid._lhs_g.cache_info().currsize == 0, args
+
+
+def test_recurrence_sweeps_compute_each_lhs_g_value_once(monkeypatch):
+    # from empty memos, recurrence-g then recurrence-andrews at their default
+    # grids: one miss per distinct argument tuple with a sextuple, so no
+    # value is evicted and built again
+    _clear_memos()
+    requested = set()
+    real = keyid.lhs_g
+
+    def recording(*args):
+        requested.add(args)
+        return real(*args)
+    monkeypatch.setattr(keyid, "lhs_g", recording)
+    for identity in ("recurrence-g", "recurrence-andrews"):
+        assert run_sweep(SweepSpec(identity)).ok
+    live = {args for args in requested if min(args[:3]) >= 0}
+    assert 0 < len(live) < len(requested)
+    assert keyid._lhs_g.cache_info().misses == len(live)
+
+
+def test_normal_forms_hold_no_unit_binomial():
+    # [n; n] = 1 changes neither a term's value nor its weight, so
+    # factor_normal leaves it out: every pair has n > m > 0
+    for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
+                                  range(-3, 11, 2), range(-3, 11, 2)):
+        (_, first), (_, second) = keyid.lhs_normal(*args)
+        _, right = qcomb._normal_terms(((1, rhs_summands(*args)),))
+        for term in first + second + right:
+            assert all(n > m > 0 for n, m in zip(term[2::2], term[3::2])), (args, term)
 
 
 # -- the two sides -----------------------------------------------------------
@@ -404,6 +443,57 @@ def test_recurrences_small_grid():
                         assert check_recurrence_g(i, j, k, L, M)
                         assert check_recurrence_p(i, j, k, L, M)
                         assert check_recurrence_andrews(i, j, k, L, M)
+
+
+def _form_holds(sides):
+    return lambda *args: operator.eq(*sides(*args))
+
+
+KEY_GRID = list(itertools.product(range(3), range(3), range(3), range(5), range(5)))
+MULTINOM_GRID = list(itertools.product(range(6), repeat=4))
+# each recurrence check (the three forms of multinom_recurrence_relations
+# one by one), the module whose poly_sum builds its right side, and a small
+# grid on which every one of its terms is nonzero somewhere
+RECURRENCE_CHECKS = {
+    "recurrence-g": (keyid, check_recurrence_g, KEY_GRID),
+    "recurrence-p": (keyid, check_recurrence_p, KEY_GRID),
+    "recurrence-andrews": (keyid, check_recurrence_andrews, KEY_GRID),
+    "qpascal": (qcomb, qcomb.check_qpascal, list(itertools.product(range(-3, 6), repeat=2))),
+    "four-part": (qcomb, _form_holds(qcomb._multinom_three_sides), MULTINOM_GRID),
+    "shifted": (qcomb, _form_holds(qcomb._multinom_shifted_sides), MULTINOM_GRID),
+    "symmetric": (qcomb, _form_holds(qcomb._multinom_symmetric_sides),
+                  list(itertools.product(range(6), repeat=3))),
+}
+MUTATIONS = {"drop": lambda sign, shift, p: [],
+             "shift": lambda sign, shift, p: [(sign, shift + 1, p)],
+             "flip": lambda sign, shift, p: [(-sign, shift, p)]}
+
+
+@pytest.mark.parametrize("name", RECURRENCE_CHECKS)
+def test_recurrence_checks_catch_every_term_mutant(monkeypatch, name):
+    # each term of the right side's poly_sum call is dropped, shifted by +1
+    # or has its sign flipped; the check must fail somewhere on its grid.
+    # No mutant is an identity on these grids: every term is nonzero at
+    # some tuple, and then each mutation changes the sum by a nonzero
+    # multiple of that term.
+    module, check, grid = RECURRENCE_CHECKS[name]
+    real = module.poly_sum
+    sizes = []
+    monkeypatch.setattr(module, "poly_sum",
+                        lambda terms: sizes.append(len(terms)) or real(terms))
+    assert all(check(*args) for args in grid)
+    assert len(set(sizes)) == 1
+    survivors = []
+    for at in range(sizes[0]):
+        for label, mutate in MUTATIONS.items():
+            def mutated(terms, at=at, mutate=mutate):
+                terms = list(terms)
+                terms[at:at + 1] = mutate(*terms[at])
+                return real(terms)
+            monkeypatch.setattr(module, "poly_sum", mutated)
+            if all(check(*args) for args in grid):
+                survivors.append(f"{label} term {at}")
+    assert survivors == []
 
 
 # -- diagonal closed form ----------------------------------------------------

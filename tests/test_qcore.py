@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgollnitz.qcore import (BivarLaurent, LaurentPoly, NegativeExponent,
+from qgollnitz.qcore import (ONE, ZERO, BivarLaurent, LaurentPoly, NegativeExponent,
                              NonUnitConstantTerm, TruncSeries, parse_poly,
-                             q_power, render_poly, unpack_signed)
+                             poly_sum, q_power, render_poly, unpack_signed)
 from qgollnitz.qcore import _SCHOOLBOOK_CAP, _conv, _kron_conv
 
 
@@ -108,6 +108,49 @@ def test_ring_axioms(p, r, s):
 @given(polys, polys)
 def test_mul_matches_dict_oracle(p, r):
     assert (p * r).terms == dict_mul(p, r)
+
+
+def dict_add(p, r, sign=1):
+    """Oracle: p + sign * r over term dicts."""
+    out = p.terms
+    for e, c in r.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+@given(polys, polys)
+def test_add_and_sub_match_dict_oracle(p, r):
+    assert (p + r).terms == dict_add(p, r)
+    assert (p - r).terms == dict_add(p, r, -1)
+
+
+signed_terms = st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(-12, 12), polys),
+                        max_size=8)
+
+
+@given(signed_terms)
+def test_poly_sum_matches_chained_adds(terms):
+    chained = ZERO
+    for sign, shift, p in terms:
+        chained = chained + p.shift(shift) if sign > 0 else chained - p.shift(shift)
+    assert poly_sum(terms) == chained
+    assert poly_sum(iter(terms)) == chained
+
+
+@given(signed_terms)
+def test_poly_sum_cancels_to_canonical_zero(terms):
+    # every term and its negation: the run is all zeros before the trim
+    total = poly_sum(terms + [(-sign, shift, p) for sign, shift, p in terms])
+    assert total == ZERO and not total and total.terms == {}
+
+
+def test_poly_sum_examples():
+    assert poly_sum([]) == ZERO
+    assert poly_sum([(1, 3, ZERO)]) == ZERO
+    assert poly_sum([(1, 0, ONE), (-1, 0, ONE)]) == ZERO
+    # (1 - q^2) * (q^-1 + 2) as two signed terms
+    x = P({-1: 1, 0: 2})
+    assert poly_sum([(1, 0, x), (-1, 2, x)]) == P({-1: 1, 0: 2, 1: -1, 2: -2})
 
 
 wide_runs = st.lists(st.integers(-10**15, 10**15), min_size=1, max_size=70)
