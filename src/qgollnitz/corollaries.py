@@ -115,6 +115,13 @@ def poch_series(k: int, n: int, order: int) -> TruncSeries:
     return TruncSeries.from_poly(poch_qpow(k, min(n, max(0, order - k))), order)
 
 
+def _theta_series(order: int, weight) -> TruncSeries:
+    """sum_{l>=0} (-1)^l weight(l) q^T(l) modulo q^order."""
+    return TruncSeries.from_poly(LaurentPoly(
+        (triangular(el), _sign(el) * weight(el))
+        for el in range(order) if triangular(el) < order), order)
+
+
 # ---------------------------------------------------------------------------
 # false theta identity
 # ---------------------------------------------------------------------------
@@ -124,14 +131,10 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
     sum (-1)^l q^T(l)  against
     sum_{i,k>=0} (-1)^(i+k) q^(T(i)+T(k)-ik) [k+i; k] / ((q)_i (q)_k).
 
-    The exponent T(i)+T(k)-ik is at least (i+k)/2, which bounds the
-    summation range."""
-    lhs_terms = []
-    el = 0
-    while triangular(el) < order:
-        lhs_terms.append((triangular(el), _sign(el)))
-        el += 1
-    lhs = TruncSeries.from_poly(LaurentPoly(lhs_terms), order)
+    Each term is symmetric in i and k, so the sum runs over i <= k with the
+    off-diagonal terms doubled.  For k >= i the exponent T(i)+T(k)-ik =
+    k + T(k-i-1) is at least k and grows with k, which bounds the range."""
+    lhs = _theta_series(order, lambda el: 1)
 
     # (q)_n for n < order, each from the one before; every larger n gives
     # (q)_(order-1) again modulo q^order
@@ -143,16 +146,16 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
     # q^e times a series is known modulo q^order from the series' first
     # order - e coefficients, so the product is cut there and then shifted
     rhs = [0] * order
-    for i in range(2 * order + 1):
-        for k in range(2 * order + 1):
+    for i in range(order):
+        for k in range(i, order):
             e = triangular(i) + triangular(k) - i * k
             if e >= order:
-                continue
+                break
             cut = order - e
             term = TruncSeries(cut, poch[min(i + k, order - 1)].coeffs) \
-                * TruncSeries(cut, inv_sq[min(i, order - 1)].coeffs) \
-                * TruncSeries(cut, inv_sq[min(k, order - 1)].coeffs)
-            sign = _sign(i + k)
+                * TruncSeries(cut, inv_sq[i].coeffs) \
+                * TruncSeries(cut, inv_sq[k].coeffs)
+            sign = _sign(i + k) * (1 if i == k else 2)
             for n, c in enumerate(term.coeffs, e):
                 rhs[n] += sign * c
     return lhs, TruncSeries(order, rhs)
@@ -184,12 +187,7 @@ def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
 def jacobi_cube_series(order: int) -> tuple[TruncSeries, TruncSeries]:
     """The cube formula modulo q^order: the alternating (2l+1)-weighted
     theta sum against the cube of the Euler product."""
-    terms = []
-    el = 0
-    while triangular(el) < order:
-        terms.append((triangular(el), _sign(el) * (2 * el + 1)))
-        el += 1
-    lhs = TruncSeries.from_poly(LaurentPoly(terms), order)
+    lhs = _theta_series(order, lambda el: 2 * el + 1)
     euler = poch_series(1, order, order)
     return lhs, euler * euler * euler
 

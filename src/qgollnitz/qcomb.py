@@ -190,14 +190,16 @@ def _normal_terms(sides):
 
 def _image(terms, width):
     """The sum of a nonempty list of flat terms at q = 2^width, times
-    2^(-width*low) for low the lowest term exponent: (low, image)."""
+    2^(-width*low) for low the lowest term exponent: (low, image).  A term's
+    coefficient is multiplied by its factor images before it is shifted by
+    width * (e - low), so no product carries those trailing zero bits."""
     low = min(term[1] for term in terms)
     image = 0
     for term in terms:
-        value = term[0] << width * (term[1] - low)
+        value = term[0]
         for at in range(2, len(term), 2):
             value *= qbinom_image(term[at], term[at + 1], width)
-        image += value
+        image += value << width * (term[1] - low)
     return low, image
 
 

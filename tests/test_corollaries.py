@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from qgollnitz.qcomb import NegativeLength
+from qgollnitz.qcomb import NegativeLength, qbinom
 from qgollnitz.qcore import BivarLaurent, LaurentPoly, TruncSeries
 from qgollnitz.keyid import key_limit_lhs, key_limit_rhs
 from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
@@ -84,6 +84,28 @@ def test_false_theta_order1():
 def test_false_theta_order12():
     lhs, rhs = false_theta_sides(12)
     assert lhs == rhs
+
+
+def _false_theta_rhs_reference(order):
+    """The false theta right side summed over the full (i, k) grid, each term
+    (-1)^(i+k) q^(T(i)+T(k)-ik) [k+i; k] / ((q)_i (q)_k) with plain products
+    of series at the full order."""
+    inv = [poch_series(1, n, order).recip() for n in range(order)]
+    total = TruncSeries(order)
+    for i, k in itertools.product(range(2 * order + 1), repeat=2):
+        e = i * (i + 1) // 2 + k * (k + 1) // 2 - i * k
+        if e < order:
+            binom = TruncSeries(order, map(qbinom(k + i, k).coeff, range(order)))
+            term = binom * inv[i] * inv[k]
+            sign = (-1) ** (i + k)
+            total = total + TruncSeries(order, [0] * e + [sign * c for c in term.coeffs])
+    return total
+
+
+def test_false_theta_rhs_matches_full_grid_reference():
+    for order in range(1, 41):
+        assert false_theta_sides(order)[1].coeffs \
+            == _false_theta_rhs_reference(order).coeffs, order
 
 
 # -- Jacobi cube analogs -----------------------------------------------------

@@ -200,6 +200,30 @@ def product_poly(summands):
     return total
 
 
+# summands whose exponents lie thousands apart, with negative coefficients
+# and negative tops: the image shifts each term's product by up to about
+# 9,000 * W bits, so a misplaced shift would show in the decoded digits
+FAR_APART = [(-3000, ((9, 4), (-3, 2)), -7), (0, ((12, 5, 3),), 5),
+             (2500, ((-4, 3),), -2), (6001, ((15, 7),)), (6001, (), -11),
+             (6003, ((8, 3), (7, 2)), -1)]
+
+
+def test_far_apart_summands_decode_and_compare():
+    expected = product_poly(FAR_APART)
+    assert expected.valuation < -2900 and expected.degree > 6000
+    assert summand_poly(FAR_APART) == expected
+    assert qcomb.normal_poly(*qcomb._normal_terms(((1, FAR_APART),))) == expected
+    assert summands_agree(FAR_APART, FAR_APART[::-1])
+    for at, (shift, fs, *coeff) in enumerate(FAR_APART):
+        c = coeff[0] if coeff else 1
+        for moved in ((shift + 1, fs, c), (shift - 1, fs, c),
+                      (shift, fs, c + 1), (shift, fs, c - 1)):
+            bad = FAR_APART[:at] + [moved] + FAR_APART[at + 1:]
+            assert not summands_agree(FAR_APART, bad), moved
+            assert not summands_agree(bad, FAR_APART), moved
+            assert summand_poly(bad) == product_poly(bad), moved
+
+
 def _same_value(data, side):
     """A different summand list with the same value: multinomials split into
     binomials, some binomials expanded by q-Pascal (which holds for all
