@@ -64,8 +64,9 @@ def enumerate_sextuples(i: int, j: int, k: int) -> list[Sextuple]:
 def _sextuple_rows(i: int, j: int, k: int) -> tuple:
     """(a, b, c, ab, ac, bc, t, e1, e2) for each of enumerate_sextuples(i, j,
     k), with e1 = T(t) + T(ab) + T(ac) + T(bc) and e2 the same with T(bc-1):
-    what lhs_normal needs of a sextuple at every (L, M).  A sweep visits one
-    (i, j, k) for many (L, M) in a row, so a few entries suffice."""
+    what lhs_normal needs of a sextuple at every (L, M), and key_limit_lhs
+    at every order.  A sweep visits one (i, j, k) for many (L, M) in a row,
+    so a few entries suffice."""
     return tuple((*sx, sx.t, base + triangular(sx.bc), base + triangular(sx.bc - 1))
                  for sx in enumerate_sextuples(i, j, k)
                  for base in [triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac)])
@@ -274,12 +275,9 @@ def key_limit_lhs(i: int, j: int, k: int, order: int) -> TruncSeries:
     q^(T(t)+T(ab)+T(ac)+T(bc-1)) (1 - q^a + q^(a+bc)) / ((q)_a ... (q)_bc).
     Negative parameters give the empty sum, matching the vanishing of the
     bounded identity."""
-    terms = []
-    for sx in enumerate_sextuples(i, j, k):
-        e = triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac) \
-            + triangular(sx.bc - 1)
-        numer = LaurentPoly([(0, 1), (sx.a, -1), (sx.a + sx.bc, 1)])
-        terms.append((numer.shift(e), sx))
+    terms = [(LaurentPoly([(e2, 1), (e2 + a, -1), (e2 + a + bc, 1)]),
+              (a, b, c, ab, ac, bc))
+             for a, b, c, ab, ac, bc, _, _, e2 in _sextuple_rows(i, j, k)]
     return poch_quotient_sum(terms, order)
 
 

@@ -338,41 +338,16 @@ def _multinom_three_sides(L, s, i, j):
     return lhs, rhs
 
 
-def _multinom_shifted_sides(L, s, i, j):
-    # Same recurrence after L -> L-s, i -> i-s, j -> j-s, regrouping the last
-    # two terms as (q^(L+s-i-j) - q^(2L-1-i-j)) [L-2-s; s,i-1-s,j-1-s].
-    lhs = qmultinom(L - s, (s, i - s, j - s))
-    tail = qmultinom(L - 2 - s, (s, i - 1 - s, j - 1 - s))
-    rhs = poly_sum([(1, 0, qmultinom(L - 1 - s, (s, i - s, j - s))),
-                    (1, L - i, qmultinom(L - 1 - s, (s, i - 1 - s, j - s))),
-                    (1, L - j, qmultinom(L - 1 - s, (s, i - s, j - 1 - s))),
-                    (1, L - i - j, qmultinom(L - 1 - s, (s - 1, i - s, j - s))),
-                    (1, L + s - i - j, tail), (-1, 2 * L - 1 - i - j, tail)])
-    return lhs, rhs
-
-
-def _multinom_symmetric_sides(L, i, j):
-    # [L; i,j] = [L-1; i,j] + q^(L-i)[L-1; i-1,j] + q^(L-j)[L-1; i,j-1]
-    #          + q^(L-i-j)(1-q^(L-1))[L-2; i-1,j-1]
-    lhs = qmultinom(L, (i, j))
-    tail = qmultinom(L - 2, (i - 1, j - 1))
-    rhs = poly_sum([(1, 0, qmultinom(L - 1, (i, j))),
-                    (1, L - i, qmultinom(L - 1, (i - 1, j))),
-                    (1, L - j, qmultinom(L - 1, (i, j - 1))),
-                    (1, L - i - j, tail), (-1, 2 * L - 1 - i - j, tail)])
-    return lhs, rhs
-
-
 def multinom_recurrence_relations(L: int, s: int, i: int, j: int):
-    """The three multinomial recurrences evaluated at one tuple, as
-    (label, lhs, rhs) triples: the four-part form at (L, s, i, j), its
-    shifted variant, and the two-part symmetric form at (L, i, j)."""
+    """The four-part recurrence at three points, as (label, lhs, rhs): at
+    (L, s, i, j), shifted to (L-s, s, i-s, j-s), and the two-part symmetric
+    form at (L, 0, i, j), where [L; 0, i, j] = [L; i, j] and [L-1; -1, i, j] = 0."""
     return (("four-part",) + _multinom_three_sides(L, s, i, j),
-            ("shifted",) + _multinom_shifted_sides(L, s, i, j),
-            ("symmetric",) + _multinom_symmetric_sides(L, i, j))
+            ("shifted",) + _multinom_three_sides(L - s, s, i - s, j - s),
+            ("symmetric",) + _multinom_three_sides(L, 0, i, j))
 
 
 def check_multinom_recurrence(L: int, s: int, i: int, j: int) -> bool:
-    """Do all three multinomial recurrences hold exactly at this tuple?"""
+    """Does the multinomial recurrence hold exactly at all three points?"""
     return all(lhs == rhs for _, lhs, rhs in
                multinom_recurrence_relations(L, s, i, j))

@@ -4,13 +4,14 @@ import inspect
 import itertools
 import operator
 import random
+import sys
 import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
-                             poly_prod, q_power)
+                             poly_prod, poly_sum, q_power)
 from qgollnitz import keyid, qcomb, qcore
 from qgollnitz.qcomb import (poch_qpow, qbinom, qmultinom, summand_poly,
                              summands_agree, triangular)
@@ -473,20 +474,45 @@ def _form_holds(sides):
     return lambda *args: operator.eq(*sides(*args))
 
 
+def _two_part_sides(L, i, j):
+    # the paper's two-part form, written out apart from qcomb:
+    # [L; i,j] = [L-1; i,j] + q^(L-i)[L-1; i-1,j] + q^(L-j)[L-1; i,j-1]
+    #          + q^(L-i-j)(1-q^(L-1))[L-2; i-1,j-1]
+    tail = qmultinom(L - 2, (i - 1, j - 1))
+    rhs = poly_sum([(1, 0, qmultinom(L - 1, (i, j))),
+                    (1, L - i, qmultinom(L - 1, (i - 1, j))),
+                    (1, L - j, qmultinom(L - 1, (i, j - 1))),
+                    (1, L - i - j, tail), (-1, 2 * L - 1 - i - j, tail)])
+    return qmultinom(L, (i, j)), rhs
+
+
+TWO_PART_GRID = list(itertools.product(range(9), repeat=3))
+
+
+def test_two_part_form_is_the_symmetric_relation():
+    # multinom_recurrence_relations checks the two-part form as the
+    # four-part one at s = 0, whatever s it is given
+    for L, i, j in TWO_PART_GRID:
+        lhs, rhs = _two_part_sides(L, i, j)
+        assert lhs == rhs
+        for s in (0, 3):
+            label, *sides = qcomb.multinom_recurrence_relations(L, s, i, j)[2]
+            assert label == "symmetric" and sides == [lhs, rhs]
+
+
 KEY_GRID = list(itertools.product(range(3), range(3), range(3), range(5), range(5)))
-MULTINOM_GRID = list(itertools.product(range(6), repeat=4))
-# each recurrence check (the three forms of multinom_recurrence_relations
-# one by one), the module whose poly_sum builds its right side, and a small
-# grid on which every one of its terms is nonzero somewhere
+# each recurrence check (the four-part relation that multinom_recurrence_relations
+# checks at three points, and the two-part form written out above), the module
+# whose poly_sum builds its right side, and a small grid on which every one of
+# its terms is nonzero somewhere
 RECURRENCE_CHECKS = {
     "recurrence-g": (keyid, check_recurrence_g, KEY_GRID),
     "recurrence-p": (keyid, check_recurrence_p, KEY_GRID),
     "recurrence-andrews": (keyid, check_recurrence_andrews, KEY_GRID),
     "qpascal": (qcomb, qcomb.check_qpascal, list(itertools.product(range(-3, 6), repeat=2))),
-    "four-part": (qcomb, _form_holds(qcomb._multinom_three_sides), MULTINOM_GRID),
-    "shifted": (qcomb, _form_holds(qcomb._multinom_shifted_sides), MULTINOM_GRID),
-    "symmetric": (qcomb, _form_holds(qcomb._multinom_symmetric_sides),
-                  list(itertools.product(range(6), repeat=3))),
+    "four-part": (qcomb, _form_holds(qcomb._multinom_three_sides),
+                  list(itertools.product(range(6), repeat=4))),
+    "two-part": (sys.modules[__name__], _form_holds(_two_part_sides), TWO_PART_GRID),
 }
 MUTATIONS = {"drop": lambda sign, shift, p: [],
              "shift": lambda sign, shift, p: [(sign, shift + 1, p)],
