@@ -51,32 +51,21 @@ def _current(fn):
     return partial(getattr, home, name)
 
 
-def _compare(sides, render=str, holds=None):
+def _checker(sides, holds=None, render=str):
     """Turn sides(**params) -> (lhs, rhs) into a checker.  A tuple passes
-    when the sides are equal and, if given, holds(lhs, rhs, **params) is
-    true; the sides are rendered only on a failure, since sweeps mostly
-    pass."""
+    when holds(**params) is true (keyid.check_key, corollaries.check_carlitz)
+    or, without holds, when its two sides are equal.  The sides are rendered
+    only on a failure, since sweeps mostly pass."""
     sides = _current(sides)
+    holds = None if holds is None else _current(holds)
 
     def check(**params):
+        if holds is not None and holds()(**params):
+            return _PASS
         lhs, rhs = sides()(**params)
-        if lhs == rhs and (holds is None or holds(lhs, rhs, **params)):
+        if holds is None and lhs == rhs:
             return _PASS
         return False, render(lhs), render(rhs)
-    return check
-
-
-def _decided(holds, sides):
-    """A checker that decides each tuple by holds(**params) (keyid.check_key,
-    qcomb.summands_agree, keyid.check_schur_case).  Only a failing tuple
-    calls sides(**params) -> (lhs, rhs) for the polynomials of its row."""
-    holds, sides = _current(holds), _current(sides)
-
-    def check(**params):
-        if holds()(**params):
-            return _PASS
-        lhs, rhs = sides()(**params)
-        return False, str(lhs), str(rhs)
     return check
 
 
@@ -146,25 +135,24 @@ _KEY_GRID = {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 8), "M": (0, 8)}
 
 IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("key", _KEY_PARAMS, _KEY_GRID,
-                 _decided(keyid.check_key, lambda i, j, k, L, M: (
-                     keyid.lhs_g(i, j, k, L, M), keyid.rhs_p(i, j, k, L, M)))),
+                 _checker(lambda i, j, k, L, M: (keyid.lhs_g(i, j, k, L, M),
+                                                 keyid.rhs_p(i, j, k, L, M)),
+                          keyid.check_key)),
     IdentitySpec("boundary", ("i", "j", "k", "M"),
                  {"i": (0, 4), "j": (0, 4), "k": (0, 4), "M": (0, 10)},
-                 _compare(lambda i, j, k, M: (keyid.lhs_g(i, j, k, i + j - 1, M),
-                                              keyid.boundary_value(i, j, k, M)))),
+                 _checker(keyid.boundary_sides)),
     IdentitySpec("recurrence-g", _KEY_PARAMS, _KEY_GRID,
-                 _compare(keyid.recurrence_sides_g)),
+                 _checker(keyid.recurrence_sides_g)),
     IdentitySpec("recurrence-p", _KEY_PARAMS, _KEY_GRID,
-                 _compare(keyid.recurrence_sides_p)),
+                 _checker(keyid.recurrence_sides_p)),
     IdentitySpec("recurrence-andrews", _KEY_PARAMS, _KEY_GRID,
-                 _compare(keyid.andrews_sides)),
+                 _checker(keyid.andrews_sides)),
     IdentitySpec("schur", ("j", "k", "L", "M"),
                  {"j": (0, 3), "k": (0, 3), "L": (0, 6), "M": (0, 6)},
-                 _decided(keyid.check_schur_case, keyid.schur_sides)),
+                 _checker(keyid.schur_sides, keyid.check_schur_case)),
     IdentitySpec("key-limit", ("i", "j", "k"),
                  {"i": (0, 3), "j": (0, 3), "k": (0, 3)},
-                 _compare(lambda i, j, k, order: (keyid.key_limit_lhs(i, j, k, order),
-                                                  keyid.key_limit_rhs(i, j, k, order))),
+                 _checker(keyid.key_limit_sides),
                  default_order=25),
     IdentitySpec("theorem1", ("i", "j", "k", "L"),
                  {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 7)},
@@ -172,30 +160,28 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("gollnitz", ("n",), {"n": (0, 60)}, _check_gollnitz),
     IdentitySpec("remark3", ("n",), {"n": (0, 60)}, _check_remark3),
     IdentitySpec("jtp-bounded", ("L",), {"L": (0, 8)},
-                 _compare(lambda L: (corollaries.bounded_jtp_lhs(L),
-                                     corollaries.bounded_jtp_rhs(L)))),
-    IdentitySpec("jtp-series", (), {}, _compare(corollaries.jtp_series),
+                 _checker(corollaries.bounded_jtp_sides)),
+    IdentitySpec("jtp-series", (), {}, _checker(corollaries.jtp_series),
                  default_order=10),
-    IdentitySpec("false-theta", (), {}, _compare(corollaries.false_theta_sides),
+    IdentitySpec("false-theta", (), {}, _checker(corollaries.false_theta_sides),
                  default_order=30),
     IdentitySpec("jacobi-cube-poly", ("L",), {"L": (0, 20)},
-                 _decided(lambda L: qcomb.summands_agree(
-                     *corollaries.jacobi_cube_poly_summands(L)),
-                     corollaries.jacobi_cube_poly_sides)),
+                 _checker(corollaries.jacobi_cube_poly_sides,
+                          lambda L: qcomb.summands_agree(
+                              *corollaries.jacobi_cube_poly_summands(L)))),
     IdentitySpec("jacobi-cube-series", (), {},
-                 _compare(corollaries.jacobi_cube_series), default_order=50),
+                 _checker(corollaries.jacobi_cube_series), default_order=50),
     IdentitySpec("carl", ("L",), {"L": (0, 10)},
-                 _compare(corollaries.carl_poly_sides, render=_in_a)),
+                 _checker(corollaries.carl_poly_sides, render=_in_a)),
     IdentitySpec("carlitz", ("L",), {"L": (0, 12)},
-                 _compare(corollaries.carlitz_sides, render=_in_a,
-                          holds=lambda lhs, rhs, L:
-                          lhs.substitute_one().at_one() == max(L + 1, 0))),
+                 _checker(corollaries.carlitz_sides, corollaries.check_carlitz,
+                          render=_in_a)),
     IdentitySpec("four-param", ("i", "j", "k", "l"),
                  {"i": (0, 2), "j": (0, 2), "k": (0, 2), "l": (0, 2)},
-                 _compare(corollaries.four_param_sides), default_order=20),
+                 _checker(corollaries.four_param_sides), default_order=20),
     IdentitySpec("qpascal", ("top", "bottom"),
                  {"top": (-6, 10), "bottom": (-6, 10)},
-                 _compare(qcomb.qpascal_sides)),
+                 _checker(qcomb.qpascal_sides)),
     IdentitySpec("multinom-rec", ("L", "s", "i", "j"),
                  {"L": (0, 8), "s": (0, 8), "i": (0, 8), "j": (0, 8)},
                  _check_multinom_rec),

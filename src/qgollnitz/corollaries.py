@@ -77,8 +77,9 @@ def bounded_jtp_rhs(L: int) -> BivarLaurent:
         for i, j, k in _cycle_tuples(L))
 
 
-def check_bounded_jtp(L: int) -> bool:
-    return bounded_jtp_lhs(L) == bounded_jtp_rhs(L)
+def bounded_jtp_sides(L: int) -> tuple[BivarLaurent, BivarLaurent]:
+    """Both sides of the bounded triple product."""
+    return bounded_jtp_lhs(L), bounded_jtp_rhs(L)
 
 
 def jtp_series(order: int) -> tuple[BivarLaurent, BivarLaurent]:
@@ -225,6 +226,13 @@ def carlitz_sides(L: int) -> tuple[BivarLaurent, BivarLaurent]:
         n = qbinom_q1(L - k, i) * qbinom_q1(L - i, j) * qbinom_q1(L - j, k)
         pairs.append((i - j, LaurentPoly.monomial(_sign(k) * n)))
     return lhs, BivarLaurent(pairs)
+
+
+def check_carlitz(L: int) -> bool:
+    """The q = 1 collapse holds at L, and its left side at a = 1 counts the
+    L + 1 terms a^(L-2m) (none for L < 0)."""
+    lhs, rhs = carlitz_sides(L)
+    return lhs == rhs and lhs.substitute_one().at_one() == max(L + 1, 0)
 
 
 # ---------------------------------------------------------------------------

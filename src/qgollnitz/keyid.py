@@ -180,9 +180,9 @@ def boundary_value(i: int, j: int, k: int, M: int) -> LaurentPoly:
     return summand_poly([(triangular(k), ((M, k),))])
 
 
-def check_boundary(i: int, j: int, k: int, M: int) -> bool:
-    """Does the left side at L = i+j-1 equal the collapsed boundary value?"""
-    return lhs_g(i, j, k, i + j - 1, M) == boundary_value(i, j, k, M)
+def boundary_sides(i: int, j: int, k: int, M: int):
+    """The left side at L = i+j-1 against the collapsed boundary value."""
+    return lhs_g(i, j, k, i + j - 1, M), boundary_value(i, j, k, M)
 
 
 def _recurrence_sides(f, i, j, k, L, M):
@@ -206,18 +206,6 @@ def recurrence_sides_p(i: int, j: int, k: int, L: int, M: int):
     return _recurrence_sides(rhs_p, i, j, k, L, M)
 
 
-def check_recurrence_g(i: int, j: int, k: int, L: int, M: int) -> bool:
-    """Second order recurrence in L for the double-sum side."""
-    lhs, rhs = recurrence_sides_g(i, j, k, L, M)
-    return lhs == rhs
-
-
-def check_recurrence_p(i: int, j: int, k: int, L: int, M: int) -> bool:
-    """The same recurrence for the s-sum side."""
-    lhs, rhs = recurrence_sides_p(i, j, k, L, M)
-    return lhs == rhs
-
-
 def andrews_sides(i: int, j: int, k: int, L: int, M: int):
     """g(L, M) against the twelve-term fourth order recurrence combination
     (the generalized form of Andrews' diagonal recursion)."""
@@ -236,12 +224,6 @@ def andrews_sides(i: int, j: int, k: int, L: int, M: int):
                     (1, 2 * M - 1, g(i - 1, j - 1, k - 2, L - 3, M - 3)),
                     (1, L + 2 * M - 3, g(i - 2, j - 2, k - 2, L - 4, M - 4))])
     return g(i, j, k, L, M), rhs
-
-
-def check_recurrence_andrews(i: int, j: int, k: int, L: int, M: int) -> bool:
-    """Does the fourth order recurrence hold exactly for the double sum?"""
-    lhs, rhs = andrews_sides(i, j, k, L, M)
-    return lhs == rhs
 
 
 def closed_form_diag(i: int, j: int, k: int, L: int) -> LaurentPoly:
@@ -289,9 +271,9 @@ def key_limit_rhs(i: int, j: int, k: int, order: int) -> TruncSeries:
     return poch_quotient_sum([(q_power(e), (i, j, k))], order)
 
 
-def check_key_limit(i: int, j: int, k: int, order: int) -> bool:
-    """Do both sides of the unbounded limit agree modulo q^order?"""
-    return key_limit_lhs(i, j, k, order) == key_limit_rhs(i, j, k, order)
+def key_limit_sides(i: int, j: int, k: int, order: int):
+    """Both sides of the unbounded limit modulo q^order."""
+    return key_limit_lhs(i, j, k, order), key_limit_rhs(i, j, k, order)
 
 
 def check_support(i: int, j: int, k: int, L: int) -> bool:

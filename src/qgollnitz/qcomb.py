@@ -70,6 +70,12 @@ def poch_qpow(k: int, n: int) -> LaurentPoly:
     return result
 
 
+def qbinom_is_nonzero(top: int, bottom: int) -> bool:
+    """Support predicate: [top; bottom] != 0 iff bottom >= 0 and
+    (top < 0 or top >= bottom)."""
+    return bottom >= 0 and (top < 0 or top >= bottom)
+
+
 def qbinom_normal(top: int, bottom: int):
     """[top; bottom] as sign * q^shift * [n; bottom] with n >= bottom >= 0,
     returned as (sign, shift, n); None when [top; bottom] is zero.
@@ -77,7 +83,7 @@ def qbinom_normal(top: int, bottom: int):
     A negative top is reduced by
     [-alpha; k] = (-1)^k q^(-alpha*k - T(k-1)) [k+alpha-1; k].
     """
-    if bottom < 0 or 0 <= top < bottom:
+    if not qbinom_is_nonzero(top, bottom):
         return None
     if top >= 0:
         return 1, 0, top
@@ -265,13 +271,6 @@ def poch_quotient_sum(terms, order: int) -> TruncSeries:
     return TruncSeries(order, total)
 
 
-def qbinom_base(top: int, bottom: int, base_power: int) -> LaurentPoly:
-    """qbinom with q replaced by q^base_power (base_power >= 1)."""
-    if base_power < 1:
-        raise ValueError(f"base power must be >= 1, got {base_power}")
-    return qbinom(top, bottom).stretch(base_power)
-
-
 def qbinom_q1(top: int, bottom: int) -> int:
     """The q = 1 binomial: C(top, bottom) with the same support rules."""
     normal = qbinom_normal(top, bottom)
@@ -279,12 +278,6 @@ def qbinom_q1(top: int, bottom: int) -> int:
         return 0
     sign, _, n = normal
     return sign * comb(n, bottom)
-
-
-def qbinom_is_nonzero(top: int, bottom: int) -> bool:
-    """Support predicate: [top; bottom] != 0 iff bottom >= 0 and
-    (top < 0 or top >= bottom)."""
-    return bottom >= 0 and (top < 0 or top >= bottom)
 
 
 def qmultinom(total: int, parts: Sequence[int]) -> LaurentPoly:
@@ -318,13 +311,6 @@ def qpascal_sides(top: int, bottom: int) -> tuple[LaurentPoly, LaurentPoly]:
     return lhs, rhs
 
 
-def check_qpascal(top: int, bottom: int) -> bool:
-    """Does the q-Pascal recurrence hold exactly at this pair?
-    (It should, for all integers.)"""
-    lhs, rhs = qpascal_sides(top, bottom)
-    return lhs == rhs
-
-
 def _multinom_three_sides(L, s, i, j):
     # [L; s,i,j] = [L-1; s,i,j] + q^(L-i)[L-1; s,i-1,j] + q^(L-j)[L-1; s,i,j-1]
     #            + q^(L-s-i-j)[L-1; s-1,i,j] + q^(L-i-j)(1-q^(L-1))[L-2; s,i-1,j-1]
@@ -345,9 +331,3 @@ def multinom_recurrence_relations(L: int, s: int, i: int, j: int):
     return (("four-part",) + _multinom_three_sides(L, s, i, j),
             ("shifted",) + _multinom_three_sides(L - s, s, i - s, j - s),
             ("symmetric",) + _multinom_three_sides(L, 0, i, j))
-
-
-def check_multinom_recurrence(L: int, s: int, i: int, j: int) -> bool:
-    """Does the multinomial recurrence hold exactly at all three points?"""
-    return all(lhs == rhs for _, lhs, rhs in
-               multinom_recurrence_relations(L, s, i, j))

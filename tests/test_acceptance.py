@@ -6,6 +6,7 @@ in exact integer arithmetic, so sides either match or they do not.
 """
 
 import json
+import operator
 import time
 
 from qgollnitz import cli, corollaries, keyid, partcomb, qcomb
@@ -28,23 +29,24 @@ def test_criterion_01_key_identity_full_grid():
 
 
 def test_criterion_02_boundary_identity():
-    ok = all(keyid.check_boundary(i, j, k, M)
+    ok = all(operator.eq(*keyid.boundary_sides(i, j, k, M))
              for i in range(5) for j in range(5) for k in range(5)
              for M in range(11))
     _report(2, "boundary collapse at L = i+j-1 on [0,4]^3 x [0,10]", ok)
 
 
 def test_criterion_03_recurrences():
-    ok = all(keyid.check_recurrence_g(i, j, k, L, M)
-             and keyid.check_recurrence_p(i, j, k, L, M)
-             and keyid.check_recurrence_andrews(i, j, k, L, M)
+    ok = all(operator.eq(*sides(i, j, k, L, M))
+             for sides in (keyid.recurrence_sides_g, keyid.recurrence_sides_p,
+                           keyid.andrews_sides)
              for i in range(4) for j in range(4) for k in range(4)
              for L in range(9) for M in range(9))
-    ok = ok and all(qcomb.check_qpascal(top, bottom)
+    ok = ok and all(operator.eq(*qcomb.qpascal_sides(top, bottom))
                     for top in range(-6, 11) for bottom in range(-6, 11))
-    ok = ok and all(qcomb.check_multinom_recurrence(L, s, i, j)
+    ok = ok and all(lhs == rhs
                     for L in range(9) for s in range(9)
-                    for i in range(9) for j in range(9))
+                    for i in range(9) for j in range(9)
+                    for _, lhs, rhs in qcomb.multinom_recurrence_relations(L, s, i, j))
     _report(3, "second/fourth order recurrences, q-Pascal, multinomial "
                "recurrences", ok)
 
@@ -89,7 +91,7 @@ def test_criterion_07_staircase_round_trip():
 
 
 def test_criterion_08_series_limits():
-    ok = all(keyid.check_key_limit(i, j, k, 25)
+    ok = all(operator.eq(*keyid.key_limit_sides(i, j, k, 25))
              for i in range(4) for j in range(4) for k in range(4))
     lhs, rhs = corollaries.jtp_series(10)
     ok = ok and lhs == rhs
@@ -102,17 +104,14 @@ def test_criterion_08_series_limits():
 
 
 def test_criterion_09_polynomial_identities():
-    ok = all(corollaries.check_bounded_jtp(L) for L in range(9))
+    ok = all(operator.eq(*corollaries.bounded_jtp_sides(L)) for L in range(9))
     for L in range(21):
         lhs, rhs = corollaries.jacobi_cube_poly_sides(L)
         ok = ok and lhs == rhs
     for L in range(11):
         lhs, rhs = corollaries.carl_poly_sides(L)
         ok = ok and lhs == rhs
-    for L in range(13):
-        lhs, rhs = corollaries.carlitz_sides(L)
-        ok = ok and lhs == rhs
-        ok = ok and lhs.substitute_one().at_one() == L + 1
+    ok = ok and all(corollaries.check_carlitz(L) for L in range(13))
     _report(9, "bounded triple product L <= 8, cube analog L <= 20, "
                "a-weighted cycle L <= 10, q = 1 collapse L <= 12", ok)
 

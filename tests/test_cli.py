@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from qgollnitz import cli, corollaries, keyid, partcomb
-from qgollnitz.qcore import q_power
+from qgollnitz.qcore import BivarLaurent, TruncSeries, q_power
 from qgollnitz.cli import (IDENTITIES, IdentitySpec, SweepSpec, UsageError,
                            render_report, run_golden, run_sweep)
 
@@ -409,6 +409,50 @@ def test_extra_predicate_fails_equal_sides_rendered_in_a(monkeypatch):
 def test_carlitz_passes_below_zero():
     # for L < 0 both sides are 0, and the sum over m = 0..L has no terms
     assert cli.main(["carlitz", "--L=-3..0"]) == 0
+
+
+@pytest.mark.parametrize("module, name, identity, ranges, times_q", [
+    (keyid, "boundary_sides", "boundary",
+     {"i": (0, 1), "j": (0, 1), "k": (0, 2), "M": (0, 3)}, lambda p: p.shift(1)),
+    (keyid, "key_limit_sides", "key-limit", {"i": (0, 1), "j": (0, 1), "k": (0, 2)},
+     lambda s: s * TruncSeries.from_poly(q_power(1), s.order)),
+    (corollaries, "bounded_jtp_sides", "jtp-bounded", {"L": (0, 3)},
+     lambda b: b * BivarLaurent.monomial(q_power(1))),
+])
+def test_table_binds_sides_late(monkeypatch, module, name, identity, ranges,
+                                times_q):
+    # the table looks each sides function up on its module at every tuple,
+    # so a wrapper installed after import (a tracer, this double) is what runs
+    real = getattr(module, name)
+
+    def shifted(**params):
+        lhs, rhs = real(**params)
+        return lhs, times_q(rhs)
+
+    ident = IDENTITIES[identity]
+    extra = {} if ident.default_order is None else {"order": ident.default_order}
+    assert run_sweep(SweepSpec(identity, ranges)).ok
+    monkeypatch.setattr(module, name, shifted)
+    report = run_sweep(SweepSpec(identity, ranges))
+    expected = []
+    for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in
+                                     (ranges[p] for p in ident.params))):
+        params = {**dict(zip(ident.params, combo)), **extra}
+        lhs, rhs = shifted(**params)
+        if lhs != rhs:
+            expected.append({"params": params, "lhs": str(lhs), "rhs": str(rhs)})
+    assert expected and report.failures == expected
+
+
+def test_table_binds_carlitz_rule_late(monkeypatch):
+    # a patched a = 1 rule decides every tuple; each row renders the real
+    # sides in a
+    monkeypatch.setattr(corollaries, "check_carlitz", lambda L: False)
+    report = run_sweep(SweepSpec("carlitz", {"L": (-1, 2)}))
+    assert report.total == 4
+    assert report.failures == [
+        {"params": {"L": L}, "lhs": lhs.render("a"), "rhs": rhs.render("a")}
+        for L in range(-1, 3) for lhs, rhs in [corollaries.carlitz_sides(L)]]
 
 
 def test_grid_ceiling_checked_before_any_tuple(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 q = 1 collapse, and the four parameter identity."""
 
 import itertools
+import operator
 
 import pytest
 
@@ -9,8 +10,8 @@ from qgollnitz.qcomb import NegativeLength, qbinom
 from qgollnitz.qcore import BivarLaurent, LaurentPoly, TruncSeries
 from qgollnitz.keyid import key_limit_lhs, key_limit_rhs
 from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
-                                   carl_poly_sides, carlitz_sides,
-                                   check_bounded_jtp, enumerate_decuples,
+                                   bounded_jtp_sides, carl_poly_sides,
+                                   carlitz_sides, enumerate_decuples,
                                    false_theta_sides, four_param_sides,
                                    jacobi_cube_poly_sides, jacobi_cube_series,
                                    jtp_series, poch_series)
@@ -30,7 +31,7 @@ def truncate_bivar(bp, order):
 
 def test_jtp_bounded_L0():
     assert bounded_jtp_lhs(0) == BivarLaurent({0: P({0: 1})})
-    assert check_bounded_jtp(0)
+    assert operator.eq(*bounded_jtp_sides(0))
 
 
 def test_jtp_bounded_L1_lhs_frozen():
@@ -40,7 +41,7 @@ def test_jtp_bounded_L1_lhs_frozen():
 
 def test_jtp_bounded_small_range():
     for L in range(6):
-        assert check_bounded_jtp(L), L
+        assert operator.eq(*bounded_jtp_sides(L)), L
 
 
 def test_jtp_bounded_stabilizes_to_series():

@@ -17,14 +17,13 @@ from qgollnitz.qcomb import (poch_qpow, qbinom, qmultinom, summand_poly,
                              summands_agree, triangular)
 from qgollnitz.cli import SweepSpec, run_sweep
 from qgollnitz.corollaries import jacobi_cube_poly_summands
-from qgollnitz.keyid import (Sextuple, _lhs_normal, _sextuple_rows, boundary_value,
-                             check_boundary, check_key, check_key_limit,
-                             check_recurrence_andrews, check_recurrence_g,
-                             check_recurrence_p, check_schur_case,
-                             check_support, closed_form_diag,
+from qgollnitz.keyid import (Sextuple, _lhs_normal, _sextuple_rows, andrews_sides,
+                             boundary_sides, boundary_value, check_key,
+                             check_schur_case, check_support, closed_form_diag,
                              cycle_summand, enumerate_sextuples, key_limit_lhs,
-                             key_limit_rhs, lhs_g, lhs_g_parts,
-                             lhs_summands, poch_quotient_sum, rhs_p,
+                             key_limit_rhs, key_limit_sides, lhs_g, lhs_g_parts,
+                             lhs_summands, poch_quotient_sum,
+                             recurrence_sides_g, recurrence_sides_p, rhs_p,
                              rhs_summands, schur_sides)
 
 
@@ -431,7 +430,7 @@ def test_boundary_value_examples():
 def test_boundary_cross_check():
     # delta case: lhs at L = i+j-1 = 0 gives q [0; 1] = 0
     assert lhs_g(1, 0, 0, 0, 4) == P({})
-    assert check_boundary(1, 0, 0, 4)
+    assert operator.eq(*boundary_sides(1, 0, 0, 4))
 
 
 def test_boundary_small_grid():
@@ -439,24 +438,24 @@ def test_boundary_small_grid():
         for j in range(3):
             for k in range(3):
                 for M in range(6):
-                    assert check_boundary(i, j, k, M)
+                    assert operator.eq(*boundary_sides(i, j, k, M))
 
 
 # -- recurrences -------------------------------------------------------------
 
 def test_recurrence_examples():
-    assert check_recurrence_g(2, 2, 1, 5, 5)
-    assert check_recurrence_g(0, 0, 0, 1, 1)
-    assert check_recurrence_g(1, 2, 2, 4, 6)
-    assert check_recurrence_p(2, 2, 1, 5, 5)
-    assert check_recurrence_p(0, 0, 0, 1, 1)
-    assert check_recurrence_p(1, 2, 2, 4, 6)
+    assert operator.eq(*recurrence_sides_g(2, 2, 1, 5, 5))
+    assert operator.eq(*recurrence_sides_g(0, 0, 0, 1, 1))
+    assert operator.eq(*recurrence_sides_g(1, 2, 2, 4, 6))
+    assert operator.eq(*recurrence_sides_p(2, 2, 1, 5, 5))
+    assert operator.eq(*recurrence_sides_p(0, 0, 0, 1, 1))
+    assert operator.eq(*recurrence_sides_p(1, 2, 2, 4, 6))
 
 
 def test_andrews_recurrence_examples():
-    assert check_recurrence_andrews(2, 2, 2, 6, 6)
-    assert check_recurrence_andrews(0, 0, 0, 2, 2)
-    assert check_recurrence_andrews(3, 2, 2, 7, 8)
+    assert operator.eq(*andrews_sides(2, 2, 2, 6, 6))
+    assert operator.eq(*andrews_sides(0, 0, 0, 2, 2))
+    assert operator.eq(*andrews_sides(3, 2, 2, 7, 8))
 
 
 def test_recurrences_small_grid():
@@ -465,9 +464,9 @@ def test_recurrences_small_grid():
             for k in range(3):
                 for L in range(5):
                     for M in range(5):
-                        assert check_recurrence_g(i, j, k, L, M)
-                        assert check_recurrence_p(i, j, k, L, M)
-                        assert check_recurrence_andrews(i, j, k, L, M)
+                        assert operator.eq(*recurrence_sides_g(i, j, k, L, M))
+                        assert operator.eq(*recurrence_sides_p(i, j, k, L, M))
+                        assert operator.eq(*andrews_sides(i, j, k, L, M))
 
 
 def _form_holds(sides):
@@ -506,10 +505,11 @@ KEY_GRID = list(itertools.product(range(3), range(3), range(3), range(5), range(
 # whose poly_sum builds its right side, and a small grid on which every one of
 # its terms is nonzero somewhere
 RECURRENCE_CHECKS = {
-    "recurrence-g": (keyid, check_recurrence_g, KEY_GRID),
-    "recurrence-p": (keyid, check_recurrence_p, KEY_GRID),
-    "recurrence-andrews": (keyid, check_recurrence_andrews, KEY_GRID),
-    "qpascal": (qcomb, qcomb.check_qpascal, list(itertools.product(range(-3, 6), repeat=2))),
+    "recurrence-g": (keyid, _form_holds(recurrence_sides_g), KEY_GRID),
+    "recurrence-p": (keyid, _form_holds(recurrence_sides_p), KEY_GRID),
+    "recurrence-andrews": (keyid, _form_holds(andrews_sides), KEY_GRID),
+    "qpascal": (qcomb, _form_holds(qcomb.qpascal_sides),
+                list(itertools.product(range(-3, 6), repeat=2))),
     "four-part": (qcomb, _form_holds(qcomb._multinom_three_sides),
                   list(itertools.product(range(6), repeat=4))),
     "two-part": (sys.modules[__name__], _form_holds(_two_part_sides), TWO_PART_GRID),
@@ -608,14 +608,14 @@ def test_key_limit_single_part():
 
 
 def test_key_limit_111():
-    assert check_key_limit(1, 1, 1, 20)
+    assert operator.eq(*key_limit_sides(1, 1, 1, 20))
 
 
 def test_key_limit_small_grid():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert check_key_limit(i, j, k, 15)
+                assert operator.eq(*key_limit_sides(i, j, k, 15))
     # T(i) + T(j) + T(k) = 18 reaches the order: both sides vanish, and the
     # shared sum skips a numerator of valuation >= order
     assert not key_limit_rhs(3, 3, 3, 18) and not key_limit_lhs(3, 3, 3, 18)

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import itertools
 import math
+import operator
 import pkgutil
 
 import pytest
@@ -12,10 +13,10 @@ import pytest
 import qgollnitz
 from qgollnitz.qcore import LaurentPoly, poly_prod
 from qgollnitz import qcomb
-from qgollnitz.qcomb import (NegativeLength, check_multinom_recurrence,
-                             check_qpascal, factor_normal, poch_qpow, qbinom,
-                             qbinom_base, qbinom_image, qbinom_is_nonzero,
-                             qbinom_normal, qbinom_q1, qmultinom, triangular)
+from qgollnitz.qcomb import (NegativeLength, factor_normal,
+                             multinom_recurrence_relations, poch_qpow, qbinom,
+                             qbinom_image, qbinom_is_nonzero, qbinom_normal,
+                             qbinom_q1, qmultinom, qpascal_sides, triangular)
 
 
 def P(terms):
@@ -192,14 +193,6 @@ def test_qbinom_negative_top_against_quotient(alpha, k):
     assert lhs == rhs
 
 
-def test_qbinom_base():
-    assert qbinom_base(2, 1, 2) == P({0: 1, 2: 1})
-    assert qbinom_base(5, 0, 2) == P({0: 1})
-    assert qbinom_base(4, 2, 1) == qbinom(4, 2)
-    with pytest.raises(ValueError):
-        qbinom_base(4, 2, 0)
-
-
 def test_qbinom_q1():
     assert qbinom_q1(4, 2) == 6
     assert qbinom_q1(3, 0) == 1
@@ -248,23 +241,29 @@ def test_qbinom_shape_properties():
             assert p == qbinom(top, top - bottom)
 
 
+def _multinom_recurrence_holds(L, s, i, j):
+    return all(lhs == rhs for _, lhs, rhs in
+               multinom_recurrence_relations(L, s, i, j))
+
+
 def test_qpascal_examples():
-    assert check_qpascal(4, 2)
-    assert check_qpascal(0, 0)
-    assert check_qpascal(-2, 1)
+    assert operator.eq(*qpascal_sides(4, 2))
+    assert operator.eq(*qpascal_sides(0, 0))
+    assert operator.eq(*qpascal_sides(-2, 1))
 
 
 def test_qpascal_small_grid():
-    assert all(check_qpascal(t, b) for t in range(-4, 7) for b in range(-4, 7))
+    assert all(operator.eq(*qpascal_sides(t, b))
+               for t in range(-4, 7) for b in range(-4, 7))
 
 
 def test_multinom_recurrence_examples():
-    assert check_multinom_recurrence(5, 1, 2, 1)
-    assert check_multinom_recurrence(0, 0, 0, 0)
-    assert check_multinom_recurrence(6, 2, 2, 2)
+    assert _multinom_recurrence_holds(5, 1, 2, 1)
+    assert _multinom_recurrence_holds(0, 0, 0, 0)
+    assert _multinom_recurrence_holds(6, 2, 2, 2)
 
 
 def test_multinom_recurrence_small_grid():
-    assert all(check_multinom_recurrence(L, s, i, j)
+    assert all(_multinom_recurrence_holds(L, s, i, j)
                for L in range(5) for s in range(5)
                for i in range(5) for j in range(5))
