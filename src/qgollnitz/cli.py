@@ -6,6 +6,10 @@ failing tuple with the canonical rendering of both sides; a tuple whose
 checker raises fails with the exception's name in place of its lhs.  Exit
 status is 0 when every tuple passes, 1 on any mismatch, 2 on a usage error.
 
+A checker takes its tuple positionally, in the order of its identity's
+params, then the truncation order where the identity takes one; the
+params dict is built only for a tuple filter and a failure row.
+
 Tuples are evaluated one after another in grid order: every checker is
 pure Python and holds the interpreter lock, so worker threads would only
 slow a sweep down.  The JSON rendering puts 0 in the elapsed_ms slot, so
@@ -35,7 +39,7 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# identities: each checker maps params -> (ok, rendered lhs, rendered rhs)
+# identities: each checker maps a tuple -> (ok, rendered lhs, rendered rhs)
 # ---------------------------------------------------------------------------
 
 _PASS = (True, "", "")
@@ -52,17 +56,19 @@ def _current(fn):
 
 
 def _checker(sides, holds=None, render=str):
-    """Turn sides(**params) -> (lhs, rhs) into a checker.  A tuple passes
-    when holds(**params) is true (keyid.check_key, corollaries.check_carlitz)
-    or, without holds, when its two sides are equal.  The sides are rendered
-    only on a failure, since sweeps mostly pass."""
+    """Turn sides(*args) -> (lhs, rhs) into a checker of the same positional
+    arguments: the swept parameters in IdentitySpec.params order, then the
+    order if the identity takes one.  A tuple passes when holds(*args) is
+    true (keyid.check_key, corollaries.check_carlitz) or, without holds,
+    when its two sides are equal.  The sides are rendered only on a failure,
+    since sweeps mostly pass."""
     sides = _current(sides)
     holds = None if holds is None else _current(holds)
 
-    def check(**params):
-        if holds is not None and holds()(**params):
+    def check(*args):
+        if holds is not None and holds()(*args):
             return _PASS
-        lhs, rhs = sides()(**params)
+        lhs, rhs = sides()(*args)
         if holds is None and lhs == rhs:
             return _PASS
         return False, render(lhs), render(rhs)
@@ -113,8 +119,9 @@ def _check_support(i, j, k, L):
 @dataclass(frozen=True)
 class IdentitySpec:
     """How to sweep one identity: swept parameter names, default inclusive
-    ranges, the checker, the default truncation order (None when the
-    identity takes no order), and an optional tuple filter."""
+    ranges, the checker (called with the parameters in that order, then the
+    order), the default truncation order (None when the identity takes no
+    order), and an optional tuple filter of the params dict."""
     name: str
     params: tuple[str, ...]
     defaults: dict[str, tuple[int, int]]
@@ -254,30 +261,31 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     if ident.default_order is None:
         if spec.order is not None:
             raise UsageError(f"identity {ident.name!r} takes no order")
-        extra = {}
+        extra, names = (), ident.params
     else:
         order = ident.default_order if spec.order is None else spec.order
         if order < 1:
             raise UsageError(f"order must be >= 1, got {order}")
         if order > _MAX_ORDER:
             raise UsageError(f"order {order} exceeds the limit of {_MAX_ORDER}")
-        extra = {"order": order}
+        extra, names = (order,), ident.params + ("order",)
     if spec.jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {spec.jobs}")
 
     start = time.perf_counter()
     total, failures = 0, []
     for combo in itertools.product(*ranges):
-        params = dict(zip(ident.params, combo))
-        if ident.tuple_filter is not None and not ident.tuple_filter(params):
+        if ident.tuple_filter is not None and \
+                not ident.tuple_filter(dict(zip(ident.params, combo))):
             continue
         total += 1
+        args = combo + extra
         try:
-            ok, lhs, rhs = ident.check(**params, **extra)
+            ok, lhs, rhs = ident.check(*args)
         except Exception as exc:  # a checker that raises fails its tuple
             ok, lhs, rhs = False, f"{type(exc).__name__}: {exc}", ""
         if not ok:
-            failures.append({"params": {**params, **extra}, "lhs": lhs, "rhs": rhs})
+            failures.append({"params": dict(zip(names, args)), "lhs": lhs, "rhs": rhs})
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepReport(ident.name, total, failures, elapsed_ms)
 

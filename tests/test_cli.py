@@ -425,8 +425,8 @@ def test_table_binds_sides_late(monkeypatch, module, name, identity, ranges,
     # so a wrapper installed after import (a tracer, this double) is what runs
     real = getattr(module, name)
 
-    def shifted(**params):
-        lhs, rhs = real(**params)
+    def shifted(*args):
+        lhs, rhs = real(*args)
         return lhs, times_q(rhs)
 
     ident = IDENTITIES[identity]
@@ -438,10 +438,54 @@ def test_table_binds_sides_late(monkeypatch, module, name, identity, ranges,
     for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in
                                      (ranges[p] for p in ident.params))):
         params = {**dict(zip(ident.params, combo)), **extra}
-        lhs, rhs = shifted(**params)
+        lhs, rhs = shifted(*params.values())
         if lhs != rhs:
             expected.append({"params": params, "lhs": str(lhs), "rhs": str(rhs)})
     assert expected and report.failures == expected
+
+
+# The JSON report of the sweep below, as the keyword-argument harness wrote
+# it before checkers took their tuple positionally.
+_CORRUPT_KEY_LIMIT_JSON = (
+    '{"identity": "key-limit", "total": 8, "failures": ['
+    '{"params": {"i": 0, "j": 0, "k": 1, "order": 6}, '
+    '"lhs": "q + q^2 + q^3 + q^4 + q^5 + O(q^6)", '
+    '"rhs": "q^2 + q^3 + q^4 + q^5 + O(q^6)"}, '
+    '{"params": {"i": 0, "j": 1, "k": 0, "order": 6}, '
+    '"lhs": "q + q^2 + q^3 + q^4 + q^5 + O(q^6)", '
+    '"rhs": "q^2 + q^3 + q^4 + q^5 + O(q^6)"}, '
+    '{"params": {"i": 1, "j": 0, "k": 0, "order": 6}, '
+    '"lhs": "q + q^2 + q^3 + q^4 + q^5 + O(q^6)", '
+    '"rhs": "q^2 + q^3 + q^4 + q^5 + O(q^6)"}, '
+    '{"params": {"i": 1, "j": 1, "k": 0, "order": 6}, '
+    '"lhs": "ArithmeticError: no sides at 1, 1, 0", "rhs": ""}], '
+    '"elapsed_ms": 0, "version": "VERSION"}')
+
+
+def test_failing_sweep_with_an_order_reports_as_before(monkeypatch):
+    # the order follows the swept parameters in every row, and a tuple whose
+    # sides raise gives one row naming the exception
+    real = keyid.key_limit_sides
+    raised = []
+
+    def corrupted(i, j, k, order):
+        if (i, j, k) == (1, 1, 0):
+            raised.append((i, j, k, order))
+            raise ArithmeticError(f"no sides at {i}, {j}, {k}")
+        lhs, rhs = real(i, j, k, order)
+        if i + j + k == 1:
+            rhs = rhs * TruncSeries.from_poly(q_power(1), order)
+        return lhs, rhs
+
+    monkeypatch.setattr(keyid, "key_limit_sides", corrupted)
+    report = run_sweep(SweepSpec("key-limit", {"i": (0, 1), "j": (0, 1), "k": (0, 1)},
+                                 order=6))
+    assert render_report(report, "json") == \
+        _CORRUPT_KEY_LIMIT_JSON.replace("VERSION", cli.__version__)
+    assert raised == [(1, 1, 0, 6)]
+    assert [row["params"] for row in report.failures
+            if row["lhs"].startswith("ArithmeticError")] == [
+        {"i": 1, "j": 1, "k": 0, "order": 6}]
 
 
 def test_table_binds_carlitz_rule_late(monkeypatch):

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
                              poly_prod, poly_sum, q_power)
 from qgollnitz import keyid, qcomb, qcore
-from qgollnitz.qcomb import (poch_qpow, qbinom, qmultinom, summand_poly,
-                             summands_agree, triangular)
+from qgollnitz.qcomb import (poch_qpow, qbinom, qbinom_is_nonzero, qmultinom,
+                             summand_poly, summands_agree, triangular)
 from qgollnitz.cli import SweepSpec, run_sweep
 from qgollnitz.corollaries import jacobi_cube_poly_summands
-from qgollnitz.keyid import (Sextuple, _lhs_normal, _sextuple_rows, andrews_sides,
+from qgollnitz.keyid import (Sextuple, _l_half, _lhs_normal, _m_half,
+                             _sextuple_rows, andrews_sides,
                              boundary_sides, boundary_value, check_key,
                              check_schur_case, check_support, closed_form_diag,
                              cycle_summand, enumerate_sextuples, key_limit_lhs,
@@ -85,6 +86,54 @@ def test_memo_state_never_changes_an_answer():
     for args, answer in zip(tuples, warm):
         _clear_memos()
         assert answer == (_key_sides(*args), check_key(*args)), args
+
+
+_CRITERION_1 = {"i": (-2, 4), "j": (-2, 4), "k": (-2, 4),
+                "L": (-3, 10), "M": (-3, 10)}
+
+
+def _direct_rhs_summands(i, j, k, L, M):
+    # the right side written out per tuple, the reference for its L half
+    return [(s * (M + 2) - triangular(s) + triangular(i - s) + triangular(j - s)
+             + triangular(k - s), ((L - s, s, i - s, j - s), (M - i - j, k - s)))
+            for s in range(min(i, j, k) + 1)
+            if qbinom_is_nonzero(L - s, s) and qbinom_is_nonzero(L - 2 * s, i - s)
+            and qbinom_is_nonzero(L - s - i, j - s)
+            and qbinom_is_nonzero(M - i - j, k - s)]
+
+
+def test_halves_match_a_direct_build_in_any_order():
+    # from empty memos, criterion 1's grid in shuffled order, so the half
+    # memos mostly miss and evict: each answer must equal an unmemoised
+    # build of the same tuple
+    axes = [range(lo, hi + 1) for lo, hi in _CRITERION_1.values()]
+    grid = list(itertools.product(*axes))
+    random.Random(21).shuffle(grid)
+    rows = {ijk: keyid._sextuple_rows.__wrapped__(*ijk)
+            for ijk in itertools.product(*axes[:3])}
+    _clear_memos()
+    for i, j, k, L, M in grid:
+        direct = _lhs_normal(_l_half(rows[i, j, k], L), _m_half(rows[i, j, k], M))
+        assert keyid.lhs_normal(i, j, k, L, M) == direct
+        assert rhs_summands(i, j, k, L, M) == _direct_rhs_summands(i, j, k, L, M)
+
+
+def test_key_sweep_reads_each_half_once_per_key():
+    # M runs innermost, so one (i, j, k, L) serves every M, and one
+    # (i, j, k, M) every L: 343 * 14 misses of the 67,228 reads each
+    _clear_memos()
+    assert run_sweep(SweepSpec("key", _CRITERION_1)).ok
+    for memo in (keyid._lhs_l_half, keyid._lhs_m_half, keyid._rhs_l_half):
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (62426, 4802), memo
+
+
+def test_key_sweep_wider_than_the_m_half_memo():
+    ranges = {"i": (0, 2), "j": (0, 2), "k": (0, 2), "L": (0, 12), "M": (0, 40)}
+    assert keyid._lhs_m_half.cache_info().maxsize < 41
+    report = run_sweep(SweepSpec("key", ranges))
+    assert report.ok, report.failures[:1]
+    assert report.total == 27 * 13 * 41
 
 
 def test_lhs_g_keeps_no_memo_entry_without_sextuples():
@@ -697,7 +746,8 @@ def test_check_support_matches_a_brute_force_rule():
             holds = True
             for sx, row in zip(enumerate_sextuples(i, j, k), _sextuple_rows(i, j, k)):
                 live = [bool(product_poly(side)) for side in _raw_sums(sx, L, L)]
-                listed = [bool(terms) for _, terms in _lhs_normal([row], L, L)]
+                listed = [bool(terms) for _, terms
+                          in _lhs_normal(_l_half([row], L), _m_half([row], L))]
                 assert listed == live, (sx, L)
                 holds = holds and not (sx.t > L and any(live))
             assert check_support(i, j, k, L) == holds, (i, j, k, L)
@@ -732,15 +782,25 @@ def test_unmutated_copy_passes_the_mutant_grid():
     # the second sum's exponent T(bc-1) replaced by T(bc)
     pytest.param("base + triangular(sx.bc - 1)", "base + triangular(sx.bc)", 1,
                  id="second-exponent"),
-    pytest.param("return (bound1, first), (bound2, second)",
-                 "return (bound1, first), (0, [])", 1, id="second-dropped"),
+    pytest.param("_sum_normal(l_half[1], m_half[1])", "(0, [])", 1,
+                 id="second-dropped"),
     # the sign or the power of q of a reflected negative top lost, for the
-    # shared binomials and for each sum's own two
-    pytest.param("u[0] * v[0]", "1", 1, id="shared-sign"),
-    pytest.param("u[1] + v[1]", "0", 1, id="shared-shift"),
-    pytest.param("sign * x[0] * y[0]", "sign", 2, id="own-sign"),
-    pytest.param("shift + x[1] + y[1]", "shift", 2, id="own-shift"),
+    # shared binomials and for each sum's own two; _times joins a shared
+    # binomial u to an own one x in both halves
+    pytest.param("u[0] * x[0]", "x[0]", 1, id="shared-sign"),
+    pytest.param("e + u[1] + x[1]", "e + x[1]", 1, id="shared-shift"),
+    pytest.param("u[0] * x[0]", "u[0]", 1, id="own-sign"),
+    pytest.param("e + u[1] + x[1]", "e + u[1]", 1, id="own-shift"),
+    # the M half's [M-t; bc-1] of the second sum read as [M-t; bc]
+    pytest.param("normal((mt, bc - 1))", "normal((mt, bc))", 1,
+                 id="second-M-bottom"),
 ])
 def test_check_key_catches_a_left_side_mutant(old, new, count):
     mutant = _mutant(old, new, count)
+    assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
+
+
+def test_check_key_catches_a_right_side_mutant():
+    # the right side's exponent, hoisted out of the M loop, without T(k-s)
+    mutant = _mutant("+ triangular(k - s),", ",")
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
