@@ -3,9 +3,8 @@ key identity behind the big Gollnitz partition theorem."""
 
 __version__ = "0.1.0"
 
-from .qcore import (BivarLaurent, LaurentPoly, NegativeExponent,
-                    NonUnitConstantTerm, TruncSeries, parse_poly, q_power,
-                    render_poly)
+from .qcore import (LaurentPoly, NegativeExponent, NonUnitConstantTerm,
+                    TruncSeries, parse_poly, q_power, render_poly)
 from .qcomb import (NegativeLength, poch_qpow, qbinom, qbinom_is_nonzero,
                     qbinom_q1, qmultinom, triangular)
 from .keyid import (Sextuple, boundary_sides, boundary_value, check_key,

@@ -5,16 +5,20 @@ parameter key identity, each computed two-sidedly in exact arithmetic.
 Right sides here are signed, auxiliary-weighted sums of the same binomial
 cycle [L-k; i][L-i; j][L-j; k] that closes the diagonal of the key identity,
 so they are built on keyid.cycle_summand (in base q^2 by stretching it).
+
+A side weighted by A or a is a {power: coefficient} dict with no zero
+coefficient, so == compares two sides exactly; render_powers prints one.
 """
 
 from __future__ import annotations
 
 from math import isqrt
+from operator import add, sub
 from typing import NamedTuple
 
-from .qcore import ONE, BivarLaurent, LaurentPoly, TruncSeries, q_power
-from .qcomb import (poch_qpow, poch_quotient_sum, qbinom_q1, summand_poly,
-                    triangular)
+from .qcore import LaurentPoly, TruncSeries, q_power
+from .qcomb import (divide_one_minus, poch_qpow, poch_quotient_sum, qbinom_q1,
+                    summand_poly, triangular)
 from .keyid import closed_form_diag, cycle_summand
 
 
@@ -50,12 +54,31 @@ def _cycle_tuples(L: int):
                 yield i, j, k
 
 
+def _by_power(pairs) -> dict:
+    """The {power: coefficient} dict of (power, coefficient) pairs: the
+    coefficients of one power are summed, and a zero sum is left out."""
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, 0) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+def render_powers(side: dict, var: str) -> str:
+    """A {power: coefficient} dict as (c) + (c)*var + (c)*var^e + ..., in
+    ascending powers of var; 0 for the empty dict."""
+    parts = []
+    for e in sorted(side):
+        power = "" if e == 0 else f"*{var}" if e == 1 else f"*{var}^{e}"
+        parts.append(f"({side[e]}){power}")
+    return " + ".join(parts) or "0"
+
+
 # ---------------------------------------------------------------------------
 # bounded Jacobi triple product and its series limit
 # ---------------------------------------------------------------------------
 
-def bounded_jtp_lhs(L: int) -> BivarLaurent:
-    """Left side of the bounded triple product:
+def bounded_jtp_lhs(L: int) -> dict:
+    """Left side of the bounded triple product, by power of A:
     sum_{l=0..L} (-1)^(L+l) q^(2(T(L)-T(l))) sum_{n=-l..l} A^n q^(n^2)."""
     pairs = []
     for el in range(L + 1):
@@ -63,43 +86,50 @@ def bounded_jtp_lhs(L: int) -> BivarLaurent:
         e = 2 * (triangular(L) - triangular(el))
         for n in range(-el, el + 1):
             pairs.append((n, LaurentPoly.monomial(coeff, n * n + e)))
-    return BivarLaurent(pairs)
+    return _by_power(pairs)
 
 
-def bounded_jtp_rhs(L: int) -> BivarLaurent:
+def bounded_jtp_rhs(L: int) -> dict:
     """Right side: the base-q^2 binomial cycle
     sum (-1)^k A^(i-j) q^(i^2 + j^2 + 2T(k)) [L-k; i][L-i; j][L-j; k] (all
     binomials in base q^2), over i, j, k >= 0 with pair sums at most L.
     Since 2T(n) = n^2 + n, each term is the diagonal closed form in q^2
     shifted by -(i+j)."""
-    return BivarLaurent(
+    return _by_power(
         (i - j, closed_form_diag(i, j, k, L).stretch(2).shift(-i - j) * _sign(k))
         for i, j, k in _cycle_tuples(L))
 
 
-def bounded_jtp_sides(L: int) -> tuple[BivarLaurent, BivarLaurent]:
+def bounded_jtp_sides(L: int) -> tuple[dict, dict]:
     """Both sides of the bounded triple product."""
     return bounded_jtp_lhs(L), bounded_jtp_rhs(L)
 
 
-def jtp_series(order: int) -> tuple[BivarLaurent, BivarLaurent]:
-    """Both sides of the triple product identity modulo q^order:
-    sum_n A^n q^(n^2) against the infinite product, factors taken while
-    they still touch exponents below the truncation order."""
+def jtp_series(order: int) -> tuple[dict, dict]:
+    """Both sides of the triple product identity modulo q^order, by power
+    of A: sum_n A^n q^(n^2) against the infinite product
+    prod_m (1 + A q^(2m-1)) (1 + A^-1 q^(2m-1)) (1 - q^(2m)), factors
+    taken while they still touch exponents below the truncation order.
+
+    The product is one coefficient run per power A^n with n^2 < order:
+    a partial product's A^n coefficient starts at q^(n^2) or later, so no
+    other power reaches below the order."""
     bound = isqrt(order - 1)
-    lhs = BivarLaurent((n, TruncSeries.from_poly(q_power(n * n), order))
-                       for n in range(-bound, bound + 1))
-    one = TruncSeries.one(order)
-    rhs = BivarLaurent.monomial(one)
-    m = 1
-    while 2 * m - 1 < order:
-        odd = TruncSeries.from_poly(q_power(2 * m - 1), order)
-        rhs = rhs * BivarLaurent({0: one, 1: odd})
-        rhs = rhs * BivarLaurent({0: one, -1: odd})
-        if 2 * m < order:
-            rhs = rhs * BivarLaurent.monomial(
-                one - TruncSeries.from_poly(q_power(2 * m), order))
-        m += 1
+    lhs = {n: TruncSeries.from_poly(q_power(n * n), order)
+           for n in range(-bound, bound + 1)}
+    runs = [[0] * order for _ in range(2 * bound + 1)]  # A^n at bound + n
+    runs[bound][0] = 1
+    for e in range(1, order, 2):
+        # times 1 + A q^e, then 1 + A^-1 q^e: each run gains its neighbour
+        # below, then above, shifted by e and read before it changes
+        for n in range(2 * bound, 0, -1):
+            runs[n][e:] = map(add, runs[n][e:], runs[n - 1][:order - e])
+        for n in range(2 * bound):
+            runs[n][e:] = map(add, runs[n][e:], runs[n + 1][:order - e])
+        for run in runs:  # times 1 - q^(e+1), which is 1 at e + 1 = order
+            run[e + 1:] = map(sub, run[e + 1:], run[:order - e - 1])
+    rhs = {n - bound: TruncSeries(order, run)
+           for n, run in enumerate(runs) if any(run)}
     return lhs, rhs
 
 
@@ -142,8 +172,14 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
     poch = [TruncSeries.one(order)]
     for n in range(1, order):
         poch.append(poch[-1] * poch_series(n, 1, order))
-    # [k+i; k] / ((q)_i (q)_k) = (q)_(i+k) / ((q)_i (q)_k)^2
-    inv_sq = [r * r for r in (p.recip() for p in poch)]
+    # [k+i; k] / ((q)_i (q)_k) = (q)_(i+k) / ((q)_i (q)_k)^2, and each
+    # 1/(q)_n is 1/(q)_(n-1) divided by 1 - q^n
+    inv = [1] + [0] * (order - 1)
+    inv_sq = [TruncSeries.one(order)]
+    for n in range(1, order):
+        divide_one_minus(inv, n)
+        series = TruncSeries(order, inv)
+        inv_sq.append(series * series)
     # q^e times a series is known modulo q^order from the series' first
     # order - e coefficients, so the product is cut there and then shifted
     rhs = [0] * order
@@ -197,42 +233,44 @@ def jacobi_cube_series(order: int) -> tuple[TruncSeries, TruncSeries]:
 # the a-weighted cycle and its q = 1 collapse
 # ---------------------------------------------------------------------------
 
-def carl_poly_sides(L: int) -> tuple[BivarLaurent, BivarLaurent]:
-    """The a-weighted polynomial cycle identity:
+def carl_poly_sides(L: int) -> tuple[dict, dict]:
+    """The a-weighted polynomial cycle identity, by power of a:
     sum_{l=0..L} a^(-l) (1+a^(2l+1))/(1+a) q^T(l)  against
     sum a^(i-j) (-1)^k q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k].
 
     The left factor (1+a^(2l+1))/(1+a) is expanded as the finite
-    alternating sum sum_{m=0..2l} (-a)^m, never as a ring division."""
+    alternating sum sum_{m=0..2l} (-a)^m, never as a ring division.  The
+    right side's cycles are grouped by i - j, and each group is one
+    summand list."""
     pairs = []
     for el in range(L + 1):
         coeff = q_power(triangular(el))
         for m in range(2 * el + 1):
             pairs.append((m - el, coeff * _sign(m)))
-    lhs = BivarLaurent(pairs)
-    rhs_pairs = [(i - j, closed_form_diag(i, j, k, L) * _sign(k))
-                 for i, j, k in _cycle_tuples(L)]
-    return lhs, BivarLaurent(rhs_pairs)
+    groups = {}
+    for i, j, k in _cycle_tuples(L):
+        groups.setdefault(i - j, []).append(cycle_summand(i, j, k, L, _sign(k)))
+    return _by_power(pairs), _by_power(
+        (power, summand_poly(cycles)) for power, cycles in groups.items())
 
 
-def carlitz_sides(L: int) -> tuple[BivarLaurent, BivarLaurent]:
-    """The q = 1 collapse of the a-weighted cycle:
+def carlitz_sides(L: int) -> tuple[dict, dict]:
+    """The q = 1 collapse of the a-weighted cycle, by power of a:
     (a^(L+1) - a^(-L-1)) / (a - a^(-1)) = sum_{m=0..L} a^(L-2m)  against
     sum a^(i-j) (-1)^k C(L-k, i) C(L-i, j) C(L-j, k).
     Both sides are Laurent polynomials in a with integer coefficients."""
-    lhs = BivarLaurent((L - 2 * m, ONE) for m in range(L + 1))
     pairs = []
     for i, j, k in _cycle_tuples(L):
         n = qbinom_q1(L - k, i) * qbinom_q1(L - i, j) * qbinom_q1(L - j, k)
-        pairs.append((i - j, LaurentPoly.monomial(_sign(k) * n)))
-    return lhs, BivarLaurent(pairs)
+        pairs.append((i - j, _sign(k) * n))
+    return {L - 2 * m: 1 for m in range(L + 1)}, _by_power(pairs)
 
 
 def check_carlitz(L: int) -> bool:
     """The q = 1 collapse holds at L, and its left side at a = 1 counts the
     L + 1 terms a^(L-2m) (none for L < 0)."""
     lhs, rhs = carlitz_sides(L)
-    return lhs == rhs and lhs.substitute_one().at_one() == max(L + 1, 0)
+    return lhs == rhs and sum(lhs.values()) == max(L + 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -497,100 +497,3 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries('{self}')"
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in one auxiliary variable
-# ---------------------------------------------------------------------------
-
-class BivarLaurent:
-    """Laurent polynomial in an auxiliary variable A over q-coefficients.
-
-    Coefficients are usually LaurentPoly values but any ring type with
-    ``+``, ``*``, ``==`` and truthiness works (truncated series included).
-    The constructor sums the terms that share an exponent and drops zero
-    coefficients, so dict equality is exact; ``+`` and ``*`` go through it.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Union[Mapping[int, object], Iterable[tuple[int, object]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, object] = {}
-        for e, c in items:
-            if e in acc:
-                acc[e] = acc[e] + c
-            else:
-                acc[e] = c
-        self._terms = {e: c for e, c in acc.items() if c}
-
-    @classmethod
-    def monomial(cls, coeff, aux_exp: int = 0) -> "BivarLaurent":
-        return cls([(aux_exp, coeff)])
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def coeff(self, aux_exp: int):
-        return self._terms.get(aux_exp)
-
-    def iter_terms(self) -> Iterator[tuple[int, object]]:
-        for e in sorted(self._terms):
-            yield e, self._terms[e]
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivarLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-    def __add__(self, other) -> "BivarLaurent":
-        if not isinstance(other, BivarLaurent):
-            return NotImplemented
-        return BivarLaurent([*self._terms.items(), *other._terms.items()])
-
-    def __neg__(self) -> "BivarLaurent":
-        return BivarLaurent({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "BivarLaurent":
-        if not isinstance(other, BivarLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "BivarLaurent":
-        if not isinstance(other, BivarLaurent):
-            return NotImplemented
-        return BivarLaurent((e1 + e2, c1 * c2)
-                            for e1, c1 in self._terms.items()
-                            for e2, c2 in other._terms.items())
-
-    def substitute_one(self):
-        """Set the auxiliary variable to 1: the sum of all coefficients."""
-        total = None
-        for c in self._terms.values():
-            total = c if total is None else total + c
-        return _ZERO if total is None else total
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"BivarLaurent('{self}')"
-
-    def render(self, var: str = "A") -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.iter_terms():
-            if e == 0:
-                parts.append(f"({c})")
-            elif e == 1:
-                parts.append(f"({c})*{var}")
-            else:
-                parts.append(f"({c})*{var}^{e}")
-        return " + ".join(parts)

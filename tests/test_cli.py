@@ -1,6 +1,7 @@
 """Harness tests: sweeping, reporting, determinism, exit codes, golden corpus."""
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -8,12 +9,13 @@ import shlex
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from qgollnitz import cli, corollaries, keyid, partcomb
-from qgollnitz.qcore import BivarLaurent, TruncSeries, q_power
+from qgollnitz.qcore import TruncSeries, q_power
 from qgollnitz.cli import (IDENTITIES, IdentitySpec, SweepSpec, UsageError,
                            render_report, run_golden, run_sweep)
 
@@ -396,8 +398,8 @@ def test_every_identity_sweeps_clean_on_a_small_grid(name):
 def test_extra_predicate_fails_equal_sides_rendered_in_a(monkeypatch):
     # doubled sides stay equal but break carlitz's a = 1 count
     real = corollaries.carlitz_sides
-    monkeypatch.setattr(corollaries, "carlitz_sides",
-                        lambda L: tuple(side + side for side in real(L)))
+    monkeypatch.setattr(corollaries, "carlitz_sides", lambda L: tuple(
+        {e: 2 * c for e, c in side.items()} for side in real(L)))
     report = run_sweep(SweepSpec("carlitz", {"L": (0, 1)}))
     assert report.total == 2
     assert report.failures == [
@@ -417,7 +419,7 @@ def test_carlitz_passes_below_zero():
     (keyid, "key_limit_sides", "key-limit", {"i": (0, 1), "j": (0, 1), "k": (0, 2)},
      lambda s: s * TruncSeries.from_poly(q_power(1), s.order)),
     (corollaries, "bounded_jtp_sides", "jtp-bounded", {"L": (0, 3)},
-     lambda b: b * BivarLaurent.monomial(q_power(1))),
+     lambda side: {e: c.shift(1) for e, c in side.items()}),
 ])
 def test_table_binds_sides_late(monkeypatch, module, name, identity, ranges,
                                 times_q):
@@ -431,6 +433,8 @@ def test_table_binds_sides_late(monkeypatch, module, name, identity, ranges,
 
     ident = IDENTITIES[identity]
     extra = {} if ident.default_order is None else {"order": ident.default_order}
+    render = partial(corollaries.render_powers, var="A") \
+        if module is corollaries else str
     assert run_sweep(SweepSpec(identity, ranges)).ok
     monkeypatch.setattr(module, name, shifted)
     report = run_sweep(SweepSpec(identity, ranges))
@@ -440,7 +444,8 @@ def test_table_binds_sides_late(monkeypatch, module, name, identity, ranges,
         params = {**dict(zip(ident.params, combo)), **extra}
         lhs, rhs = shifted(*params.values())
         if lhs != rhs:
-            expected.append({"params": params, "lhs": str(lhs), "rhs": str(rhs)})
+            expected.append({"params": params, "lhs": render(lhs),
+                             "rhs": render(rhs)})
     assert expected and report.failures == expected
 
 
@@ -488,6 +493,46 @@ def test_failing_sweep_with_an_order_reports_as_before(monkeypatch):
         {"i": 1, "j": 1, "k": 0, "order": 6}]
 
 
+def _times_q(side):
+    """side times q: a polynomial, a series, or a {power: coefficient} dict
+    of either."""
+    if isinstance(side, dict):
+        return {e: _times_q(c) for e, c in side.items()}
+    if isinstance(side, TruncSeries):
+        return side * TruncSeries.from_poly(q_power(1), side.order)
+    return side.shift(1)
+
+
+_REPORTS = Path(__file__).resolve().parent / "data" / "failure_reports"
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("carl_poly_sides", SweepSpec("carl", {"L": (0, 3)})),
+    ("bounded_jtp_sides", SweepSpec("jtp-bounded", {"L": (0, 3)})),
+    ("jtp_series", SweepSpec("jtp-series", order=6)),
+    ("false_theta_sides", SweepSpec("false-theta", order=8)),
+], ids=lambda arg: arg.identity if isinstance(arg, SweepSpec) else arg)
+def test_failing_corollary_sweep_reports_as_before(monkeypatch, name, spec):
+    # with its right side times q, each sweep renders the text and JSON
+    # reports in data/failure_reports byte for byte; they were captured
+    # when these sides were still ring values in qcore and false theta
+    # still used series reciprocals (VERSION stands for the version, and
+    # the elapsed time is zeroed)
+    real = getattr(corollaries, name)
+
+    def corrupted(*args):
+        lhs, rhs = real(*args)
+        return lhs, _times_q(rhs)
+
+    monkeypatch.setattr(corollaries, name, corrupted)
+    report = dataclasses.replace(run_sweep(spec), elapsed_ms=0)
+    text, json_text = (
+        (_REPORTS / f"{spec.identity}.{ext}").read_text(encoding="utf-8")
+        .replace("VERSION", cli.__version__) for ext in ("txt", "json"))
+    assert render_report(report, "text") == text
+    assert render_report(report, "json") + "\n" == json_text
+
+
 def test_table_binds_carlitz_rule_late(monkeypatch):
     # a patched a = 1 rule decides every tuple; each row renders the real
     # sides in a
@@ -495,7 +540,8 @@ def test_table_binds_carlitz_rule_late(monkeypatch):
     report = run_sweep(SweepSpec("carlitz", {"L": (-1, 2)}))
     assert report.total == 4
     assert report.failures == [
-        {"params": {"L": L}, "lhs": lhs.render("a"), "rhs": rhs.render("a")}
+        {"params": {"L": L}, "lhs": corollaries.render_powers(lhs, "a"),
+         "rhs": corollaries.render_powers(rhs, "a")}
         for L in range(-1, 3) for lhs, rhs in [corollaries.carlitz_sides(L)]]
 
 

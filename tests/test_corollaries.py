@@ -1,41 +1,52 @@
 """Tests for the bounded triple product, false theta, cube analogs, the
 q = 1 collapse, and the four parameter identity."""
 
+import inspect
 import itertools
 import operator
+import types
 
 import pytest
 
+from qgollnitz import corollaries
+from qgollnitz.cli import SweepSpec, run_sweep
 from qgollnitz.qcomb import NegativeLength, qbinom
-from qgollnitz.qcore import BivarLaurent, LaurentPoly, TruncSeries
+from qgollnitz.qcore import LaurentPoly, TruncSeries
 from qgollnitz.keyid import key_limit_lhs, key_limit_rhs
 from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
                                    bounded_jtp_sides, carl_poly_sides,
                                    carlitz_sides, enumerate_decuples,
                                    false_theta_sides, four_param_sides,
                                    jacobi_cube_poly_sides, jacobi_cube_series,
-                                   jtp_series, poch_series)
+                                   jtp_series, poch_series, render_powers)
 
 
 def P(terms):
     return LaurentPoly(terms)
 
 
-def truncate_bivar(bp, order):
-    """Per-coefficient truncation of a polynomial BivarLaurent to series."""
-    return BivarLaurent((e, TruncSeries.from_poly(c, order))
-                        for e, c in bp.terms.items())
+def truncate_by_power(side, order):
+    """Truncate each coefficient of a {power: polynomial} side to a series,
+    leaving out those that truncate to zero."""
+    truncated = {e: TruncSeries.from_poly(c, order) for e, c in side.items()}
+    return {e: s for e, s in truncated.items() if s}
+
+
+def test_render_powers():
+    assert render_powers({}, "a") == "0"
+    assert render_powers({2: P({1: 1}), -1: -3, 0: P({0: 1, 1: -1}), 1: 4},
+                         "A") == "(-3)*A^-1 + (1 - q) + (4)*A + (q)*A^2"
 
 
 # -- bounded Jacobi triple product -------------------------------------------
 
 def test_jtp_bounded_L0():
-    assert bounded_jtp_lhs(0) == BivarLaurent({0: P({0: 1})})
+    assert bounded_jtp_lhs(0) == {0: P({0: 1})}
     assert operator.eq(*bounded_jtp_sides(0))
 
 
 def test_jtp_bounded_L1_lhs_frozen():
-    want = BivarLaurent({-1: P({1: 1}), 0: P({0: 1, 2: -1}), 1: P({1: 1})})
+    want = {-1: P({1: 1}), 0: P({0: 1, 2: -1}), 1: P({1: 1})}
     assert bounded_jtp_lhs(1) == want
 
 
@@ -49,20 +60,20 @@ def test_jtp_bounded_stabilizes_to_series():
     L = 8
     order = 2 * L
     lhs_series, rhs_series = jtp_series(order)
-    assert truncate_bivar(bounded_jtp_lhs(L), order) == lhs_series == rhs_series
+    assert truncate_by_power(bounded_jtp_lhs(L), order) == lhs_series == rhs_series
 
 
 # -- triple product series ---------------------------------------------------
 
 def test_jtp_series_order1():
     lhs, rhs = jtp_series(1)
-    assert lhs == rhs == BivarLaurent({0: TruncSeries.one(1)})
+    assert lhs == rhs == {0: TruncSeries.one(1)}
 
 
 def test_jtp_series_order2():
     lhs, rhs = jtp_series(2)
     q = TruncSeries.from_poly(P({1: 1}), 2)
-    assert lhs == rhs == BivarLaurent({-1: q, 0: TruncSeries.one(2), 1: q})
+    assert lhs == rhs == {-1: q, 0: TruncSeries.one(2), 1: q}
 
 
 def test_jtp_series_order10():
@@ -163,9 +174,9 @@ def test_poch_series_rejects_negative_lengths():
 
 def test_carl_examples():
     lhs, rhs = carl_poly_sides(0)
-    assert lhs == rhs == BivarLaurent({0: P({0: 1})})
+    assert lhs == rhs == {0: P({0: 1})}
     lhs, _ = carl_poly_sides(1)
-    want = BivarLaurent({-1: P({1: 1}), 0: P({0: 1, 1: -1}), 1: P({1: 1})})
+    want = {-1: P({1: 1}), 0: P({0: 1, 1: -1}), 1: P({1: 1})}
     assert lhs == want
 
 
@@ -173,8 +184,8 @@ def test_carl_range_and_substitution():
     for L in range(11):
         lhs, rhs = carl_poly_sides(L)
         assert lhs == rhs, L
-        collapsed = lhs.substitute_one()
-        assert collapsed == rhs.substitute_one()
+        collapsed = sum(lhs.values())  # a = 1
+        assert collapsed == sum(rhs.values())
         # at a = 1 the left side telescopes to sum of q^T(l)
         want = P({el * (el + 1) // 2: 1 for el in range(L + 1)})
         assert collapsed == want
@@ -182,16 +193,57 @@ def test_carl_range_and_substitution():
 
 def test_carlitz_examples():
     lhs, rhs = carlitz_sides(0)
-    assert lhs == rhs == BivarLaurent({0: P({0: 1})})
+    assert lhs == rhs == {0: 1}
     lhs, rhs = carlitz_sides(1)
-    assert lhs == rhs == BivarLaurent({-1: P({0: 1}), 1: P({0: 1})})
+    assert lhs == rhs == {-1: 1, 1: 1}
 
 
 def test_carlitz_range_and_collapse():
     for L in range(13):
         lhs, rhs = carlitz_sides(L)
         assert lhs == rhs, L
-        assert lhs.substitute_one().at_one() == L + 1
+        assert sum(lhs.values()) == L + 1  # a = 1
+
+
+# -- mutants ------------------------------------------------------------------
+
+def _mutant(old, new):
+    """A fresh copy of corollaries with old replaced by new in its source."""
+    source = inspect.getsource(corollaries)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("qgollnitz.corollaries_mutant")
+    module.__package__ = "qgollnitz"
+    exec(compile(source.replace(old, new), corollaries.__file__, "exec"), vars(module))
+    return module
+
+
+_CARL_GROUP = "groups.setdefault(i - j, [])"
+_CARL_CYCLE = "cycle_summand(i, j, k, L, _sign(k))"
+_JTP_A_INVERSE = "runs[n][e:] = map(add, runs[n][e:], runs[n + 1][:order - e])"
+_FALSE_THETA_RUN = "divide_one_minus(inv, n)"
+
+
+@pytest.mark.parametrize("name, identity, old, new, caught", [
+    ("carl_poly_sides", "carl", _CARL_GROUP, _CARL_GROUP, False),
+    ("jtp_series", "jtp-series", _JTP_A_INVERSE, _JTP_A_INVERSE, False),
+    ("false_theta_sides", "false-theta", _FALSE_THETA_RUN, _FALSE_THETA_RUN, False),
+    # a cycle filed under the power i - j + 1 of a
+    ("carl_poly_sides", "carl", _CARL_GROUP, "groups.setdefault(i - j + 1, [])",
+     True),
+    # the cycle's sign (-1)^k dropped
+    ("carl_poly_sides", "carl", _CARL_CYCLE, "cycle_summand(i, j, k, L)", True),
+    # the product without its factors 1 + A^-1 q^e
+    ("jtp_series", "jtp-series", _JTP_A_INVERSE, "pass", True),
+    # 1/(q)_n taken as 1/(q)_(n-1) divided by 1 - q^(n+1)
+    ("false_theta_sides", "false-theta", _FALSE_THETA_RUN,
+     "divide_one_minus(inv, n + 1)", True),
+], ids=["carl-copy", "jtp-series-copy", "false-theta-copy", "carl-power",
+        "carl-sign", "jtp-series-factor", "false-theta-reciprocal"])
+def test_default_sweep_catches_a_mutant(monkeypatch, name, identity, old, new,
+                                        caught):
+    # an unmutated copy passes the identity's default sweep
+    monkeypatch.setattr(corollaries, name, getattr(_mutant(old, new), name))
+    assert run_sweep(SweepSpec(identity)).ok is not caught
 
 
 # -- four parameter identity --------------------------------------------------

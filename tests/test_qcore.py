@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgollnitz.qcore import (ONE, ZERO, BivarLaurent, LaurentPoly, NegativeExponent,
+from qgollnitz.qcore import (ONE, ZERO, LaurentPoly, NegativeExponent,
                              NonUnitConstantTerm, TruncSeries, parse_poly,
                              poly_sum, q_power, render_poly, unpack_signed)
 from qgollnitz.qcore import _SCHOOLBOOK_CAP, _conv, _kron_conv
@@ -326,78 +326,6 @@ def test_series_recip_property(s):
     cs[0] = 1 if cs[0] >= 0 else -1
     s = TruncSeries(s.order, cs)
     assert s * s.recip() == TruncSeries.one(s.order)
-
-
-# -- auxiliary-variable Laurent polynomials ----------------------------------
-
-def test_bivar_square():
-    x = BivarLaurent({1: P({0: 1}), -1: P({0: 1})})
-    assert x * x == BivarLaurent({2: P({0: 1}), 0: P({0: 2}), -2: P({0: 1})})
-
-
-def test_bivar_substitute_one():
-    x = BivarLaurent({1: P({1: 1}), -1: P({1: 1})})
-    assert x.substitute_one() == P({1: 2})
-    assert BivarLaurent().substitute_one() == P({})
-
-
-def test_bivar_product_example():
-    x = BivarLaurent({0: P({0: 1}), 1: P({1: 1})})
-    y = BivarLaurent({0: P({0: 1}), -1: P({1: 1})})
-    assert x * y == BivarLaurent({1: P({1: 1}),
-                                  0: P({0: 1, 2: 1}),
-                                  -1: P({1: 1})})
-
-
-def test_bivar_zero_coefficients_dropped():
-    x = BivarLaurent({0: P({0: 1}), 2: P({})})
-    assert x.terms == {0: P({0: 1})}
-    assert (x - x) == BivarLaurent()
-
-
-bivars = st.dictionaries(st.integers(-3, 3), polys, max_size=4) \
-    .map(BivarLaurent)
-
-
-def flat(x):
-    """A BivarLaurent as {(aux exponent, q exponent): coefficient}."""
-    return {(a, e): c for a, p in x.terms.items() for e, c in p.terms.items()}
-
-
-def flat_add(f, g, sign=1):
-    out = dict(f)
-    for key, c in g.items():
-        out[key] = out.get(key, 0) + sign * c
-    return {key: c for key, c in out.items() if c}
-
-
-def flat_mul(f, g):
-    out = {}
-    for (a1, e1), c1 in f.items():
-        for (a2, e2), c2 in g.items():
-            key = (a1 + a2, e1 + e2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {key: c for key, c in out.items() if c}
-
-
-@given(bivars, bivars, st.data())
-def test_bivar_ops_match_dict_oracle(x, z, data):
-    # y repeats some of x's coefficients negated, so x + y cancels there;
-    # (x + y) * (x - y) = x^2 - y^2 cancels its cross terms
-    keep = data.draw(st.sets(st.sampled_from(sorted(x.terms)))) if x else set()
-    y = BivarLaurent({**z.terms, **{a: -x.coeff(a) for a in keep}})
-    fx, fy = flat(x), flat(y)
-    fsum, fdiff = flat_add(fx, fy), flat_add(fx, fy, -1)
-    for got, want in ((x + y, fsum), (x - y, fdiff), (x * y, flat_mul(fx, fy)),
-                      ((x + y) * (x - y), flat_mul(fsum, fdiff))):
-        assert flat(got) == want
-        assert all(got.terms.values())  # no zero coefficient is stored
-
-
-@given(bivars, bivars)
-def test_substitute_one_is_a_ring_map(x, y):
-    assert (x * y).substitute_one() == x.substitute_one() * y.substitute_one()
-    assert (x + y).substitute_one() == x.substitute_one() + y.substitute_one()
 
 
 # -- canonical text ----------------------------------------------------------
