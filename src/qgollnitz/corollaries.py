@@ -17,9 +17,9 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .qcore import LaurentPoly, TruncSeries, q_power
-from .qcomb import (divide_one_minus, poch_qpow, poch_quotient_sum, qbinom_q1,
+from .qcomb import (NegativeLength, divide_one_minus, poch_quotient_sum, qbinom_q1,
                     summand_poly, triangular)
-from .keyid import closed_form_diag, cycle_summand
+from .keyid import cycle_summand
 
 
 class Decuple(NamedTuple):
@@ -63,6 +63,17 @@ def _by_power(pairs) -> dict:
     return {e: c for e, c in acc.items() if c}
 
 
+def _cycle_sums(L: int, lower: bool = False) -> dict:
+    """The signed cycles (-1)^k cycle_summand(i, j, k, L) summed by i - j,
+    {i - j: value}, each group decoded from one summand list; with lower,
+    each cycle is first divided by q^((i+j)//2)."""
+    groups = {}
+    for i, j, k in _cycle_tuples(L):
+        e, factors, coeff = cycle_summand(i, j, k, L, _sign(k))
+        groups.setdefault(i - j, []).append((e - lower * ((i + j) // 2), factors, coeff))
+    return {power: summand_poly(cycles) for power, cycles in groups.items()}
+
+
 def render_powers(side: dict, var: str) -> str:
     """A {power: coefficient} dict as (c) + (c)*var + (c)*var^e + ..., in
     ascending powers of var; 0 for the empty dict."""
@@ -93,11 +104,12 @@ def bounded_jtp_rhs(L: int) -> dict:
     """Right side: the base-q^2 binomial cycle
     sum (-1)^k A^(i-j) q^(i^2 + j^2 + 2T(k)) [L-k; i][L-i; j][L-j; k] (all
     binomials in base q^2), over i, j, k >= 0 with pair sums at most L.
-    Since 2T(n) = n^2 + n, each term is the diagonal closed form in q^2
-    shifted by -(i+j)."""
-    return _by_power(
-        (i - j, closed_form_diag(i, j, k, L).stretch(2).shift(-i - j) * _sign(k))
-        for i, j, k in _cycle_tuples(L))
+    Since 2T(n) = n^2 + n, each term is the signed cycle in q^2 times
+    q^-(i+j), and i + j has the parity of the power i - j: so the cycles of
+    one power, each lowered by q^((i+j)//2), are summed in base q (as carl's
+    are), then stretched to q^2 and lowered by one more q for an odd power."""
+    return _by_power((power, value.stretch(2).shift(-(power & 1)))
+                     for power, value in _cycle_sums(L, lower=True).items())
 
 
 def bounded_jtp_sides(L: int) -> tuple[dict, dict]:
@@ -138,12 +150,18 @@ def jtp_series(order: int) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 def poch_series(k: int, n: int, order: int) -> TruncSeries:
-    """(q^k; q)_n modulo q^order for k >= 1.  Factors 1 - q^(k+j) with
-    k + j >= order are 1 modulo q^order, so they are left out.  Raises
-    NegativeLength for n < 0, as poch_qpow does."""
+    """(q^k; q)_n modulo q^order for k >= 1, one factor 1 - q^r at a time on
+    a coefficient run cut at the order; factors with r >= order are 1 modulo
+    q^order, so they are left out.  Raises NegativeLength for n < 0, as
+    qcomb.poch_qpow does."""
     if k < 1:
         raise ValueError("poch_series needs k >= 1")
-    return TruncSeries.from_poly(poch_qpow(k, min(n, max(0, order - k))), order)
+    if n < 0:
+        raise NegativeLength(f"Pochhammer length must be >= 0, got {n}")
+    run = [1] + [0] * (order - 1)
+    for r in range(k, min(k + n, order)):  # times 1 - q^r
+        run[r:] = map(sub, run[r:], run[:order - r])
+    return TruncSeries(order, run)
 
 
 def _theta_series(order: int, weight) -> TruncSeries:
@@ -247,11 +265,7 @@ def carl_poly_sides(L: int) -> tuple[dict, dict]:
         coeff = q_power(triangular(el))
         for m in range(2 * el + 1):
             pairs.append((m - el, coeff * _sign(m)))
-    groups = {}
-    for i, j, k in _cycle_tuples(L):
-        groups.setdefault(i - j, []).append(cycle_summand(i, j, k, L, _sign(k)))
-    return _by_power(pairs), _by_power(
-        (power, summand_poly(cycles)) for power, cycles in groups.items())
+    return _by_power(pairs), _by_power(_cycle_sums(L).items())
 
 
 def carlitz_sides(L: int) -> tuple[dict, dict]:

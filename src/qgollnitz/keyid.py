@@ -7,23 +7,23 @@ Conventions: g(i, j, k, L, M) is the colored-frequency double sum (lhs_g),
 p(i, j, k, L, M) is the single s-sum (rhs_p).  Both are total functions on
 Z^5; no argument is range-restricted.
 
-Each side is written once: the left side straight in qcomb's normal form
-(lhs_normal, viewed as a summand list by lhs_summands), the right side and
-the diagonal closed form's cycle_summand as summand lists.  check_key joins
-the two normal forms and decides them on one image; lhs_g and rhs_p decode
-them.  The sextuple rows come from a small bounded memo (_sextuple_rows).
+Every binomial of either side depends on L alone or on M alone, so the
+identity's three displayed sums (lhs_normal's two and the right side's
+s-sum) are built from halves in qcomb's normal form, kept in two small
+memos: _l_halves (keyed by (i, j, k, L), 8 entries) and _m_halves (keyed
+by (i, j, k, M), 16 entries).  One joiner, _sum_normal, multiplies a sum's
+halves part by part; check_key joins the left sums to the negated right
+one and decides them on one image, and lhs_g and rhs_p decode them.  Both
+sides have one support rule: qcomb.factor_normal gives None for a zero
+factor, which drops the summand.  The sextuple rows come from a small
+memo (_sextuple_rows); the diagonal closed form is a summand list.
 
-Every binomial of either side depends on L alone or on M alone, so each
-side is built from halves, each in a small memo: the left side's L half
-(_lhs_l_half, keyed by (i, j, k, L), 8 entries) and M half (_lhs_m_half,
-keyed by (i, j, k, M), 16 entries), and the right side's L half
-(_rhs_l_half, 8 entries), which leaves only [M-i-j; k-s] and sM to each
-M.  A sweep runs M innermost, so one L half serves every M of its
-(i, j, k, L); and while (i, j, k) stays, one M half serves every L, as
-long as the M range has at most 16 values.  On acceptance criterion 1's
-grid each memo misses once per key, 4,802 times in 67,228 reads.  The
-recurrences, which reach lhs_g at shifted points, hit 74-81 % of their
-reads; larger tables hit no more there and only hold more memory.
+A sweep runs M innermost, so one L half serves every M of its
+(i, j, k, L), and one M half every L of its (i, j, k) while the M range
+has at most 16 values: on acceptance criterion 1's grid each memo misses
+once per key, 4,802 times in 67,228 reads.  At the recurrences' shifted
+points lhs_g's half reads hit 77-83 %, but in recurrence-p rhs_p's M reads
+hit only 35 %, and each such miss builds the left M half too.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 from .qcore import ZERO, LaurentPoly, TruncSeries, poly_sum, q_power
 from . import qcomb
-from .qcomb import (_normal_terms, normal_is_zero, normal_poly, poch_quotient_sum,
-                    qbinom_is_nonzero, summand_poly, triangular)
+from .qcomb import (normal_is_zero, normal_poly, poch_quotient_sum, summand_poly,
+                    triangular)
 
 
 class Sextuple(NamedTuple):
@@ -84,9 +84,9 @@ def _sextuple_rows(i: int, j: int, k: int) -> tuple:
                  for base in [triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac)])
 
 
-def _times(u, x, e=0):
-    """u times x times q^e, for two factor_normal results, in their form
-    (sign, shift, pairs, weight); None when either is zero."""
+def _times(u, x=(1, 0, (), 1), e=0):
+    """u times x (1 when left out) times q^e, for two factor_normal results,
+    in their form (sign, shift, pairs, weight); None when either is zero."""
     if u is None or x is None:
         return None
     return u[0] * x[0], e + u[1] + x[1], u[2] + x[2], u[3] * x[3]
@@ -125,31 +125,43 @@ def _m_half(rows, M: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _lhs_l_half(i: int, j: int, k: int, L: int) -> tuple:
-    return _l_half(_sextuple_rows(i, j, k), L)
+def _l_halves(i: int, j: int, k: int, L: int) -> tuple:
+    """The L halves of the three displayed sums: the left side's two
+    (_l_half) and the right side's, (s, *part) for every s whose
+    [L-s; s, i-s, j-s] is nonzero, part being that multinomial times
+    q^(2s - T(s) + T(i-s) + T(j-s) + T(k-s)) as _times gives it."""
+    right = tuple((s, *part) for s in range(min(i, j, k) + 1)
+                  for part in [_times(qcomb.factor_normal((L - s, s, i - s, j - s)),
+                                      e=2 * s - triangular(s) + triangular(i - s)
+                                      + triangular(j - s) + triangular(k - s))]
+                  if part is not None)
+    return (*_l_half(_sextuple_rows(i, j, k), L), right)
 
 
 @lru_cache(maxsize=16)
-def _lhs_m_half(i: int, j: int, k: int, M: int) -> tuple:
-    return _m_half(_sextuple_rows(i, j, k), M)
+def _m_halves(i: int, j: int, k: int, M: int) -> tuple:
+    """The M halves of the three displayed sums: the left side's two
+    (_m_half) and the right side's, by s, [M-i-j; k-s] q^(sM)."""
+    right = tuple(_times(qcomb.factor_normal((M - i - j, k - s)), e=s * M)
+                  for s in range(min(i, j, k) + 1))
+    return (*_m_half(_sextuple_rows(i, j, k), M), right)
 
 
-def _sum_normal(l_parts, m_parts) -> tuple:
-    """One displayed sum as a qcomb normal form (B, terms), terms
-    [c, e, n1, m1, ...] with n > m > 0: each row's L part times its M part,
-    where both are nonzero."""
+def _sum_normal(l_parts, m_parts, side: int = 1) -> tuple:
+    """side (1 or -1) times one displayed sum as a qcomb normal form (B,
+    terms), terms [c, e, n1, m1, ...] with n > m > 0: each L part times the
+    M part of its index, where both are nonzero."""
     bound, terms = 0, []
     for index, sign, shift, pairs, weight in l_parts:
         m = m_parts[index]
         if m is not None:
-            terms.append([sign * m[0], shift + m[1], *pairs, *m[2]])
+            terms.append([side * sign * m[0], shift + m[1], *pairs, *m[2]])
             bound += weight * m[3]
     return bound, terms
 
 
-def _lhs_normal(l_half, m_half) -> tuple:
-    """The left side's two displayed sums, each as a normal form, from the
-    halves of one (L, M).
+def lhs_normal(i: int, j: int, k: int, L: int, M: int) -> tuple:
+    """The left side's two displayed sums, each as a normal form.
 
     The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomials
     ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
@@ -159,12 +171,8 @@ def _lhs_normal(l_half, m_half) -> tuple:
     are normalised as [L-t+b; b, ab] = [L-t+b; b] [L-t; ab] and [M-t+c; c, ac].
     qcomb.factor_normal gives None for a zero factor, which drops the
     summand: that is the support rule."""
+    l_half, m_half = _l_halves(i, j, k, L), _m_halves(i, j, k, M)
     return _sum_normal(l_half[0], m_half[0]), _sum_normal(l_half[1], m_half[1])
-
-
-def lhs_normal(i: int, j: int, k: int, L: int, M: int) -> tuple:
-    """The normal forms of the left side's two displayed sums (_lhs_normal)."""
-    return _lhs_normal(_lhs_l_half(i, j, k, L), _lhs_m_half(i, j, k, M))
 
 
 def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
@@ -174,27 +182,6 @@ def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
     is a q-binomial (n, m) = [n; m] with n > m > 0."""
     return tuple([(term[1], tuple(zip(term[2::2], term[3::2])), term[0])
                   for term in terms] for _, terms in lhs_normal(i, j, k, L, M))
-
-
-def rhs_summands(i: int, j: int, k: int, L: int, M: int) -> list:
-    """The right side as a summand list (see lhs_summands): over s,
-    q^(s(M+2) - T(s) + T(i-s) + T(j-s) + T(k-s)) [L-s; s, i-s, j-s] [M-i-j; k-s].
-    Only summands whose factors are all nonzero are listed, so the list is
-    empty when any of i, j, k is negative."""
-    return [(s * M + e, (factor, (M - i - j, k - s)))
-            for s, e, factor in _rhs_l_half(i, j, k, L)
-            if qbinom_is_nonzero(M - i - j, k - s)]
-
-
-@lru_cache(maxsize=8)
-def _rhs_l_half(i: int, j: int, k: int, L: int) -> tuple:
-    """(s, the exponent less sM, [L-s; s, i-s, j-s]) for each s whose three
-    L binomials are nonzero."""
-    return tuple((s, 2 * s - triangular(s) + triangular(i - s) + triangular(j - s)
-                  + triangular(k - s), (L - s, s, i - s, j - s))
-                 for s in range(min(i, j, k) + 1)
-                 if qbinom_is_nonzero(L - s, s) and qbinom_is_nonzero(L - 2 * s, i - s)
-                 and qbinom_is_nonzero(L - s - i, j - s))
 
 
 def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
@@ -224,16 +211,19 @@ def _lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
 
 @lru_cache(maxsize=8192)
 def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
-    """Right side of the key identity: the s-sum of rhs_summands."""
-    return summand_poly(rhs_summands(i, j, k, L, M))
+    """Right side of the key identity: the s-sum (_sum_normal), decoded."""
+    return normal_poly(*_sum_normal(_l_halves(i, j, k, L)[2], _m_halves(i, j, k, M)[2]))
 
 
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
     """Exact equality of the two sides at one integer 5-tuple, decided by
-    normal_is_zero on the left normal form joined to the negated right's."""
-    (bound1, first), (bound2, second) = lhs_normal(i, j, k, L, M)
-    bound, right = _normal_terms(((-1, rhs_summands(i, j, k, L, M)),))
-    return normal_is_zero(bound1 + bound2 + bound, first + second + right)
+    normal_is_zero on the left side's two sums joined to the negated right
+    side's, all three from the same two halves."""
+    l_half, m_half = _l_halves(i, j, k, L), _m_halves(i, j, k, M)
+    bound1, first = _sum_normal(l_half[0], m_half[0])
+    bound2, second = _sum_normal(l_half[1], m_half[1])
+    bound3, right = _sum_normal(l_half[2], m_half[2], -1)
+    return normal_is_zero(bound1 + bound2 + bound3, first + second + right)
 
 
 def boundary_value(i: int, j: int, k: int, M: int) -> LaurentPoly:
@@ -343,8 +333,8 @@ def key_limit_sides(i: int, j: int, k: int, order: int):
 def check_support(i: int, j: int, k: int, L: int) -> bool:
     """On the diagonal M = L with L >= max(i+j, j+k, k+i): every frequency
     tuple whose summand is nonzero has t <= L.  A summand is nonzero when
-    _lhs_normal lists it: when none of its binomials is zero."""
+    _sum_normal lists it: when none of its binomials is zero."""
     if L < max(i + j, j + k, k + i):
         raise ValueError("support property needs L >= max(i+j, j+k, k+i)")
     past = [row for row in _sextuple_rows(i, j, k) if row[6] > L]
-    return not any(terms for _, terms in _lhs_normal(_l_half(past, L), _m_half(past, L)))
+    return not any(terms for _, terms in map(_sum_normal, _l_half(past, L), _m_half(past, L)))

@@ -13,12 +13,12 @@ which is where negative q-exponents enter the engine.  qbinom and
 qmultinom are polynomial products, for the recurrences on them and as the
 tests' oracle.
 
-Every sum of q-binomial products in the engine (both sides of the key
-identity, its diagonal closed form, the cube analog) is a summand list: an
-integer times q^shift times a product of q-binomials and q-multinomials.
+Every sum of q-binomial products in the engine (the key identity's
+diagonal closed form, the cube analog) is a summand list: an integer
+times q^shift times a product of q-binomials and q-multinomials.
 _normal_terms reduces a list to its normal form, flat terms of [n; m] pairs
-with n > m > 0 (factor_normal) and B, their summed weight; keyid builds the
-key identity's left side in that form directly.  One evaluator, _image,
+with n > m > 0 (factor_normal) and B, their summed weight; keyid builds
+both sides of the key identity in that form directly.  One evaluator, _image,
 gives a normal form's value at q = 2^W, each binomial by the product formula
 over the integers (qbinom_image).  normal_is_zero decides on it, with W
 large enough that equal integers mean equal polynomials; normal_poly reads

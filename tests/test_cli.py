@@ -97,19 +97,28 @@ def test_key_sweep_on_wide_bounds():
 
 
 def test_key_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
-    real = keyid.rhs_summands
+    # the right side's halves are corrupted; its L half is keyed by
+    # (i, j, k, L), so the kind of corruption follows i + j + L
+    real_l, real_m = keyid._l_halves, keyid._m_halves
 
-    def corrupted(i, j, k, L, M):
-        right = real(i, j, k, L, M)
+    def corrupted_l(i, j, k, L):
+        *left, right = real_l(i, j, k, L)
         kind = (i + j + L) % 3
         if kind == 0:
-            return [(e + 1, fs) for e, fs in right]  # times q
-        if kind == 1:
-            return right + [(M, ())]  # + q^M
-        return right[:-1]  # one summand dropped
+            right = tuple((s, c, e + 1, *rest) for s, c, e, *rest in right)  # times q
+        elif kind == 1:
+            right += ((-1, 1, 0, (), 1),)  # + q^M, joined to the M half's last part
+        else:
+            right = right[:-1]  # one summand dropped
+        return (*left, right)
+
+    def corrupted_m(i, j, k, M):
+        *left, right = real_m(i, j, k, M)
+        return (*left, right + ((1, M, (), 1),))
 
     ranges = {"i": (0, 2), "j": (-1, 2), "k": (0, 1), "L": (-2, 3), "M": (-1, 3)}
-    monkeypatch.setattr(keyid, "rhs_summands", corrupted)
+    monkeypatch.setattr(keyid, "_l_halves", corrupted_l)
+    monkeypatch.setattr(keyid, "_m_halves", corrupted_m)
     keyid.rhs_p.cache_clear()
     try:
         report = run_sweep(SweepSpec("key", ranges))

@@ -159,6 +159,19 @@ def test_poch_series_matches_polynomial():
                 TruncSeries.from_poly(poch_qpow(k, n), 12)
 
 
+def test_poch_series_matches_euler_pentagonal_theorem():
+    # (q; q)_inf = sum_n (-1)^n q^(n(3n-1)/2) over all integers n, and
+    # (q; q)_n agrees with it modulo q^order once n >= order - 1
+    order = 1000
+    euler = [0] * order
+    for n in range(-26, 27):
+        e = n * (3 * n - 1) // 2
+        if e < order:
+            euler[e] += -1 if n % 2 else 1
+    for n in (order - 1, order, 5000):
+        assert poch_series(1, n, order) == TruncSeries(order, euler), n
+
+
 def test_poch_series_rejects_negative_lengths():
     # as poch_qpow does, also where every factor would be left out (k >= order)
     from qgollnitz.qcomb import poch_qpow

@@ -17,7 +17,7 @@ from qgollnitz.qcomb import (poch_qpow, qbinom, qbinom_is_nonzero, qmultinom,
                              summand_poly, summands_agree, triangular)
 from qgollnitz.cli import SweepSpec, run_sweep
 from qgollnitz.corollaries import jacobi_cube_poly_summands
-from qgollnitz.keyid import (Sextuple, _l_half, _lhs_normal, _m_half,
+from qgollnitz.keyid import (Sextuple, _l_half, _m_half, _sum_normal,
                              _sextuple_rows, andrews_sides,
                              boundary_sides, boundary_value, check_key,
                              check_schur_case, check_support, closed_form_diag,
@@ -25,7 +25,7 @@ from qgollnitz.keyid import (Sextuple, _l_half, _lhs_normal, _m_half,
                              key_limit_rhs, key_limit_sides, lhs_g, lhs_g_parts,
                              lhs_summands, poch_quotient_sum,
                              recurrence_sides_g, recurrence_sides_p, rhs_p,
-                             rhs_summands, schur_sides)
+                             schur_sides)
 
 
 def P(terms):
@@ -93,7 +93,8 @@ _CRITERION_1 = {"i": (-2, 4), "j": (-2, 4), "k": (-2, 4),
 
 
 def _direct_rhs_summands(i, j, k, L, M):
-    # the right side written out per tuple, the reference for its L half
+    # the right side written out per tuple as a summand list, the
+    # reference for its halves
     return [(s * (M + 2) - triangular(s) + triangular(i - s) + triangular(j - s)
              + triangular(k - s), ((L - s, s, i - s, j - s), (M - i - j, k - s)))
             for s in range(min(i, j, k) + 1)
@@ -105,7 +106,8 @@ def _direct_rhs_summands(i, j, k, L, M):
 def test_halves_match_a_direct_build_in_any_order():
     # from empty memos, criterion 1's grid in shuffled order, so the half
     # memos mostly miss and evict: each answer must equal an unmemoised
-    # build of the same tuple
+    # build of the same tuple; the right side's halves, joined, must equal
+    # the normal form of its summand list
     axes = [range(lo, hi + 1) for lo, hi in _CRITERION_1.values()]
     grid = list(itertools.product(*axes))
     random.Random(21).shuffle(grid)
@@ -113,9 +115,10 @@ def test_halves_match_a_direct_build_in_any_order():
             for ijk in itertools.product(*axes[:3])}
     _clear_memos()
     for i, j, k, L, M in grid:
-        direct = _lhs_normal(_l_half(rows[i, j, k], L), _m_half(rows[i, j, k], M))
+        direct = tuple(map(_sum_normal, _l_half(rows[i, j, k], L), _m_half(rows[i, j, k], M)))
         assert keyid.lhs_normal(i, j, k, L, M) == direct
-        assert rhs_summands(i, j, k, L, M) == _direct_rhs_summands(i, j, k, L, M)
+        right = _sum_normal(keyid._l_halves(i, j, k, L)[2], keyid._m_halves(i, j, k, M)[2])
+        assert right == qcomb._normal_terms(((1, _direct_rhs_summands(i, j, k, L, M)),))
 
 
 def test_key_sweep_reads_each_half_once_per_key():
@@ -123,14 +126,14 @@ def test_key_sweep_reads_each_half_once_per_key():
     # (i, j, k, M) every L: 343 * 14 misses of the 67,228 reads each
     _clear_memos()
     assert run_sweep(SweepSpec("key", _CRITERION_1)).ok
-    for memo in (keyid._lhs_l_half, keyid._lhs_m_half, keyid._rhs_l_half):
+    for memo in (keyid._l_halves, keyid._m_halves):
         info = memo.cache_info()
         assert (info.hits, info.misses) == (62426, 4802), memo
 
 
 def test_key_sweep_wider_than_the_m_half_memo():
     ranges = {"i": (0, 2), "j": (0, 2), "k": (0, 2), "L": (0, 12), "M": (0, 40)}
-    assert keyid._lhs_m_half.cache_info().maxsize < 41
+    assert keyid._m_halves.cache_info().maxsize < 41
     report = run_sweep(SweepSpec("key", ranges))
     assert report.ok, report.failures[:1]
     assert report.total == 27 * 13 * 41
@@ -168,8 +171,10 @@ def test_normal_forms_hold_no_unit_binomial():
     for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
                                   range(-3, 11, 2), range(-3, 11, 2)):
         (_, first), (_, second) = keyid.lhs_normal(*args)
-        _, right = qcomb._normal_terms(((1, rhs_summands(*args)),))
-        for term in first + second + right:
+        _, right = _sum_normal(keyid._l_halves(*args[:4])[2],
+                               keyid._m_halves(*args[:3], args[4])[2])
+        _, direct = qcomb._normal_terms(((1, _direct_rhs_summands(*args)),))
+        for term in first + second + right + direct:
             assert all(n > m > 0 for n, m in zip(term[2::2], term[3::2])), (args, term)
 
 
@@ -330,7 +335,7 @@ def test_summand_poly_matches_product_oracle_on_key_summands():
     for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
                                   range(-3, 9), range(-3, 9)):
         first, second = lhs_summands(*args)
-        right = rhs_summands(*args)
+        right = _direct_rhs_summands(*args)
         for side in (first, second, right):
             assert summand_poly(side) == product_poly(side), args
 
@@ -400,7 +405,7 @@ def test_summand_poly_at_the_coefficient_bound(a):
 
 def _key_sides(i, j, k, L, M):
     first, second = lhs_summands(i, j, k, L, M)
-    return first + second, rhs_summands(i, j, k, L, M)
+    return first + second, _direct_rhs_summands(i, j, k, L, M)
 
 
 def test_key_summands_evaluate_to_both_sides():
@@ -409,7 +414,7 @@ def test_key_summands_evaluate_to_both_sides():
         first, second = lhs_summands(*args)
         assert (product_poly(first), product_poly(second)) == lhs_g_parts(*args)
         assert product_poly(first + second) == lhs_g(*args)
-        assert product_poly(rhs_summands(*args)) == rhs_p(*args)
+        assert product_poly(_direct_rhs_summands(*args)) == rhs_p(*args)
 
 
 def test_key_summands_reject_corruption():
@@ -456,7 +461,7 @@ def test_summands_agree_on_the_cube_analog(L, data):
 def test_rhs_summands_are_nonzero():
     for i, j, k, L, M in itertools.product(range(-1, 4), range(0, 4), range(0, 4),
                                            range(-3, 7), range(-3, 7)):
-        listed = rhs_summands(i, j, k, L, M)
+        listed = _direct_rhs_summands(i, j, k, L, M)
         assert all(product_poly([summand]) for summand in listed)
         live = sum(1 for s in range(min(i, j, k) + 1)
                    if qmultinom(L - s, (s, i - s, j - s)) and qbinom(M - i - j, k - s))
@@ -747,7 +752,7 @@ def test_check_support_matches_a_brute_force_rule():
             for sx, row in zip(enumerate_sextuples(i, j, k), _sextuple_rows(i, j, k)):
                 live = [bool(product_poly(side)) for side in _raw_sums(sx, L, L)]
                 listed = [bool(terms) for _, terms
-                          in _lhs_normal(_l_half([row], L), _m_half([row], L))]
+                          in map(_sum_normal, _l_half([row], L), _m_half([row], L))]
                 assert listed == live, (sx, L)
                 holds = holds and not (sx.t > L and any(live))
             assert check_support(i, j, k, L) == holds, (i, j, k, L)
@@ -782,7 +787,8 @@ def test_unmutated_copy_passes_the_mutant_grid():
     # the second sum's exponent T(bc-1) replaced by T(bc)
     pytest.param("base + triangular(sx.bc - 1)", "base + triangular(sx.bc)", 1,
                  id="second-exponent"),
-    pytest.param("_sum_normal(l_half[1], m_half[1])", "(0, [])", 1,
+    # the second sum dropped, from the left side and from check_key's join
+    pytest.param("_sum_normal(l_half[1], m_half[1])", "(0, [])", 2,
                  id="second-dropped"),
     # the sign or the power of q of a reflected negative top lost, for the
     # shared binomials and for each sum's own two; _times joins a shared
@@ -801,6 +807,36 @@ def test_check_key_catches_a_left_side_mutant(old, new, count):
 
 
 def test_check_key_catches_a_right_side_mutant():
-    # the right side's exponent, hoisted out of the M loop, without T(k-s)
-    mutant = _mutant("+ triangular(k - s),", ",")
+    # the right side's exponent, in its L half, without T(k-s)
+    mutant = _mutant("+ triangular(k - s))]", ")]")
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
+
+
+@pytest.mark.parametrize("old, new", [
+    # a wrong bottom in the L half's multinomial [L-s; s, i-s, j-s]
+    pytest.param("normal((L - s, s, i - s, j - s))", "normal((L - s, s, i - s, j - s + 1))",
+                 id="L-bottom"),
+    # [M-i-j; k-s+1] in the M half
+    pytest.param("normal((M - i - j, k - s))", "normal((M - i - j, k - s + 1))",
+                 id="M-bottom"),
+    # the right side joined unnegated
+    pytest.param("m_half[2], -1)", "m_half[2])", id="sign"),
+    # both sides share the joiner, so a fault there could shift them alike;
+    # dropping the M part's shift must still show
+    pytest.param("shift + m[1]", "shift", id="joiner-shift"),
+])
+def test_check_key_catches_a_right_half_or_joiner_mutant(old, new):
+    mutant = _mutant(old, new)
+    assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
+
+
+def test_key_sweep_normalises_no_summand_list(monkeypatch):
+    # both sides of criterion 1's grid come straight from the half memos;
+    # the function's code is swapped, so a name imported from qcomb raises too
+    def forbidden(*args):
+        raise AssertionError("a key sweep normalised a summand list")
+    _clear_memos()
+    monkeypatch.setattr(qcomb._normal_terms, "__code__", forbidden.__code__)
+    report = run_sweep(SweepSpec("key", _CRITERION_1))
+    assert report.ok, report.failures[:1]
+    assert report.total == 67228
