@@ -9,31 +9,32 @@ Z^5; no argument is range-restricted.
 
 Every binomial of either side depends on L alone or on M alone, so the
 identity's three displayed sums (lhs_normal's two and the right side's
-s-sum) are built from halves in qcomb's normal form, kept in two small
-memos: _l_halves (keyed by (i, j, k, L), 8 entries) and _m_halves (keyed
-by (i, j, k, M), 16 entries).  One joiner, _sum_normal, multiplies a sum's
-halves part by part; check_key joins the left sums to the negated right
-one and decides them on one image, and lhs_g and rhs_p decode them.  Both
-sides have one support rule: qcomb.factor_normal gives None for a zero
-factor, which drops the summand.  The sextuple rows come from a small
-memo (_sextuple_rows); the diagonal closed form is a summand list.
+s-sum) are built from halves in qcomb's normal form: _l_halves (keyed by
+(i, j, k, L), 8 entries) and _m_halves (by (i, j, k, M), 24 entries).  A
+half is dense, one slot per sextuple row for each left sum and one per s
+for the right one, None where a factor is zero (the one support rule); its
+weights are 0 there, and the right side's L slots carry its -1.  check_key
+takes two dot products: the weights' is the bound B, and the slots' images
+at q = 2^W, shifted (_images: 16 entries, keyed by half and W), give the
+difference's.  The joiner _sum_normal turns a sum's slots into the normal
+form that lhs_g and rhs_p decode.
 
 A sweep runs M innermost, so one L half serves every M of its
 (i, j, k, L), and one M half every L of its (i, j, k) while the M range
-has at most 16 values: on acceptance criterion 1's grid each memo misses
-once per key, 4,802 times in 67,228 reads.  At the recurrences' shifted
-points lhs_g's half reads hit 77-83 %, but in recurrence-p rhs_p's M reads
-hit only 35 %, and each such miss builds the left M half too.
+has at most 24 values: on acceptance criterion 1's grid each half memo
+misses once per key, 4,802 times, and the image memo 3,217 times.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, lshift, mul
 from typing import NamedTuple
 
 from .qcore import ZERO, LaurentPoly, TruncSeries, poly_sum, q_power
 from . import qcomb
-from .qcomb import (normal_is_zero, normal_poly, poch_quotient_sum, summand_poly,
+from .qcomb import (normal_poly, pairs_image, poch_quotient_sum, summand_poly,
                     triangular)
 
 
@@ -93,26 +94,21 @@ def _times(u, x=(1, 0, (), 1), e=0):
 
 
 def _l_half(rows, L: int) -> tuple:
-    """The L half of the left side's two sums over the sextuple rows: for
-    each sum, (index, *part) for every row whose L binomials are nonzero,
-    part being q^e1 [L-t+b; b, ab] [L-t+a; a] for the first sum and q^e2
+    """The L half of the left side's two sums, one slot per sextuple row:
+    q^e1 [L-t+b; b, ab] [L-t+a; a] for the first sum and q^e2
     [L-t+b; b, ab] [L-t+a-1; a-1] for the second, as _times gives it."""
     normal = qcomb.factor_normal  # a local; the memo stays bound in qcomb only
     first, second = [], []
-    for index, (a, b, c, ab, ac, bc, t, e1, e2) in enumerate(rows):
+    for a, b, c, ab, ac, bc, t, e1, e2 in rows:
         lt = L - t
         u = normal((lt + b, b, ab))
-        if u is None:
-            continue
-        for half, part in ((first, _times(u, normal((lt + a, a)), e1)),
-                           (second, _times(u, normal((lt + a - 1, a - 1)), e2))):
-            if part is not None:
-                half.append((index, *part))
+        first.append(_times(u, normal((lt + a, a)), e1))
+        second.append(_times(u, normal((lt + a - 1, a - 1)), e2))
     return tuple(first), tuple(second)
 
 
 def _m_half(rows, M: int) -> tuple:
-    """The M half: for each sum, by row index, [M-t+c; c, ac] [M-t; bc]
+    """The M half: for each sum, one slot per row, [M-t+c; c, ac] [M-t; bc]
     (first sum) or [M-t+c; c, ac] [M-t; bc-1] (second), as _times gives it."""
     normal = qcomb.factor_normal
     first, second = [], []
@@ -124,39 +120,54 @@ def _m_half(rows, M: int) -> tuple:
     return tuple(first), tuple(second)
 
 
+def _dense(first, second, right) -> tuple:
+    """A half of the three displayed sums and its slots' weights, 0 for a zero slot."""
+    parts = chain(first, second, right)
+    return first, second, right, tuple([part[3] if part else 0 for part in parts])
+
+
 @lru_cache(maxsize=8)
 def _l_halves(i: int, j: int, k: int, L: int) -> tuple:
-    """The L halves of the three displayed sums: the left side's two
-    (_l_half) and the right side's, (s, *part) for every s whose
-    [L-s; s, i-s, j-s] is nonzero, part being that multinomial times
-    q^(2s - T(s) + T(i-s) + T(j-s) + T(k-s)) as _times gives it."""
-    right = tuple((s, *part) for s in range(min(i, j, k) + 1)
-                  for part in [_times(qcomb.factor_normal((L - s, s, i - s, j - s)),
-                                      e=2 * s - triangular(s) + triangular(i - s)
-                                      + triangular(j - s) + triangular(k - s))]
-                  if part is not None)
-    return (*_l_half(_sextuple_rows(i, j, k), L), right)
+    """The L halves of the three displayed sums (_dense): the left side's two
+    (_l_half) and the right side's, by s, minus [L-s; s, i-s, j-s] times
+    q^(2s - T(s) + T(i-s) + T(j-s) + T(k-s)), so all three add to g - p."""
+    right = tuple(_times(qcomb.factor_normal((L - s, s, i - s, j - s)), (-1, 0, (), 1),
+                         2 * s - triangular(s) + triangular(i - s) + triangular(j - s)
+                         + triangular(k - s))
+                  for s in range(min(i, j, k) + 1))
+    return _dense(*_l_half(_sextuple_rows(i, j, k), L), right)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=24)
 def _m_halves(i: int, j: int, k: int, M: int) -> tuple:
-    """The M halves of the three displayed sums: the left side's two
+    """The M halves of the three displayed sums (_dense): the left side's two
     (_m_half) and the right side's, by s, [M-i-j; k-s] q^(sM)."""
     right = tuple(_times(qcomb.factor_normal((M - i - j, k - s)), e=s * M)
                   for s in range(min(i, j, k) + 1))
-    return (*_m_half(_sextuple_rows(i, j, k), M), right)
+    return _dense(*_m_half(_sextuple_rows(i, j, k), M), right)
+
+
+@lru_cache(maxsize=16)
+def _images(halves, i: int, j: int, k: int, n: int, width: int) -> tuple:
+    """Each slot of the half halves(i, j, k, n) at q = 2^width, its sign
+    times its binomial images, and its shift less the half's lowest: both 0
+    where its weight is."""
+    half = halves(i, j, k, n)
+    slots = list(zip(chain(*half[:3]), half[3]))
+    low = min([part[1] for part, weight in slots if weight], default=0)
+    return (tuple([weight and pairs_image(part[0], part[2], width) for part, weight in slots]),
+            tuple([weight and part[1] - low for part, weight in slots]))
 
 
 def _sum_normal(l_parts, m_parts, side: int = 1) -> tuple:
     """side (1 or -1) times one displayed sum as a qcomb normal form (B,
-    terms), terms [c, e, n1, m1, ...] with n > m > 0: each L part times the
-    M part of its index, where both are nonzero."""
+    terms), terms [c, e, n1, m1, ...] with n > m > 0: each L slot times the
+    M slot of its index, where both are nonzero."""
     bound, terms = 0, []
-    for index, sign, shift, pairs, weight in l_parts:
-        m = m_parts[index]
-        if m is not None:
-            terms.append([side * sign * m[0], shift + m[1], *pairs, *m[2]])
-            bound += weight * m[3]
+    for l, m in zip(l_parts, m_parts):
+        if l is not None and m is not None:
+            terms.append([side * l[0] * m[0], l[1] + m[1], *l[2], *m[2]])
+            bound += l[3] * m[3]
     return bound, terms
 
 
@@ -168,11 +179,8 @@ def lhs_normal(i: int, j: int, k: int, L: int, M: int) -> tuple:
     'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split mirrors
     the smallest-part dichotomy of the staircase image.  Every binomial
     depends on L alone or on M alone; the two binomials both sums share
-    are normalised as [L-t+b; b, ab] = [L-t+b; b] [L-t; ab] and [M-t+c; c, ac].
-    qcomb.factor_normal gives None for a zero factor, which drops the
-    summand: that is the support rule."""
-    l_half, m_half = _l_halves(i, j, k, L), _m_halves(i, j, k, M)
-    return _sum_normal(l_half[0], m_half[0]), _sum_normal(l_half[1], m_half[1])
+    are normalised as [L-t+b; b, ab] = [L-t+b; b] [L-t; ab] and [M-t+c; c, ac]."""
+    return tuple(map(_sum_normal, _l_halves(i, j, k, L)[:2], _m_halves(i, j, k, M)[:2]))
 
 
 def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
@@ -212,18 +220,23 @@ def _lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
 @lru_cache(maxsize=8192)
 def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     """Right side of the key identity: the s-sum (_sum_normal), decoded."""
-    return normal_poly(*_sum_normal(_l_halves(i, j, k, L)[2], _m_halves(i, j, k, M)[2]))
+    return normal_poly(*_sum_normal(_l_halves(i, j, k, L)[2], _m_halves(i, j, k, M)[2], -1))
 
 
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
-    """Exact equality of the two sides at one integer 5-tuple, decided by
-    normal_is_zero on the left side's two sums joined to the negated right
-    side's, all three from the same two halves."""
+    """Exact equality of the two sides at one integer 5-tuple: B bounds the
+    difference's coefficients (0: no live summand), and for W normal_poly's
+    width, at least 32 so that small tuples share images, the difference is
+    zero exactly when its image at q = 2^W is (normal_is_zero's test)."""
     l_half, m_half = _l_halves(i, j, k, L), _m_halves(i, j, k, M)
-    bound1, first = _sum_normal(l_half[0], m_half[0])
-    bound2, second = _sum_normal(l_half[1], m_half[1])
-    bound3, right = _sum_normal(l_half[2], m_half[2], -1)
-    return normal_is_zero(bound1 + bound2 + bound3, first + second + right)
+    bound = sum(map(mul, l_half[3], m_half[3]))
+    if not bound:
+        return True
+    width = max(32, 8 * (bound.bit_length() // 8 + 1))
+    (l_images, l_shifts), (m_images, m_shifts) = \
+        _images(_l_halves, i, j, k, L, width), _images(_m_halves, i, j, k, M, width)
+    return not sum(map(lshift, map(mul, l_images, m_images),
+                       map(mul, map(add, l_shifts, m_shifts), repeat(width))))
 
 
 def boundary_value(i: int, j: int, k: int, M: int) -> LaurentPoly:

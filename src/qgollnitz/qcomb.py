@@ -18,11 +18,11 @@ diagonal closed form, the cube analog) is a summand list: an integer
 times q^shift times a product of q-binomials and q-multinomials.
 _normal_terms reduces a list to its normal form, flat terms of [n; m] pairs
 with n > m > 0 (factor_normal) and B, their summed weight; keyid builds
-both sides of the key identity in that form directly.  One evaluator, _image,
-gives a normal form's value at q = 2^W, each binomial by the product formula
-over the integers (qbinom_image).  normal_is_zero decides on it, with W
-large enough that equal integers mean equal polynomials; normal_poly reads
-the polynomial off its signed base-2^W digits.
+both sides of the key identity in that form directly.  _image gives its
+value at q = 2^W, each term's binomials by the product formula over the
+integers (pairs_image, shared with keyid.check_key).  normal_is_zero decides
+on it, with W large enough that equal integers mean equal polynomials;
+normal_poly reads the polynomial off its signed base-2^W digits.
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
 with the running sum that builds the q-binomials (divide_one_minus).
 
@@ -194,19 +194,21 @@ def _normal_terms(sides):
     return bound, terms
 
 
+def pairs_image(value: int, pairs, width: int, start: int = 0) -> int:
+    """value times the [n; m] of pairs[start:] = (n1, m1, n2, m2, ...) at q = 2^width."""
+    for at in range(start, len(pairs), 2):
+        value *= qbinom_image(pairs[at], pairs[at + 1], width)
+    return value
+
+
 def _image(terms, width):
     """The sum of a nonempty list of flat terms at q = 2^width, times
     2^(-width*low) for low the lowest term exponent: (low, image).  A term's
     coefficient is multiplied by its factor images before it is shifted by
     width * (e - low), so no product carries those trailing zero bits."""
     low = min(term[1] for term in terms)
-    image = 0
-    for term in terms:
-        value = term[0]
-        for at in range(2, len(term), 2):
-            value *= qbinom_image(term[at], term[at + 1], width)
-        image += value << width * (term[1] - low)
-    return low, image
+    return low, sum(pairs_image(term[0], term, width, 2) << width * (term[1] - low)
+                    for term in terms)
 
 
 def normal_is_zero(bound: int, terms: list) -> bool:

@@ -97,29 +97,34 @@ def test_key_sweep_on_wide_bounds():
 
 
 def test_key_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
-    # the right side's halves are corrupted; its L half is keyed by
-    # (i, j, k, L), so the kind of corruption follows i + j + L
+    # the right side's dense halves are corrupted; its L half is keyed by
+    # (i, j, k, L), so the kind of corruption follows i + j + L.  The sweep
+    # decides on the halves' images and the expected rows decode them, so
+    # the two evaluators must agree on every corrupted tuple
     real_l, real_m = keyid._l_halves, keyid._m_halves
 
     def corrupted_l(i, j, k, L):
-        *left, right = real_l(i, j, k, L)
+        first, second, right, *_ = real_l(i, j, k, L)
         kind = (i + j + L) % 3
-        if kind == 0:
-            right = tuple((s, c, e + 1, *rest) for s, c, e, *rest in right)  # times q
-        elif kind == 1:
-            right += ((-1, 1, 0, (), 1),)  # + q^M, joined to the M half's last part
-        else:
-            right = right[:-1]  # one summand dropped
-        return (*left, right)
+        if kind == 0:  # times q
+            right = tuple(p and (p[0], p[1] + 1, *p[2:]) for p in right)
+        elif kind == 1:  # + q^M, joined to the M half's last slot; L slots carry -1
+            right += ((-1, 0, (), 1),)
+        elif any(right):  # one summand dropped
+            last = max(s for s, p in enumerate(right) if p)
+            right = right[:last] + (None,) + right[last + 1:]
+        return keyid._dense(first, second, right)
 
     def corrupted_m(i, j, k, M):
-        *left, right = real_m(i, j, k, M)
-        return (*left, right + ((1, M, (), 1),))
+        first, second, right, *_ = real_m(i, j, k, M)
+        return keyid._dense(first, second, right + ((1, M, (), 1),))
 
     ranges = {"i": (0, 2), "j": (-1, 2), "k": (0, 1), "L": (-2, 3), "M": (-1, 3)}
     monkeypatch.setattr(keyid, "_l_halves", corrupted_l)
     monkeypatch.setattr(keyid, "_m_halves", corrupted_m)
-    keyid.rhs_p.cache_clear()
+    memos = (keyid.rhs_p, keyid._images)
+    for memo in memos:
+        memo.cache_clear()
     try:
         report = run_sweep(SweepSpec("key", ranges))
         expected = []
@@ -130,7 +135,8 @@ def test_key_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
                 expected.append({"params": {"i": i, "j": j, "k": k, "L": L, "M": M},
                                  "lhs": str(lhs), "rhs": str(rhs)})
     finally:
-        keyid.rhs_p.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
     assert 0 < len(expected) < report.total
     assert report.failures == expected
 

@@ -1,10 +1,12 @@
 """Key identity tests: both sides, boundary, recurrences, specializations."""
 
+import gc
 import inspect
 import itertools
 import operator
 import random
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -107,7 +109,8 @@ def test_halves_match_a_direct_build_in_any_order():
     # from empty memos, criterion 1's grid in shuffled order, so the half
     # memos mostly miss and evict: each answer must equal an unmemoised
     # build of the same tuple; the right side's halves, joined, must equal
-    # the normal form of its summand list
+    # the normal form of its summand list; the weights' dot product must
+    # equal the three sums' joined bound
     axes = [range(lo, hi + 1) for lo, hi in _CRITERION_1.values()]
     grid = list(itertools.product(*axes))
     random.Random(21).shuffle(grid)
@@ -117,18 +120,39 @@ def test_halves_match_a_direct_build_in_any_order():
     for i, j, k, L, M in grid:
         direct = tuple(map(_sum_normal, _l_half(rows[i, j, k], L), _m_half(rows[i, j, k], M)))
         assert keyid.lhs_normal(i, j, k, L, M) == direct
-        right = _sum_normal(keyid._l_halves(i, j, k, L)[2], keyid._m_halves(i, j, k, M)[2])
+        l_half, m_half = keyid._l_halves(i, j, k, L), keyid._m_halves(i, j, k, M)
+        right = _sum_normal(l_half[2], m_half[2], -1)
         assert right == qcomb._normal_terms(((1, _direct_rhs_summands(i, j, k, L, M)),))
+        assert sum(map(operator.mul, l_half[3], m_half[3])) == \
+            direct[0][0] + direct[1][0] + right[0]
 
 
 def test_key_sweep_reads_each_half_once_per_key():
     # M runs innermost, so one (i, j, k, L) serves every M, and one
-    # (i, j, k, M) every L: 343 * 14 misses of the 67,228 reads each
+    # (i, j, k, M) every L: 343 * 14 misses of the 67,228 reads each; each
+    # miss of the image memo reads its half once more (1,602 L, 1,615 M)
     _clear_memos()
     assert run_sweep(SweepSpec("key", _CRITERION_1)).ok
-    for memo in (keyid._l_halves, keyid._m_halves):
+    for memo, image_misses in ((keyid._l_halves, 1602), (keyid._m_halves, 1615)):
         info = memo.cache_info()
-        assert (info.hits, info.misses) == (62426, 4802), memo
+        assert (info.hits, info.misses) == (62426 + image_misses, 4802), memo
+
+
+def test_key_sweep_builds_few_images_and_retains_little():
+    # all but 5 live tuples of criterion 1's grid have W = 32, so the image
+    # memo misses 3,217 times, about once for each half with a live summand;
+    # after the sweep the memos hold about 0.8 MiB
+    _clear_memos()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert run_sweep(SweepSpec("key", _CRITERION_1)).ok
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert keyid._images.cache_info().misses == 3217
+    assert retained < 1 << 20, retained
 
 
 def test_key_sweep_wider_than_the_m_half_memo():
@@ -172,7 +196,7 @@ def test_normal_forms_hold_no_unit_binomial():
                                   range(-3, 11, 2), range(-3, 11, 2)):
         (_, first), (_, second) = keyid.lhs_normal(*args)
         _, right = _sum_normal(keyid._l_halves(*args[:4])[2],
-                               keyid._m_halves(*args[:3], args[4])[2])
+                               keyid._m_halves(*args[:3], args[4])[2], -1)
         _, direct = qcomb._normal_terms(((1, _direct_rhs_summands(*args)),))
         for term in first + second + right + direct:
             assert all(n > m > 0 for n, m in zip(term[2::2], term[3::2])), (args, term)
@@ -787,9 +811,10 @@ def test_unmutated_copy_passes_the_mutant_grid():
     # the second sum's exponent T(bc-1) replaced by T(bc)
     pytest.param("base + triangular(sx.bc - 1)", "base + triangular(sx.bc)", 1,
                  id="second-exponent"),
-    # the second sum dropped, from the left side and from check_key's join
-    pytest.param("_sum_normal(l_half[1], m_half[1])", "(0, [])", 2,
-                 id="second-dropped"),
+    # the second sum dropped from the dense L half, which both the joiner
+    # and check_key's images read
+    pytest.param("second.append(_times(u, normal((lt + a - 1, a - 1)), e2))",
+                 "second.append(None)", 1, id="second-dropped"),
     # the sign or the power of q of a reflected negative top lost, for the
     # shared binomials and for each sum's own two; _times joins a shared
     # binomial u to an own one x in both halves
@@ -808,7 +833,7 @@ def test_check_key_catches_a_left_side_mutant(old, new, count):
 
 def test_check_key_catches_a_right_side_mutant():
     # the right side's exponent, in its L half, without T(k-s)
-    mutant = _mutant("+ triangular(k - s))]", ")]")
+    mutant = _mutant("\n                         + triangular(k - s))", ")")
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
 
 
@@ -819,15 +844,85 @@ def test_check_key_catches_a_right_side_mutant():
     # [M-i-j; k-s+1] in the M half
     pytest.param("normal((M - i - j, k - s))", "normal((M - i - j, k - s + 1))",
                  id="M-bottom"),
-    # the right side joined unnegated
-    pytest.param("m_half[2], -1)", "m_half[2])", id="sign"),
-    # both sides share the joiner, so a fault there could shift them alike;
-    # dropping the M part's shift must still show
-    pytest.param("shift + m[1]", "shift", id="joiner-shift"),
+    # each slot's image without its sign, so the right side's -1 and a
+    # reflected top's sign are lost alike
+    pytest.param("pairs_image(part[0], part[2], width)", "pairs_image(1, part[2], width)",
+                 id="sign"),
+    # both halves' slots share one shift rule, so a fault there could shift
+    # them alike; dropping every slot's power of q must still show
+    pytest.param("weight and part[1] - low", "0", id="joiner-shift"),
+    # the right side's -1 left out of the dense L half
+    pytest.param("(-1, 0, (), 1)", "(1, 0, (), 1)", id="right-minus-one"),
+    # the M slots' shifts dropped where check_key adds them to the L slots'
+    pytest.param("map(add, l_shifts, m_shifts)", "l_shifts", id="image-M-shift"),
 ])
 def test_check_key_catches_a_right_half_or_joiner_mutant(old, new):
     mutant = _mutant(old, new)
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
+
+
+def test_check_key_catches_a_zeroed_right_weight():
+    # the weight of the right side's s = 0 slot set to 0 in every M half of
+    # a fresh copy of keyid: a zero weight zeroes its slot's image, so that
+    # summand drops
+    mutant = _mutant("(-1, 0, (), 1)", "(-1, 0, (), 1)")
+    real = mutant._m_halves
+
+    def zeroed(i, j, k, M):
+        first, second, right, weights = real(i, j, k, M)
+        if right:
+            at = len(first) + len(second)
+            weights = weights[:at] + (0,) + weights[at + 1:]
+        return first, second, right, weights
+
+    mutant._m_halves = zeroed
+    assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
+
+
+def _corrupted_pair(l_half, m_half, rng):
+    """Copies of an L and an M half with about a third of the slots live on
+    both sides corrupted: the L slot dropped, its sign flipped or its shift
+    moved, or both slots' signs flipped or shifts moved in opposite
+    directions, which leaves their product alone."""
+    l_sums, m_sums = [list(part) for part in l_half[:3]], [list(part) for part in m_half[:3]]
+    for ls, ms in zip(l_sums, m_sums):
+        for x, (l, m) in enumerate(zip(ls, ms)):
+            if l is None or m is None or rng.random() < 0.65:
+                continue
+            d, action = rng.choice((-2, -1, 1, 2)), rng.randrange(5)
+            if action == 0:
+                ls[x] = None
+            elif action == 1:
+                ls[x] = (-l[0], *l[1:])
+            elif action == 2:
+                ls[x] = (l[0], l[1] + d, *l[2:])
+            elif action == 3:
+                ls[x], ms[x] = (-l[0], *l[1:]), (-m[0], *m[1:])
+            else:
+                ls[x], ms[x] = (l[0], l[1] + d, *l[2:]), (m[0], m[1] - d, *m[2:])
+    return keyid._dense(*map(tuple, l_sums)), keyid._dense(*map(tuple, m_sums))
+
+
+def test_check_key_agrees_with_the_decoded_join_on_corrupted_halves(monkeypatch):
+    # on corrupted dense halves, check_key's images must give exactly the
+    # verdict of normal_is_zero on the three sums joined by _sum_normal
+    rng = random.Random(26)
+    real_l, real_m = keyid._l_halves, keyid._m_halves
+    grid = list(itertools.product(range(4), range(4), range(4), range(-2, 9), range(-2, 9)))
+    verdicts = []
+    for args in rng.sample(grid, 600):
+        l_half, m_half = _corrupted_pair(real_l(*args[:4]), real_m(*args[:3], args[4]), rng)
+        joined = list(map(_sum_normal, l_half[:3], m_half[:3]))
+        want = qcomb.normal_is_zero(sum(bound for bound, _ in joined),
+                                    [term for _, terms in joined for term in terms])
+        # the image memo is keyed by the half memo it reads, so each pair of
+        # corrupted halves gets entries of its own
+        monkeypatch.setattr(keyid, "_l_halves", lambda *_: l_half)
+        monkeypatch.setattr(keyid, "_m_halves", lambda *_: m_half)
+        assert check_key(*args) == want, args
+        verdicts.append(want)
+    keyid._images.cache_clear()
+    assert 100 < verdicts.count(True) < 500, verdicts.count(True)
 
 
 def test_key_sweep_normalises_no_summand_list(monkeypatch):
