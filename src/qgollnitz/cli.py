@@ -100,10 +100,11 @@ def _check_remark3(n):
 
 
 def _check_multinom_rec(L, s, i, j):
-    for label, lhs, rhs in qcomb.multinom_recurrence_relations(L, s, i, j):
-        if lhs != rhs:
-            return False, f"{label}: {lhs}", f"{label}: {rhs}"
-    return _PASS
+    if qcomb.multinom_recurrence_holds(L, s, i, j):
+        return _PASS
+    label, lhs, rhs = next(r for r in qcomb.multinom_recurrence_relations(L, s, i, j)
+                           if r[1] != r[2])
+    return False, f"{label}: {lhs}", f"{label}: {rhs}"
 
 
 def _check_support(i, j, k, L):

@@ -225,33 +225,25 @@ def staircase_inverse(img: StaircaseImage) -> ColoredPartition:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _dfs_type1(v, counts, prev_color, acc):
-    # Walk part values downward deciding skip-or-color at each; every
-    # partition is emitted exactly once, when its decision path ends.
-    # counts: remaining frequency per color, or None for unbounded.
-    if counts is not None:
-        rem = sum(counts)
+def _dfs_type1(max_part, counts):
+    # Walk part values downward deciding skip, then each color by rank, at
+    # each, depth first; a partition is emitted when its decision path ends.
+    # counts: remaining frequency per color by rank, or None for unbounded.
+    stack = [(max_part, counts, None, ())]
+    while stack:
+        v, counts, prev_color, acc = stack.pop()
+        # parts still to place: None while unbounded and v >= 1
+        rem = (0 if v < 1 else None) if counts is None else sum(counts)
         if rem == 0:
-            yield tuple(acc)
-            return
-        if v < 1 or rem > v:  # distinct values below v cannot fit rem parts
-            return
-    elif v < 1:
-        yield tuple(acc)
-        return
-    yield from _dfs_type1(v - 1, counts, None, acc)
-    for color in _BELOW[prev_color]:
-        if counts is not None and counts[color] == 0:
+            yield acc
             continue
-        if v == 1 and color not in _PRIMARY:
+        if rem is not None and rem > v:  # distinct values up to v cannot fit rem parts
             continue
-        if counts is not None:
-            counts[color] -= 1
-        acc.append((v, color))
-        yield from _dfs_type1(v - 1, counts, color, acc)
-        acc.pop()
-        if counts is not None:
-            counts[color] += 1
+        for color in reversed(_BELOW[prev_color]):
+            if (v > 1 or color in _PRIMARY) and (counts is None or counts[color]):
+                left = counts and counts[:color] + (counts[color] - 1,) + counts[color + 1:]
+                stack.append((v - 1, left, color, acc + ((v, color),)))
+        stack.append((v - 1, counts, None, acc))
 
 
 def iter_type1(max_part: int, freq: Sequence[int]) -> Iterator[ColoredPartition]:
@@ -259,14 +251,14 @@ def iter_type1(max_part: int, freq: Sequence[int]) -> Iterator[ColoredPartition]
     frequencies freq = (a, b, c, ab, ac, bc)."""
     if any(f < 0 for f in freq):
         return
-    counts = [freq[_FREQ_ORDER.index(c)] for c in _COLORS_BY_RANK]
-    yield from map(ColoredPartition._raw, _dfs_type1(max_part, counts, None, []))
+    counts = tuple(freq[_FREQ_ORDER.index(c)] for c in _COLORS_BY_RANK)
+    yield from map(ColoredPartition._raw, _dfs_type1(max_part, counts))
 
 
 def iter_type1_all(max_part: int) -> Iterator[ColoredPartition]:
     """All Type-1 partitions with parts <= max_part, any color frequencies
     (the empty partition included)."""
-    yield from map(ColoredPartition._raw, _dfs_type1(max_part, None, None, []))
+    yield from map(ColoredPartition._raw, _dfs_type1(max_part, None))
 
 
 def count_G(L: int, n: int, freq: Sequence[int]) -> int:

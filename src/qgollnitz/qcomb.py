@@ -10,8 +10,8 @@ identity
     [-alpha; k] = (-1)^k [k+alpha-1; k] q^(-alpha*k - T(k-1)),
 
 which is where negative q-exponents enter the engine.  qbinom and
-qmultinom are polynomial products, for the recurrences on them and as the
-tests' oracle.
+qmultinom are polynomial products, for qpascal's recurrence, the rendered
+failures of the q-multinomial one and the tests' oracle.
 
 Every sum of q-binomial products in the engine (the key identity's
 diagonal closed form, the cube analog) is a summand list: an integer
@@ -23,6 +23,8 @@ value at q = 2^W, each term's binomials by the product formula over the
 integers (pairs_image, shared with keyid.check_key).  normal_is_zero decides
 on it, with W large enough that equal integers mean equal polynomials;
 normal_poly reads the polynomial off its signed base-2^W digits.
+multinom_recurrence_holds decides the q-multinomial recurrence the same
+way, from factor images memoised per width (_multinom_image).
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
 with the running sum that builds the q-binomials (divide_one_minus).
 
@@ -292,7 +294,7 @@ def qmultinom(total: int, parts: Sequence[int]) -> LaurentPoly:
     return _qmultinom(total, tuple(parts))
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def _qmultinom(total: int, parts: tuple[int, ...]) -> LaurentPoly:
     result = ONE
     rem = total
@@ -313,23 +315,58 @@ def qpascal_sides(top: int, bottom: int) -> tuple[LaurentPoly, LaurentPoly]:
     return lhs, rhs
 
 
-def _multinom_three_sides(L, s, i, j):
+def _multinom_terms(L, s, i, j):
     # [L; s,i,j] = [L-1; s,i,j] + q^(L-i)[L-1; s,i-1,j] + q^(L-j)[L-1; s,i,j-1]
     #            + q^(L-s-i-j)[L-1; s-1,i,j] + q^(L-i-j)(1-q^(L-1))[L-2; s,i-1,j-1]
-    lhs = qmultinom(L, (s, i, j))
-    tail = qmultinom(L - 2, (s, i - 1, j - 1))
-    rhs = poly_sum([(1, 0, qmultinom(L - 1, (s, i, j))),
-                    (1, L - i, qmultinom(L - 1, (s, i - 1, j))),
-                    (1, L - j, qmultinom(L - 1, (s, i, j - 1))),
-                    (1, L - s - i - j, qmultinom(L - 1, (s - 1, i, j))),
-                    (1, L - i - j, tail), (-1, 2 * L - 1 - i - j, tail)])
-    return lhs, rhs
+    # as (sign, shift, (total, s, i, j)) terms, the left side first
+    tail = (L - 2, s, i - 1, j - 1)
+    return ((1, 0, (L, s, i, j)), (1, 0, (L - 1, s, i, j)),
+            (1, L - i, (L - 1, s, i - 1, j)), (1, L - j, (L - 1, s, i, j - 1)),
+            (1, L - s - i - j, (L - 1, s - 1, i, j)),
+            (1, L - i - j, tail), (-1, 2 * L - 1 - i - j, tail))
+
+
+def _multinom_points(L, s, i, j):
+    return (("four-part", (L, s, i, j)), ("shifted", (L - s, s, i - s, j - s)),
+            ("symmetric", (L, 0, i, j)))
+
+
+def _multinom_three_sides(L, s, i, j):
+    (sign, shift, lhs), *rhs = [(c, e, qmultinom(f[0], f[1:]))
+                                for c, e, f in _multinom_terms(L, s, i, j)]
+    lhs = lhs.shift(shift)
+    return (lhs if sign > 0 else -lhs), poly_sum(rhs)
 
 
 def multinom_recurrence_relations(L: int, s: int, i: int, j: int):
     """The four-part recurrence at three points, as (label, lhs, rhs): at
     (L, s, i, j), shifted to (L-s, s, i-s, j-s), and the two-part symmetric
     form at (L, 0, i, j), where [L; 0, i, j] = [L; i, j] and [L-1; -1, i, j] = 0."""
-    return (("four-part",) + _multinom_three_sides(L, s, i, j),
-            ("shifted",) + _multinom_three_sides(L - s, s, i - s, j - s),
-            ("symmetric",) + _multinom_three_sides(L, 0, i, j))
+    return tuple((label,) + _multinom_three_sides(*point)
+                 for label, point in _multinom_points(L, s, i, j))
+
+
+@lru_cache(maxsize=4096)
+def _multinom_image(factor: tuple, width: int) -> int:
+    # a nonzero factor's sign times its binomials at q = 2^width
+    sign, _, pairs, _ = factor_normal(factor)
+    return pairs_image(sign, pairs, width)
+
+
+def multinom_recurrence_holds(L: int, s: int, i: int, j: int) -> bool:
+    """Do the three relations of multinom_recurrence_relations hold?  Each is
+    decided as summands_agree decides, on right minus left at q = 2^W, for B
+    the live terms' summed weight and W = max(32, B.bit_length())."""
+    for _, point in _multinom_points(L, s, i, j):
+        (c, e, factor), *rhs = _multinom_terms(*point)
+        # [t; a, b, d] != 0 iff a, b, d >= 0 and not 0 <= t < a + b + d: tested
+        # first, so that factor_normal's memo does not fill with zero factors
+        live = [(c, e + normal[1], f, normal[3]) for c, e, f in ((-c, e, factor), *rhs)
+                if f[1] >= 0 and f[2] >= 0 and f[3] >= 0 and not 0 <= f[0] < sum(f[1:])
+                and (normal := factor_normal(f))]
+        if bound := sum(term[3] for term in live):
+            width, low = max(32, bound.bit_length()), min(term[1] for term in live)
+            if sum(c * _multinom_image(factor, width) << width * (e - low)
+                   for c, e, factor, _ in live):
+                return False
+    return True

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qgollnitz import cli, corollaries, keyid, partcomb
+from qgollnitz import cli, corollaries, keyid, partcomb, qcomb
 from qgollnitz.qcore import TruncSeries, q_power
 from qgollnitz.cli import (IDENTITIES, IdentitySpec, SweepSpec, UsageError,
                            render_report, run_golden, run_sweep)
@@ -137,6 +137,35 @@ def test_key_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
     finally:
         for memo in memos:
             memo.cache_clear()
+    assert 0 < len(expected) < report.total
+    assert report.failures == expected
+
+
+def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
+    # the shared term list is corrupted, which term and how following the
+    # point; the sweep decides on images and renders its failures from
+    # polynomials, so its rows must be the ones the polynomials give
+    real = qcomb._multinom_terms
+
+    def corrupted(L, s, i, j):
+        terms = list(real(L, s, i, j))
+        at = (L + i) % len(terms)
+        sign, shift, factor = terms[at]
+        terms[at:at + 1] = ([], [(sign, shift + 1, factor)],
+                            [(-sign, shift, factor)])[(s + j) % 3]
+        return tuple(terms)
+
+    monkeypatch.setattr(qcomb, "_multinom_terms", corrupted)
+    ranges = {"L": (-2, 6), "s": (-1, 3), "i": (-1, 3), "j": (-1, 3)}
+    report = run_sweep(SweepSpec("multinom-rec", ranges))
+    expected = []
+    for L, s, i, j in itertools.product(
+            *(range(lo, hi + 1) for lo, hi in ranges.values())):
+        for label, lhs, rhs in qcomb.multinom_recurrence_relations(L, s, i, j):
+            if lhs != rhs:
+                expected.append({"params": {"L": L, "s": s, "i": i, "j": j},
+                                 "lhs": f"{label}: {lhs}", "rhs": f"{label}: {rhs}"})
+                break
     assert 0 < len(expected) < report.total
     assert report.failures == expected
 

@@ -624,6 +624,70 @@ def test_recurrence_checks_catch_every_term_mutant(monkeypatch, name):
     assert survivors == []
 
 
+def _multinom_polys_hold(L, s, i, j):
+    return all(lhs == rhs for _, lhs, rhs in
+               qcomb.multinom_recurrence_relations(L, s, i, j))
+
+
+def test_multinom_images_agree_with_polynomials():
+    for args in itertools.product(range(-3, 10), *[range(-2, 6)] * 3):
+        assert qcomb.multinom_recurrence_holds(*args) == _multinom_polys_hold(*args), args
+
+
+_MULTINOM_TERMS = qcomb._multinom_terms
+
+
+def _corrupt_multinom_terms(monkeypatch, at, mutate):
+    # both evaluators read the relation from _multinom_terms, so both see
+    # the term at index at mutated
+    def corrupted(*point):
+        terms = list(_MULTINOM_TERMS(*point))
+        terms[at:at + 1] = mutate(*terms[at])
+        return tuple(terms)
+    monkeypatch.setattr(qcomb, "_multinom_terms", corrupted)
+
+
+@pytest.mark.parametrize("at", range(7))
+def test_multinom_images_agree_on_every_term_mutant(monkeypatch, at):
+    # each term of the shared list (the left side first) dropped, shifted by
+    # +1 or sign-flipped: the image verdict equals the polynomial one at
+    # every tuple, and every mutant fails somewhere on the grid
+    grid = list(itertools.product(range(-2, 8), *[range(-1, 4)] * 3))
+    for label, mutate in MUTATIONS.items():
+        _corrupt_multinom_terms(monkeypatch, at, mutate)
+        verdicts = [qcomb.multinom_recurrence_holds(*args) for args in grid]
+        assert verdicts == [_multinom_polys_hold(*args) for args in grid], label
+        assert not all(verdicts), label
+
+
+def test_multinom_images_past_the_width_floor(monkeypatch):
+    # B, the summed weights of the four-part relation's terms, has 44 bits
+    # at (30, 10, 10, 10), so the images are taken at W = 44, not 32
+    args = (30, 10, 10, 10)
+    bound = sum(abs(qmultinom(f[0], f[1:]).at_one())
+                for _, _, f in qcomb._multinom_terms(*args))
+    assert bound.bit_length() == 44
+    real, widths = qcomb._multinom_image, set()
+    monkeypatch.setattr(qcomb, "_multinom_image",
+                        lambda factor, width: widths.add(width) or real(factor, width))
+    assert qcomb.multinom_recurrence_holds(*args) and _multinom_polys_hold(*args)
+    assert widths == {44, 32}  # the shifted point (20, 10, 0, 0) has B < 2^19
+    _corrupt_multinom_terms(monkeypatch, 5, MUTATIONS["shift"])
+    assert not qcomb.multinom_recurrence_holds(*args)
+    assert not _multinom_polys_hold(*args)
+
+
+def test_multinom_sweep_builds_no_polynomial(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the multinom-rec sweep built a polynomial")
+    for owner, name in ((qcomb, "_qmultinom"), (qcomb, "poly_sum"),
+                        (qcore, "poly_sum"), (LaurentPoly, "__mul__")):
+        monkeypatch.setattr(owner, name, forbidden)
+    ranges = {"L": (-2, 6), "s": (-1, 4), "i": (-1, 4), "j": (-1, 4)}
+    report = run_sweep(SweepSpec("multinom-rec", ranges))
+    assert report.ok and report.total == 9 * 6 ** 3
+
+
 # -- diagonal closed form ----------------------------------------------------
 
 def test_closed_form_diag_examples():

@@ -261,6 +261,25 @@ def test_theorem1_examples():
     assert check_theorem1(20, 4, 4, 4)
 
 
+def _decisions(p, max_part):
+    # the walk's choice at each value from max_part down: -1 for no part,
+    # else the part's color rank
+    colors = dict(p.parts)
+    return [colors.get(v, -1) for v in range(max_part, 0, -1)]
+
+
+def test_type1_enumeration_order():
+    # the benchmark samples partitions by index, so the order is part of the
+    # interface: depth first from the largest value down, no part before a
+    # part, colors by rank, so the choice sequences strictly increase
+    walks = [(L, iter_type1_all(L)) for L in range(8)]
+    walks += [(L, iter_type1(L, f)) for L in range(6)
+              for f in itertools.product(range(2), repeat=6)]
+    for max_part, parts in walks:
+        keys = [_decisions(p, max_part) for p in parts]
+        assert all(a < b for a, b in zip(keys, keys[1:])), max_part
+
+
 def _letters(p):
     # letters (A, B, C) the colors of p spend
     return tuple(sum(letter in c.name for _, c in p.parts) for letter in "ABC")
