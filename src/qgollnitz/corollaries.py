@@ -13,7 +13,7 @@ coefficient, so == compares two sides exactly; render_powers prints one.
 from __future__ import annotations
 
 from math import isqrt
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .qcore import LaurentPoly, TruncSeries, q_power
@@ -149,6 +149,15 @@ def jtp_series(order: int) -> tuple[dict, dict]:
 # truncated Pochhammer helpers
 # ---------------------------------------------------------------------------
 
+def _times_ratio(run: list, ups, downs) -> None:
+    """Multiply the coefficient run in place by prod (1 - q^u) over ups and
+    divide it by prod (1 - q^d) over downs, modulo q^len(run)."""
+    for u in ups:
+        run[u:] = map(sub, run[u:], run[:max(len(run) - u, 0)])
+    for d in downs:
+        divide_one_minus(run, d)
+
+
 def poch_series(k: int, n: int, order: int) -> TruncSeries:
     """(q^k; q)_n modulo q^order for k >= 1, one factor 1 - q^r at a time on
     a coefficient run cut at the order; factors with r >= order are 1 modulo
@@ -159,8 +168,7 @@ def poch_series(k: int, n: int, order: int) -> TruncSeries:
     if n < 0:
         raise NegativeLength(f"Pochhammer length must be >= 0, got {n}")
     run = [1] + [0] * (order - 1)
-    for r in range(k, min(k + n, order)):  # times 1 - q^r
-        run[r:] = map(sub, run[r:], run[:order - r])
+    _times_ratio(run, range(k, min(k + n, order)), ())
     return TruncSeries(order, run)
 
 
@@ -181,51 +189,43 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
     sum_{i,k>=0} (-1)^(i+k) q^(T(i)+T(k)-ik) [k+i; k] / ((q)_i (q)_k).
 
     Each term is symmetric in i and k, so the sum runs over i <= k with the
-    off-diagonal terms doubled.  For k >= i the exponent T(i)+T(k)-ik =
-    k + T(k-i-1) is at least k and grows with k, which bounds the range."""
+    off-diagonal terms doubled.  For k >= i the exponent e = T(i)+T(k)-ik =
+    k + T(k-i-1) is at least k and grows with k, which bounds the range.
+    Term (i, k+1) is term (i, k) times -q^(k+1-i) (1 - q^(i+k+1)) / (1 - q^(k+1))^2,
+    and (i+1, i+1) is (i, i) times q (1 - q^(2i+1)) (1 - q^(2i+2)) / (1 - q^(i+1))^4,
+    each walked on a coefficient run cut at order - e."""
     lhs = _theta_series(order, lambda el: 1)
-
-    # (q)_n for n < order, each from the one before; every larger n gives
-    # (q)_(order-1) again modulo q^order
-    poch = [TruncSeries.one(order)]
-    for n in range(1, order):
-        poch.append(poch[-1] * poch_series(n, 1, order))
-    # [k+i; k] / ((q)_i (q)_k) = (q)_(i+k) / ((q)_i (q)_k)^2, and each
-    # 1/(q)_n is 1/(q)_(n-1) divided by 1 - q^n
-    inv = [1] + [0] * (order - 1)
-    inv_sq = [TruncSeries.one(order)]
-    for n in range(1, order):
-        divide_one_minus(inv, n)
-        series = TruncSeries(order, inv)
-        inv_sq.append(series * series)
-    # q^e times a series is known modulo q^order from the series' first
-    # order - e coefficients, so the product is cut there and then shifted
-    rhs = [0] * order
+    rhs, off = [0] * order, [0] * order  # the diagonal terms, and the others
+    diag = [1] + [0] * (order - 1)  # term(0, 0)
     for i in range(order):
-        for k in range(i, order):
-            e = triangular(i) + triangular(k) - i * k
+        rhs[i:] = map(add, rhs[i:], diag)
+        run, e = diag[:], i
+        for k in range(i + 1, order):
+            e += k - i
             if e >= order:
                 break
-            cut = order - e
-            term = TruncSeries(cut, poch[min(i + k, order - 1)].coeffs) \
-                * TruncSeries(cut, inv_sq[i].coeffs) \
-                * TruncSeries(cut, inv_sq[k].coeffs)
-            sign = _sign(i + k) * (1 if i == k else 2)
-            for n, c in enumerate(term.coeffs, e):
-                rhs[n] += sign * c
-    return lhs, TruncSeries(order, rhs)
+            del run[order - e:]
+            _times_ratio(run, (i + k,), (k, k))
+            off[e:] = map(sub if (i + k) & 1 else add, off[e:], run)
+        del diag[-1]
+        _times_ratio(diag, (2 * i + 1, 2 * i + 2), (i + 1,) * 4)
+    return lhs, TruncSeries(order, [d + 2 * o for d, o in zip(rhs, off)])
 
 
 # ---------------------------------------------------------------------------
 # Jacobi cube formula: polynomial analog and series form
 # ---------------------------------------------------------------------------
 
+def _cube_lhs(L: int) -> list:
+    """The cube analog's left side as (T(l), (-1)^l (2l+1)) pairs, l = 0..L."""
+    return [(triangular(el), _sign(el) * (2 * el + 1)) for el in range(L + 1)]
+
+
 def jacobi_cube_poly_summands(L: int):
     """Both sides of the polynomial cube analog as summands (see
-    keyid.lhs_summands): the list of (-1)^l (2l+1) q^T(l), l = 0..L, and a
-    generator of the signed cycles (-1)^(i+j+k) q^(T(i)+T(j)+T(k))
-    [L-k; i][L-i; j][L-j; k]."""
-    lhs = [(triangular(el), (), _sign(el) * (2 * el + 1)) for el in range(L + 1)]
+    keyid.lhs_summands): the list of _cube_lhs's terms, and a generator of
+    the signed cycles (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]."""
+    lhs = [(e, (), c) for e, c in _cube_lhs(L)]
     rhs = (cycle_summand(i, j, k, L, _sign(i + j + k))
            for i, j, k in _cycle_tuples(L))
     return lhs, rhs
@@ -237,6 +237,31 @@ def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
     sum (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]."""
     lhs, rhs = jacobi_cube_poly_summands(L)
     return summand_poly(lhs), summand_poly(rhs)
+
+
+def _cube_trace(L: int, width: int, sign: int) -> int:
+    """trace(C^3) at q = 2^width for C[a][b] = sign^b q^T(b) [L-a; b], 0 <= a, b <= L,
+    zero for a + b > L.  With sign -1, C[k][i] C[i][j] C[j][k] is the cube analog's
+    cycle at (i, j, k).  The q-Pascal rule [m; b] = [m-1; b-1] + q^b [m-1; b] builds C."""
+    rows = [[1]]
+    for m in range(1, L + 1):
+        up = rows[-1]
+        rows.append([1] + [up[b - 1] + (up[b] << width * b) for b in range(1, m)] + [1])
+    c = [[sign ** b * (v << width * triangular(b)) for b, v in enumerate(row)]
+         for row in reversed(rows)]  # row a of C, for b = 0..L-a
+    cols = [[c[j][b] for j in range(L - b + 1)] for b in range(L + 1)]
+    # sum C[b][a] (C^2)[a][b] over a + b <= L: map ends with column a, at b = L - a
+    return sum(sum(map(mul, cols[a], (sum(map(mul, c[a], col)) for col in cols)))
+               for a in range(L + 1))
+
+
+def jacobi_cube_poly_holds(L: int) -> bool:
+    """Does the polynomial cube analog hold at L?  Decided at q = 2^W as
+    summands_agree decides, with W = B.bit_length() for B the left side's summed
+    |coefficient| plus the unsigned trace at q = 1, which bounds left - trace(C^3)."""
+    lhs = _cube_lhs(L)
+    width = (sum(abs(c) for _, c in lhs) + _cube_trace(L, 0, 1)).bit_length()
+    return sum(c << width * e for e, c in lhs) == _cube_trace(L, width, -1)
 
 
 def jacobi_cube_series(order: int) -> tuple[TruncSeries, TruncSeries]:

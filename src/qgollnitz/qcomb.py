@@ -117,8 +117,8 @@ def factor_normal(factor: tuple):
 
 def divide_one_minus(run: list, r: int) -> None:
     """Divide the coefficient run in place by 1 - q^r (r >= 1) modulo
-    q^len(run): a running sum over each residue class of exponents mod r."""
-    for res in range(r):
+    q^len(run): a running sum over each residue class mod r that has 2+ terms."""
+    for res in range(min(r, len(run) - r)):
         run[res::r] = accumulate(run[res::r])
 
 
@@ -155,8 +155,8 @@ def qbinom(top: int, bottom: int) -> LaurentPoly:
     return value if sign > 0 else -value
 
 
-# 512 entries hold what the key grid reuses from tuple to tuple; a larger
-# table would keep the cube analog's large images alive after its sweep.
+# 512 entries hold what the key grid reuses from tuple to tuple, and bound
+# what a sweep at large widths leaves behind.
 @lru_cache(maxsize=512)
 def qbinom_image(top: int, bottom: int, width: int) -> int:
     """[top; bottom] at q = 2^width, for top >= bottom >= 0: the product of

@@ -171,29 +171,52 @@ def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
 
 
 def test_cube_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
-    real = corollaries.jacobi_cube_poly_summands
+    # each corruption reaches both the decision (the left side's terms and
+    # trace(C^3) at q = 2^W) and the rendered sides (the summand lists)
+    real_lhs = corollaries._cube_lhs
+    real_trace = corollaries._cube_trace
+    real_summands = corollaries.jacobi_cube_poly_summands
 
-    def corrupted(L):
-        left, right = real(L)
-        right = list(right)
-        kind = L % 3
-        if kind == 0 and left:  # 1 added to the last (2l+1) coefficient
-            shift, fs, coeff = left[-1]
-            return left[:-1] + [(shift, fs, coeff + 1)], right
-        if kind == 1:  # a cycle with a zero binomial leaves the value alone
-            return left, right + [keyid.cycle_summand(L + 1, 0, 0, L, 5)]
-        return left, [(e + 1, *rest) for e, *rest in right]  # times q
+    def lhs(L):
+        terms = real_lhs(L)
+        if L % 3 == 0 and terms:  # 1 added to the last (2l+1) coefficient
+            return terms[:-1] + [(terms[-1][0], terms[-1][1] + 1)]
+        if L % 3 == 1:  # a zero term leaves the value alone
+            return terms + [(L * L + 7, 0)]
+        return terms
 
-    monkeypatch.setattr(corollaries, "jacobi_cube_poly_summands", corrupted)
+    def trace(L, width, sign):  # times q, on the right side only
+        value = real_trace(L, width, sign)
+        return value << width if L % 3 == 2 and sign < 0 else value
+
+    def summands(L):
+        left, right = real_summands(L)
+        if L % 3 == 2:
+            return left, ((e + 1, *rest) for e, *rest in right)
+        return left, right
+
+    monkeypatch.setattr(corollaries, "_cube_lhs", lhs)
+    monkeypatch.setattr(corollaries, "_cube_trace", trace)
+    monkeypatch.setattr(corollaries, "jacobi_cube_poly_summands", summands)
     report = run_sweep(SweepSpec("jacobi-cube-poly", {"L": (-2, 8)}))
     expected = []
     for L in range(-2, 9):
+        assert corollaries.jacobi_cube_poly_holds(L) is (L % 3 == 1 or L < 0)
         lhs, rhs = corollaries.jacobi_cube_poly_sides(L)
         if lhs != rhs:
             expected.append({"params": {"L": L}, "lhs": str(lhs), "rhs": str(rhs)})
     assert report.total == 11
     assert [f["params"]["L"] for f in expected] == [0, 2, 3, 5, 6, 8]
     assert report.failures == expected
+
+
+def test_cube_sweep_leaves_the_binomial_memos_empty():
+    # a passing cube tuple is decided on q-Pascal images, which take no memo
+    for memo in (qcomb.qbinom_image, qcomb.factor_normal):
+        memo.cache_clear()
+    assert run_sweep(SweepSpec("jacobi-cube-poly")).ok
+    assert qcomb.qbinom_image.cache_info().currsize == 0
+    assert qcomb.factor_normal.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("lo, hi", [(21, 26), (-3, 0)])

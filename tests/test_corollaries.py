@@ -1,6 +1,7 @@
 """Tests for the bounded triple product, false theta, cube analogs, the
 q = 1 collapse, and the four parameter identity."""
 
+import hashlib
 import inspect
 import itertools
 import operator
@@ -10,14 +11,15 @@ import pytest
 
 from qgollnitz import corollaries
 from qgollnitz.cli import SweepSpec, run_sweep
-from qgollnitz.qcomb import NegativeLength, qbinom
-from qgollnitz.qcore import LaurentPoly, TruncSeries
+from qgollnitz.qcomb import NegativeLength, qbinom, summand_poly
+from qgollnitz.qcore import LaurentPoly, TruncSeries, unpack_signed
 from qgollnitz.keyid import key_limit_lhs, key_limit_rhs
 from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
                                    bounded_jtp_sides, carl_poly_sides,
                                    carlitz_sides, enumerate_decuples,
                                    false_theta_sides, four_param_sides,
-                                   jacobi_cube_poly_sides, jacobi_cube_series,
+                                   jacobi_cube_poly_holds, jacobi_cube_poly_sides,
+                                   jacobi_cube_poly_summands, jacobi_cube_series,
                                    jtp_series, poch_series, render_powers)
 
 
@@ -120,7 +122,30 @@ def test_false_theta_rhs_matches_full_grid_reference():
             == _false_theta_rhs_reference(order).coeffs, order
 
 
+def test_false_theta_rhs_pinned_at_order_200():
+    # the sha256 of the right side's coefficient list at order 200, as the
+    # sum of truncated series products gave it
+    _, rhs = false_theta_sides(200)
+    assert hashlib.sha256(repr(list(rhs.coeffs)).encode()).hexdigest() \
+        == "178454aaae1adf34d84b0a3a4322ec2dd2b2af39b1196df723244bfdc3080bee"
+
+
 # -- Jacobi cube analogs -----------------------------------------------------
+
+def test_cube_trace_decodes_to_the_cycle_sum():
+    # trace(C^3) at a whole-byte width above the cycles' sum at q = 1 has the
+    # signed cycle sum's coefficients as its signed base-2^W digits
+    for L in range(-2, 16):
+        nbytes = corollaries._cube_trace(L, 0, 1).bit_length() // 8 + 1
+        image = corollaries._cube_trace(L, 8 * nbytes, -1)
+        _, cycles = jacobi_cube_poly_summands(L)
+        assert P(enumerate(unpack_signed(image, nbytes))) == summand_poly(cycles), L
+
+
+def test_jacobi_cube_poly_holds_past_the_default_grid():
+    for L in range(-3, 31):
+        assert jacobi_cube_poly_holds(L), L
+
 
 def test_jacobi_cube_poly_examples():
     lhs, rhs = jacobi_cube_poly_sides(0)
@@ -233,13 +258,19 @@ def _mutant(old, new):
 _CARL_GROUP = "groups.setdefault(i - j, [])"
 _CARL_CYCLE = "cycle_summand(i, j, k, L, _sign(k))"
 _JTP_A_INVERSE = "runs[n][e:] = map(add, runs[n][e:], runs[n + 1][:order - e])"
-_FALSE_THETA_RUN = "divide_one_minus(inv, n)"
+_FALSE_THETA_STEP = "_times_ratio(run, (i + k,), (k, k))"
+_FALSE_THETA_DIAGONAL = "(i + 1,) * 4"
+_CUBE_SIGN = "sign ** b * "
+_CUBE_SHIFT = "(v << width * triangular(b))"
+_CUBE_PASCAL = "(up[b] << width * b)"
+_CUBE_INNER = "sum(map(mul, c[a], col))"
 
 
 @pytest.mark.parametrize("name, identity, old, new, caught", [
     ("carl_poly_sides", "carl", _CARL_GROUP, _CARL_GROUP, False),
     ("jtp_series", "jtp-series", _JTP_A_INVERSE, _JTP_A_INVERSE, False),
-    ("false_theta_sides", "false-theta", _FALSE_THETA_RUN, _FALSE_THETA_RUN, False),
+    ("false_theta_sides", "false-theta", _FALSE_THETA_STEP, _FALSE_THETA_STEP, False),
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_INNER, _CUBE_INNER, False),
     # a cycle filed under the power i - j + 1 of a
     ("carl_poly_sides", "carl", _CARL_GROUP, "groups.setdefault(i - j + 1, [])",
      True),
@@ -247,11 +278,25 @@ _FALSE_THETA_RUN = "divide_one_minus(inv, n)"
     ("carl_poly_sides", "carl", _CARL_CYCLE, "cycle_summand(i, j, k, L)", True),
     # the product without its factors 1 + A^-1 q^e
     ("jtp_series", "jtp-series", _JTP_A_INVERSE, "pass", True),
-    # 1/(q)_n taken as 1/(q)_(n-1) divided by 1 - q^(n+1)
-    ("false_theta_sides", "false-theta", _FALSE_THETA_RUN,
-     "divide_one_minus(inv, n + 1)", True),
-], ids=["carl-copy", "jtp-series-copy", "false-theta-copy", "carl-power",
-        "carl-sign", "jtp-series-factor", "false-theta-reciprocal"])
+    # the step along k divides by 1 - q^k once, not twice
+    ("false_theta_sides", "false-theta", _FALSE_THETA_STEP,
+     "_times_ratio(run, (i + k,), (k,))", True),
+    # the diagonal step divides by 1 - q^i three times, not four
+    ("false_theta_sides", "false-theta", _FALSE_THETA_DIAGONAL, "(i + 1,) * 3", True),
+    # C without the sign (-1)^b on odd b
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SIGN, "", True),
+    # C without its shift q^T(b)
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SHIFT, "v", True),
+    # the q-Pascal rule with q^(b+1) for q^b
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_PASCAL,
+     "(up[b] << width * (b + 1))", True),
+    # (C^2)[a][b] summed over a j range one short
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_INNER,
+     "sum(map(mul, c[a][:-1], col))", True),
+], ids=["carl-copy", "jtp-series-copy", "false-theta-copy", "cube-copy", "carl-power",
+        "carl-sign", "jtp-series-factor", "false-theta-reciprocal",
+        "false-theta-diagonal", "cube-sign", "cube-shift", "cube-pascal",
+        "cube-inner"])
 def test_default_sweep_catches_a_mutant(monkeypatch, name, identity, old, new,
                                         caught):
     # an unmutated copy passes the identity's default sweep
