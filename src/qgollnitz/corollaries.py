@@ -266,10 +266,12 @@ def jacobi_cube_poly_holds(L: int) -> bool:
 
 def jacobi_cube_series(order: int) -> tuple[TruncSeries, TruncSeries]:
     """The cube formula modulo q^order: the alternating (2l+1)-weighted
-    theta sum against the cube of the Euler product."""
+    theta sum against the cube of the Euler product, built on one run by
+    three passes of each factor 1 - q^r, r < order."""
     lhs = _theta_series(order, lambda el: 2 * el + 1)
-    euler = poch_series(1, order, order)
-    return lhs, euler * euler * euler
+    run = [1] + [0] * (order - 1)
+    _times_ratio(run, [r for r in range(1, order) for _ in range(3)], ())
+    return lhs, TruncSeries(order, run)
 
 
 # ---------------------------------------------------------------------------

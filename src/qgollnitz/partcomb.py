@@ -12,7 +12,7 @@ from enum import IntEnum
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .qcore import ZERO, LaurentPoly, poly_prod, unpack_signed
+from .qcore import ZERO, LaurentPoly, unpack_signed
 from . import keyid
 
 
@@ -267,31 +267,29 @@ def count_G(L: int, n: int, freq: Sequence[int]) -> int:
     return sum(1 for p in iter_type1(L, freq) if p.weight == n)
 
 
-def _distinct_weight_poly(count: int, bound: int) -> LaurentPoly:
-    # weight polynomial of the `count`-element subsets of {1..bound}: 1 for
-    # count 0 (the empty subset), 0 for a negative count.  rows[m] counts
-    # the m-subsets of {1..x} by weight, as base-2^(8 nbytes) digits
-    if count < 0:
-        return ZERO
-    nbytes = max(bound, 0) // 8 + 1  # a count is at most 2^bound
-    rows = [1] + [0] * count
-    for x in range(1, bound + 1):
-        for m in range(min(x, count), 0, -1):
-            rows[m] += rows[m - 1] << 8 * nbytes * x
-    return LaurentPoly._raw(0, unpack_signed(rows[count], nbytes))
-
-
 def _tricolor_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
-    # weight polynomial of the tri-colored partitions counted by count_P
-    return poly_prod((_distinct_weight_poly(i, L - k),
-                      _distinct_weight_poly(j, L - i),
-                      _distinct_weight_poly(k, L - j)))
+    # weight polynomial of the tri-colored partitions counted by count_P: the
+    # product of each color's weight polynomial of its `count`-subsets of
+    # {1..bound}, taken as images at one width of whole bytes.  A coefficient
+    # is at most C(b1, i) C(b2, j) C(b3, k) <= 2^(b1 + b2 + b3), bounds >= 0.
+    bounds = ((i, L - k), (j, L - i), (k, L - j))
+    nbytes = sum(max(bound, 0) for _, bound in bounds) // 8 + 1
+    image = 1
+    for count, bound in bounds:
+        if count < 0:
+            return ZERO
+        rows = [1] + [0] * count  # rows[m]: the m-subsets of {1..x} by weight
+        for x in range(1, bound + 1):
+            for m in range(min(x, count), 0, -1):
+                rows[m] += rows[m - 1] << 8 * nbytes * x
+        image *= rows[count]
+    return LaurentPoly._raw(0, unpack_signed(image, nbytes))
 
 
 def count_P(L: int, n: int, i: int, j: int, k: int) -> int:
     """Number of tri-colored partitions of n: i distinct parts in the first
     color bounded by L-k, j in the second bounded by L-i, k in the third
-    bounded by L-j.  Exhaustive enumeration per color class."""
+    bounded by L-j.  The coefficient of q^n in their weight polynomial."""
     return _tricolor_poly(L, i, j, k).coeff(n)
 
 

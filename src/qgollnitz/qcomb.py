@@ -9,9 +9,10 @@ identity
 
     [-alpha; k] = (-1)^k [k+alpha-1; k] q^(-alpha*k - T(k-1)),
 
-which is where negative q-exponents enter the engine.  qbinom and
-qmultinom are polynomial products, for qpascal's recurrence, the rendered
-failures of the q-multinomial one and the tests' oracle.
+which is where negative q-exponents enter the engine.  qbinom is that
+polynomial product, for qpascal's recurrence and the tests' oracle;
+qmultinom is read off its image (summand_poly), for the rendered failures
+of the q-multinomial recurrence.
 
 Every sum of q-binomial products in the engine (the key identity's
 diagonal closed form, the cube analog) is a summand list: an integer
@@ -285,26 +286,13 @@ def qbinom_q1(top: int, bottom: int) -> int:
 
 
 def qmultinom(total: int, parts: Sequence[int]) -> LaurentPoly:
-    """q-multinomial [total; p1, p2, ...] as a product of successive
-    q-binomials [total; p1][total-p1; p2]...
+    """q-multinomial [total; p1, p2, ...] = [total; p1][total-p1; p2]...,
+    decoded from its image by summand_poly (factor_normal normalises it).
 
     Any negative part makes a zero factor, so the whole product vanishes;
     negative totals follow the Laurent branch of qbinom.
     """
-    return _qmultinom(total, tuple(parts))
-
-
-@lru_cache(maxsize=4096)
-def _qmultinom(total: int, parts: tuple[int, ...]) -> LaurentPoly:
-    result = ONE
-    rem = total
-    for p in parts:
-        factor = qbinom(rem, p)
-        if not factor:
-            return ZERO
-        result = result * factor
-        rem -= p
-    return result
+    return summand_poly([(0, ((total, *parts),))])
 
 
 def qpascal_sides(top: int, bottom: int) -> tuple[LaurentPoly, LaurentPoly]:

@@ -4,10 +4,10 @@ All values are immutable, use arbitrary-precision integer coefficients, and
 compare by exact structural equality.  This module is the value layer for the
 identity checkers; nothing here knows about q-binomials or partitions.
 
-Internally a ``LaurentPoly`` stores a valuation plus a dense coefficient run.
-Large products are computed by Kronecker substitution (pack the coefficients
-into one big integer, multiply once, unpack), which keeps sweeps over tens of
-thousands of identity instances fast without leaving exact integer land.
+Internally a ``LaurentPoly`` stores a valuation plus a dense coefficient run,
+and a product is the schoolbook convolution of two runs (_conv).  Large
+values are not built by products here: the sweeps take them as integer
+images at q = 2^W and read the coefficients back with unpack_signed.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class NonUnitConstantTerm(ValueError):
 
 TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
-# Products with at most this many coefficient pairs use the schoolbook loop;
-# beyond it the Kronecker path wins.
-_SCHOOLBOOK_CAP = 600
-
 
 def _conv(a, b):
     """Schoolbook convolution of two dense coefficient runs."""
@@ -41,19 +37,6 @@ def _conv(a, b):
                 if cb:
                     out[i + j] += ca * cb
     return out
-
-
-def _pack(coeffs, width):
-    """Pack a coefficient run into one integer, ``width`` bytes per slot."""
-    n = len(coeffs)
-    pos = bytearray(n * width)
-    neg = bytearray(n * width)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * width:(i + 1) * width] = c.to_bytes(width, "little")
-        elif c < 0:
-            neg[i * width:(i + 1) * width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def unpack_signed(value, nbytes):
@@ -75,20 +58,6 @@ def unpack_signed(value, nbytes):
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _kron_conv(a, b):
-    """Convolution via Kronecker substitution.
-
-    The slot width is chosen so every true product coefficient and every
-    coefficient of either run fits in a signed slot (an all-zero run counts
-    its largest as 1), so unpack_signed gives the coefficients back exactly.
-    """
-    amax = max(max(map(abs, a)), 1)
-    bmax = max(max(map(abs, b)), 1)
-    width = ((amax * bmax * min(len(a), len(b))).bit_length() + 9) // 8
-    out = unpack_signed(_pack(a, width) * _pack(b, width), width)
-    return out + [0] * (len(a) + len(b) - 1 - len(out))
 
 
 class LaurentPoly:
@@ -239,11 +208,7 @@ class LaurentPoly:
             return (other * a[0]).shift(self._val)
         if len(b) == 1:
             return (self * b[0]).shift(other._val)
-        if len(a) * len(b) <= _SCHOOLBOOK_CAP:
-            out = _conv(a, b)
-        else:
-            out = _kron_conv(a, b)
-        return LaurentPoly._raw(self._val + other._val, out)
+        return LaurentPoly._raw(self._val + other._val, _conv(a, b))
 
     __rmul__ = __mul__
 
@@ -316,15 +281,6 @@ def poly_sum(terms) -> LaurentPoly:
         end = at + len(coeffs)
         out[at:end] = map(add if sign > 0 else sub, out[at:end], coeffs)
     return LaurentPoly._raw(lo, out)
-
-
-def poly_prod(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    total = None
-    for p in polys:
-        if not p:
-            return _ZERO
-        total = p if total is None else total * p
-    return _ONE if total is None else total
 
 
 # ---------------------------------------------------------------------------

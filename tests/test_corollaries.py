@@ -167,6 +167,14 @@ def test_jacobi_cube_series_examples():
     assert lhs == rhs
 
 
+def test_jacobi_cube_series_rhs_pinned_at_order_1000():
+    # the sha256 of the Euler cube's coefficient list at order 1000, as the
+    # product of three truncated Euler series gave it
+    _, rhs = jacobi_cube_series(1000)
+    assert hashlib.sha256(repr(list(rhs.coeffs)).encode()).hexdigest() \
+        == "fee74b5c1c38da0e3c3040a1a5c197768c3dbf148e6fc60901dc6abaf84d174b"
+
+
 def test_jacobi_cube_poly_truncates_to_series():
     L = 20
     order = L + 1

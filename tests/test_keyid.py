@@ -1,5 +1,6 @@
 """Key identity tests: both sides, boundary, recurrences, specializations."""
 
+import functools
 import gc
 import inspect
 import itertools
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
-                             poly_prod, poly_sum, q_power)
+                             poly_sum, q_power)
 from qgollnitz import keyid, qcomb, qcore
 from qgollnitz.qcomb import (poch_qpow, qbinom, qbinom_is_nonzero, qmultinom,
                              summand_poly, summands_agree, triangular)
@@ -265,15 +266,21 @@ summands = st.builds(lambda shift, fs, coeff: (shift, fs, *coeff),
 sides = st.lists(summands, max_size=4)
 
 
+def poly_prod(polys):
+    """The product of polys by LaurentPoly's own product, 1 when empty."""
+    return functools.reduce(operator.mul, polys, LaurentPoly({0: 1}))
+
+
 def product_poly(summands):
-    """A summand list's value by the polynomial product formulas: the
-    product of each summand's qbinom / qmultinom factors, times its
-    coefficient and q^shift.  It shares no code with the image evaluator
-    behind summand_poly and summands_agree, so the tests hold both to it."""
+    """A summand list's value by the polynomial product formula: each
+    factor (top, b1, b2, ...) as the q-binomials [top; b1][top-b1; b2]...,
+    their product times the summand's coefficient and q^shift.  It shares
+    no code with the image evaluator behind summand_poly, summands_agree
+    and qmultinom, so the tests hold that evaluator to it."""
     total = LaurentPoly()
     for shift, fs, *coeff in summands:
-        term = poly_prod([qbinom(*f) if len(f) == 2 else qmultinom(f[0], f[1:])
-                          for f in fs])
+        term = poly_prod(qbinom(f[0] - sum(f[1:at]), f[at])
+                         for f in fs for at in range(1, len(f)))
         total = total + (term * (coeff[0] if coeff else 1)).shift(shift)
     return total
 
@@ -369,8 +376,7 @@ def test_summand_poly_builds_no_polynomial_product(monkeypatch):
         raise AssertionError("summand_poly built a polynomial product")
     side = [(1, ((7, 3), (-2, 2)), -3), (0, ((9, 2, 3),)), (4, ((6, 3),), 2)]
     expected = product_poly(side)
-    for owner, name in ((qcomb, "qbinom"), (qcomb, "_qmultinom"),
-                        (qcomb, "_qbinom_nonneg"), (qcore, "poly_prod"),
+    for owner, name in ((qcomb, "qbinom"), (qcomb, "_qbinom_nonneg"),
                         (LaurentPoly, "__mul__")):
         monkeypatch.setattr(owner, name, forbidden)
     assert summand_poly(side) == expected
@@ -680,8 +686,10 @@ def test_multinom_images_past_the_width_floor(monkeypatch):
 def test_multinom_sweep_builds_no_polynomial(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the multinom-rec sweep built a polynomial")
-    for owner, name in ((qcomb, "_qmultinom"), (qcomb, "poly_sum"),
-                        (qcore, "poly_sum"), (LaurentPoly, "__mul__")):
+    for owner, name in ((qcomb, "qmultinom"), (qcomb, "normal_poly"),
+                        (qcomb, "qbinom"), (qcomb, "_qbinom_nonneg"),
+                        (qcomb, "poly_sum"), (qcore, "poly_sum"),
+                        (LaurentPoly, "__mul__")):
         monkeypatch.setattr(owner, name, forbidden)
     ranges = {"L": (-2, 6), "s": (-1, 4), "i": (-1, 4), "j": (-1, 4)}
     report = run_sweep(SweepSpec("multinom-rec", ranges))

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from qgollnitz.qcore import LaurentPoly
 from qgollnitz import keyid, partcomb
+from qgollnitz.qcomb import qbinom, triangular
 from qgollnitz.partcomb import (Color, ColoredPartition, InvalidImage,
                                 NotType1, PreconditionViolated,
                                 StaircaseImage, check_remark3,
@@ -248,6 +249,19 @@ def test_count_P_matches_brute_force():
                 _subsets(i, L - k), _subsets(j, L - i), _subsets(k, L - j))]
             for n in range(-1, 3 * max(L, 0) ** 2 + 2):
                 assert count_P(L, n, i, j, k) == weights.count(n), (L, n, i, j, k)
+
+
+def test_tricolor_poly_is_the_product_of_its_colors():
+    # the m-subsets of {1..b} by weight are q^T(m) [b; m] (none past b, and
+    # only the empty one for b < 0); the three colors' polynomials multiplied
+    # as LaurentPolys.  At i = j = k = 0 one coefficient takes all the mass.
+    def color(count, bound):
+        return qbinom(max(bound, 0), count).shift(triangular(count))
+
+    for i, j, k in itertools.product(range(5), repeat=3):
+        for L in range(31):
+            expected = color(i, L - k) * color(j, L - i) * color(k, L - j)
+            assert partcomb._tricolor_poly(L, i, j, k) == expected, (L, i, j, k)
 
 
 def test_theorem1_examples():

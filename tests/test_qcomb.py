@@ -1,6 +1,7 @@
 """q-binomial and q-multinomial tests against counting oracles."""
 
 import ast
+import functools
 import importlib
 import inspect
 import itertools
@@ -11,7 +12,7 @@ import pkgutil
 import pytest
 
 import qgollnitz
-from qgollnitz.qcore import LaurentPoly, poly_prod
+from qgollnitz.qcore import LaurentPoly
 from qgollnitz import qcomb
 from qgollnitz.qcomb import (NegativeLength, factor_normal,
                              multinom_recurrence_relations, poch_qpow, qbinom,
@@ -21,6 +22,18 @@ from qgollnitz.qcomb import (NegativeLength, factor_normal,
 
 def P(terms):
     return LaurentPoly(terms)
+
+
+def poly_prod(polys):
+    """The product of polys by LaurentPoly's own product, 1 when empty."""
+    return functools.reduce(operator.mul, polys, P({0: 1}))
+
+
+def successive_qbinoms(total, parts):
+    """Oracle: [total; p1, p2, ...] as the polynomial product
+    [total; p1][total-p1; p2]..., apart from qmultinom's image path."""
+    return poly_prod(qbinom(total - sum(parts[:at]), part)
+                     for at, part in enumerate(parts))
 
 
 def box_partition_counts(rows, cols):
@@ -141,7 +154,8 @@ def test_qbinom_normal_form():
                                        itertools.product(parts, repeat=2),
                                        itertools.product(parts, repeat=3)):
             factor = (top, *bottoms)
-            value = qmultinom(top, bottoms)
+            value = successive_qbinoms(top, bottoms)
+            assert qmultinom(top, bottoms) == value, factor
             normal = factor_normal(factor)
             assert (normal is None) == (not value), factor
             if normal is None:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from qgollnitz.qcore import (ONE, ZERO, LaurentPoly, NegativeExponent,
                              NonUnitConstantTerm, TruncSeries, parse_poly,
                              poly_sum, q_power, render_poly, unpack_signed)
-from qgollnitz.qcore import _SCHOOLBOOK_CAP, _conv, _kron_conv
 
 
 def P(terms):
@@ -153,49 +152,28 @@ def test_poly_sum_examples():
     assert poly_sum([(1, 0, x), (-1, 2, x)]) == P({-1: 1, 0: 2, 1: -1, 2: -2})
 
 
-wide_runs = st.lists(st.integers(-10**15, 10**15), min_size=1, max_size=70)
-
-
-@given(wide_runs, wide_runs)
-@settings(max_examples=200)
-def test_kron_conv_matches_schoolbook(a, b):
-    if not any(a):
-        a[0] = 1
-    if not any(b):
-        b[0] = 1
-    assert _kron_conv(a, b) == _conv(a, b)
-
-
-@given(wide_runs, wide_runs, st.sampled_from(["a", "b", "both"]))
-def test_kron_conv_matches_schoolbook_on_all_zero_runs(a, b, zeros):
-    # an all-zero run must not shrink the slots below the other run's
-    # coefficients
-    if zeros != "b":
-        a = [0] * len(a)
-    if zeros != "a":
-        b = [0] * len(b)
-    assert _kron_conv(a, b) == _conv(a, b)
-    assert _kron_conv([0], [300]) == _conv([0], [300]) == [0]
-
-
 @given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_kron_conv_matches_schoolbook_around_the_cap(data):
-    # runs with len(a) * len(b) on both sides of the schoolbook cap, zeros
-    # (leading and trailing ones too) and signs mixed in; the product
-    # through LaurentPoly takes whichever path the cap picks.  A run that
-    # is all zeros is never multiplied, so each run gets a nonzero entry.
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_a_sum_of_term_products(data):
+    # dense runs of 1 to 70 coefficients of up to 70 bits, zeros (leading
+    # and trailing ones too) and all-zero runs mixed in, at negative and
+    # positive valuations, with len(a) * len(b) on both sides of 600 pairs;
+    # the oracle sums every (i + j, a_i * b_j) term through the constructor
     coeff = st.one_of(st.just(0), st.integers(-(1 << 70), 1 << 70))
-    n = data.draw(st.integers(1, 60))
-    m = max(1, data.draw(st.integers(_SCHOOLBOOK_CAP // 2, 2 * _SCHOOLBOOK_CAP)) // n)
+    n = data.draw(st.integers(1, 70))
+    m = data.draw(st.integers(1, 70) | st.integers(300, 1200).map(
+        lambda pairs: min(70, max(1, pairs // n))))
     a = data.draw(st.lists(coeff, min_size=n, max_size=n))
     b = data.draw(st.lists(coeff, min_size=m, max_size=m))
-    for run in (a, b):
-        if not any(run):
-            run[data.draw(st.integers(0, len(run) - 1))] = data.draw(coeff) or -1
-    expected = _conv(a, b)
-    assert _kron_conv(a, b) == expected
-    assert LaurentPoly._raw(0, a) * LaurentPoly._raw(-3, b) == LaurentPoly._raw(-3, expected)
+    zeros = data.draw(st.sampled_from(["none"] * 3 + ["a", "b", "both"]))
+    if zeros in ("a", "both"):
+        a = [0] * n
+    if zeros in ("b", "both"):
+        b = [0] * m
+    va, vb = data.draw(st.integers(-40, 40)), data.draw(st.integers(-40, 40))
+    expected = LaurentPoly([(va + vb + i + j, x * y)
+                            for i, x in enumerate(a) for j, y in enumerate(b)])
+    assert LaurentPoly._raw(va, a) * LaurentPoly._raw(vb, b) == expected
 
 
 def _digits_value(digits, nbytes):
@@ -302,8 +280,8 @@ def test_series_order_propagates():
     assert (s * t).order == 3
 
 
-# dense runs of 25 to 40 coefficients make products of more than
-# _SCHOOLBOOK_CAP pairs, which take the Kronecker path
+# short runs, and dense runs of 25 to 40 coefficients, whose products take
+# 625 to 1,600 coefficient pairs
 series = st.builds(
     lambda cs, extra: TruncSeries(len(cs) + extra, cs),
     st.lists(st.integers(-9, 9), min_size=1, max_size=10)
