@@ -152,28 +152,51 @@ def test_poly_sum_examples():
     assert poly_sum([(1, 0, x), (-1, 2, x)]) == P({-1: 1, 0: 2, 1: -1, 2: -2})
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_mul_matches_a_sum_of_term_products(data):
-    # dense runs of 1 to 70 coefficients of up to 70 bits, zeros (leading
-    # and trailing ones too) and all-zero runs mixed in, at negative and
-    # positive valuations, with len(a) * len(b) on both sides of 600 pairs;
-    # the oracle sums every (i + j, a_i * b_j) term through the constructor
-    coeff = st.one_of(st.just(0), st.integers(-(1 << 70), 1 << 70))
-    n = data.draw(st.integers(1, 70))
-    m = data.draw(st.integers(1, 70) | st.integers(300, 1200).map(
-        lambda pairs: min(70, max(1, pairs // n))))
-    a = data.draw(st.lists(coeff, min_size=n, max_size=n))
-    b = data.draw(st.lists(coeff, min_size=m, max_size=m))
-    zeros = data.draw(st.sampled_from(["none"] * 3 + ["a", "b", "both"]))
-    if zeros in ("a", "both"):
-        a = [0] * n
-    if zeros in ("b", "both"):
-        b = [0] * m
-    va, vb = data.draw(st.integers(-40, 40)), data.draw(st.integers(-40, 40))
+# The three product tests below keep the names they had while products of
+# more than 600 coefficient pairs were packed into big integers (Kronecker
+# substitution) and checked against the schoolbook loop _conv.  _conv is now
+# the only product loop; they hold LaurentPoly.__mul__ on the same draws to
+# an oracle that sums every (i + j, a_i * b_j) term through the constructor.
+
+def _assert_mul_matches_term_sum(a, b, va=0, vb=0):
     expected = LaurentPoly([(va + vb + i + j, x * y)
                             for i, x in enumerate(a) for j, y in enumerate(b)])
     assert LaurentPoly._raw(va, a) * LaurentPoly._raw(vb, b) == expected
+
+
+wide_runs = st.lists(st.integers(-10**15, 10**15), min_size=1, max_size=70)
+valuations = st.integers(-40, 40)
+
+
+@given(wide_runs, wide_runs, valuations, valuations)
+@settings(max_examples=200)
+def test_kron_conv_matches_schoolbook(a, b, va, vb):
+    _assert_mul_matches_term_sum(a, b, va, vb)
+
+
+@given(wide_runs, wide_runs, st.sampled_from(["a", "b", "both"]))
+def test_kron_conv_matches_schoolbook_on_all_zero_runs(a, b, zeros):
+    # an all-zero run on either side gives the canonical zero
+    if zeros != "b":
+        a = [0] * len(a)
+    if zeros != "a":
+        b = [0] * len(b)
+    _assert_mul_matches_term_sum(a, b, -3, 2)
+    assert LaurentPoly._raw(0, [0]) * LaurentPoly._raw(0, [300]) == ZERO
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kron_conv_matches_schoolbook_around_the_cap(data):
+    # runs of up to 70 coefficients of up to 70 bits, with len(a) * len(b)
+    # on both sides of 600 pairs, zeros (leading and trailing ones too) and
+    # signs mixed in, at negative and positive valuations
+    coeff = st.one_of(st.just(0), st.integers(-(1 << 70), 1 << 70))
+    n = data.draw(st.integers(1, 60))
+    m = min(70, max(1, data.draw(st.integers(300, 1200)) // n))
+    a = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    b = data.draw(st.lists(coeff, min_size=m, max_size=m))
+    _assert_mul_matches_term_sum(a, b, data.draw(valuations), data.draw(valuations))
 
 
 def _digits_value(digits, nbytes):
