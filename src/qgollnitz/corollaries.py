@@ -13,7 +13,7 @@ coefficient, so == compares two sides exactly; render_powers prints one.
 from __future__ import annotations
 
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, lshift, sub
 from typing import NamedTuple
 
 from .qcore import LaurentPoly, TruncSeries, q_power
@@ -242,17 +242,44 @@ def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
 def _cube_trace(L: int, width: int, sign: int) -> int:
     """trace(C^3) at q = 2^width for C[a][b] = sign^b q^T(b) [L-a; b], 0 <= a, b <= L,
     zero for a + b > L.  With sign -1, C[k][i] C[i][j] C[j][k] is the cube analog's
-    cycle at (i, j, k).  The q-Pascal rule [m; b] = [m-1; b-1] + q^b [m-1; b] builds C."""
+    cycle at (i, j, k).
+
+    C = J P D with P[m][b] = [m; b], D = diag(sign^b q^T(b)) and J reversing the
+    rows, so (C x)[a] = (P D x)[L-a].  The q-Pascal rule [m; b] = [m-1; b-1] +
+    q^b [m-1; b] builds P's rows by shifts, and makes (P y)[m] the z[0] left by m
+    steps z[i] <- z[i+1] + q^i z[i] from z = y.  For each b, C e_b is column b of
+    the rows, and C^2 e_b takes all L steps.  (C^3)[b][b] is z[0] after L - b
+    steps from D C^2 e_b; the steps are linear, so every b's D C^2 e_b joins one
+    z with L - b steps left, and z[0] at the end is the trace.  Images are only
+    shifted, added and negated: no two are multiplied."""
     rows = [[1]]
     for m in range(1, L + 1):
         up = rows[-1]
         rows.append([1] + [up[b - 1] + (up[b] << width * b) for b in range(1, m)] + [1])
-    c = [[sign ** b * (v << width * triangular(b)) for b, v in enumerate(row)]
-         for row in reversed(rows)]  # row a of C, for b = 0..L-a
-    cols = [[c[j][b] for j in range(L - b + 1)] for b in range(L + 1)]
-    # sum C[b][a] (C^2)[a][b] over a + b <= L: map ends with column a, at b = L - a
-    return sum(sum(map(mul, cols[a], (sum(map(mul, c[a], col)) for col in cols)))
-               for a in range(L + 1))
+    lifts = [width * triangular(a) for a in range(L + 1)]
+    shifts = [width * i for i in range(L + 1)]
+    odd = sign < 0
+
+    def lift(x, b=0):
+        # D x, each entry also times sign^b q^T(b)
+        return [-(v << s + lifts[b]) if odd and (a + b) & 1 else v << s + lifts[b]
+                for a, (v, s) in enumerate(zip(x, lifts))]
+
+    def step(z, keep):
+        # z[i] <- z[i+1] + q^i z[i] for i < keep, zero past z's end
+        z.append(0)
+        return list(map(add, map(lshift, z[:keep], shifts), z[1:]))
+
+    last = [0] * (L + 1)  # the z of the last application, which every b joins
+    for b in range(L + 1):
+        z = lift([rows[L - a][b] for a in range(L - b + 1)], b)  # D C e_b
+        tops = [z[0]]  # (C^2 e_b)[L - m] for m = 0..L
+        for left in range(L, 0, -1):
+            z = step(z, left)
+            tops.append(z[0])
+        # D C^2 e_b, read up to a = L - b, joins with L - b steps left
+        last = list(map(add, step(last, L - b + 1), lift(tops[b:][::-1])))
+    return sum(last[:1])  # 0 for L < 0, where C is empty
 
 
 def jacobi_cube_poly_holds(L: int) -> bool:

@@ -14,6 +14,7 @@ from qgollnitz.cli import SweepSpec, run_sweep
 from qgollnitz.qcomb import NegativeLength, qbinom, summand_poly
 from qgollnitz.qcore import LaurentPoly, TruncSeries, unpack_signed
 from qgollnitz.keyid import key_limit_lhs, key_limit_rhs
+from qgollnitz.partcomb import iter_type1_all
 from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
                                    bounded_jtp_sides, carl_poly_sides,
                                    carlitz_sides, enumerate_decuples,
@@ -142,8 +143,50 @@ def test_cube_trace_decodes_to_the_cycle_sum():
         assert P(enumerate(unpack_signed(image, nbytes))) == summand_poly(cycles), L
 
 
+def _cube_trace_by_products(L, width, sign):
+    """trace(C^3) in matrix form, one product per pair of entries: C[a][b] =
+    sign^b q^T(b) [L-a; b] at q = 2^width, each [L-a; b] read off qbinom, and
+    sum C[b][a] (C^2)[a][b] over a, b."""
+    def image(poly):
+        return sum(c << width * e for e, c in poly.iter_terms())
+
+    c = [[sign ** b * (image(qbinom(L - a, b)) << width * (b * (b + 1) // 2))
+          for b in range(L - a + 1)] for a in range(L + 1)]  # row a, b <= L - a
+    cols = [[c[j][b] for j in range(L - b + 1)] for b in range(L + 1)]
+    # map ends with column a, at b = L - a
+    return sum(sum(map(operator.mul, cols[a],
+                       (sum(map(operator.mul, c[a], col)) for col in cols)))
+               for a in range(L + 1))
+
+
+def test_cube_trace_matches_the_matrix_products():
+    # widths that are not whole bytes make digits carry across byte borders
+    for L in range(-2, 15):
+        for width in (0, 1, 3, 8, 33, 64):
+            for sign in (1, -1):
+                assert corollaries._cube_trace(L, width, sign) \
+                    == _cube_trace_by_products(L, width, sign), (L, width, sign)
+
+
+def test_cube_trace_counts_type1_partitions():
+    # Theorem 1 at M = L, summed over (i, j, k): the trace with C's sign s^b
+    # weighs each Type-1 partition with parts <= L by s^(primary parts) q^weight.
+    # A check measured on L 0..7 (both signs) and L 0..8 (the count at q = 1),
+    # not a statement proved here.
+    for L in range(9):
+        parts = list(iter_type1_all(L))
+        assert corollaries._cube_trace(L, 0, 1) == len(parts), L
+        nbytes = len(parts).bit_length() // 8 + 1
+        for sign in (1, -1) if L < 8 else ():
+            want = P([(p.weight, sign ** sum(c.is_primary for _, c in p.parts))
+                      for p in parts])
+            image = corollaries._cube_trace(L, 8 * nbytes, sign)
+            assert P(enumerate(unpack_signed(image, nbytes))) == want, (L, sign)
+    assert len(parts) == 98209
+
+
 def test_jacobi_cube_poly_holds_past_the_default_grid():
-    for L in range(-3, 31):
+    for L in range(-3, 41):
         assert jacobi_cube_poly_holds(L), L
 
 
@@ -268,17 +311,18 @@ _CARL_CYCLE = "cycle_summand(i, j, k, L, _sign(k))"
 _JTP_A_INVERSE = "runs[n][e:] = map(add, runs[n][e:], runs[n + 1][:order - e])"
 _FALSE_THETA_STEP = "_times_ratio(run, (i + k,), (k, k))"
 _FALSE_THETA_DIAGONAL = "(i + 1,) * 4"
-_CUBE_SIGN = "sign ** b * "
-_CUBE_SHIFT = "(v << width * triangular(b))"
+_CUBE_SIGN = "-(v << s + lifts[b]) if odd and (a + b) & 1 else "
+_CUBE_LIFT = "lift(tops[b:][::-1])"
+_CUBE_STEP = "shifts = [width * i for"
 _CUBE_PASCAL = "(up[b] << width * b)"
-_CUBE_INNER = "sum(map(mul, c[a], col))"
+_CUBE_SUPPORT = "step(last, L - b + 1)"
 
 
 @pytest.mark.parametrize("name, identity, old, new, caught", [
     ("carl_poly_sides", "carl", _CARL_GROUP, _CARL_GROUP, False),
     ("jtp_series", "jtp-series", _JTP_A_INVERSE, _JTP_A_INVERSE, False),
     ("false_theta_sides", "false-theta", _FALSE_THETA_STEP, _FALSE_THETA_STEP, False),
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_INNER, _CUBE_INNER, False),
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SUPPORT, _CUBE_SUPPORT, False),
     # a cycle filed under the power i - j + 1 of a
     ("carl_poly_sides", "carl", _CARL_GROUP, "groups.setdefault(i - j + 1, [])",
      True),
@@ -291,19 +335,22 @@ _CUBE_INNER = "sum(map(mul, c[a], col))"
      "_times_ratio(run, (i + k,), (k,))", True),
     # the diagonal step divides by 1 - q^i three times, not four
     ("false_theta_sides", "false-theta", _FALSE_THETA_DIAGONAL, "(i + 1,) * 3", True),
-    # C without the sign (-1)^b on odd b
+    # D and C without the sign (-1)^a on odd a
     ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SIGN, "", True),
-    # C without its shift q^T(b)
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SHIFT, "v", True),
+    # the last application of C without its lift D = diag(sign^a q^T(a))
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_LIFT, "tops[b:][::-1]", True),
+    # the q-Pascal step z[i] <- z[i+1] + q^(i+1) z[i], for q^i
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_STEP,
+     "shifts = [width * (i + 1) for", True),
     # the q-Pascal rule with q^(b+1) for q^b
     ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_PASCAL,
      "(up[b] << width * (b + 1))", True),
-    # (C^2)[a][b] summed over a j range one short
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_INNER,
-     "sum(map(mul, c[a][:-1], col))", True),
+    # the last application's z trimmed one entry short of the L - b + 1 it reads
+    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SUPPORT, "step(last, L - b)",
+     True),
 ], ids=["carl-copy", "jtp-series-copy", "false-theta-copy", "cube-copy", "carl-power",
         "carl-sign", "jtp-series-factor", "false-theta-reciprocal",
-        "false-theta-diagonal", "cube-sign", "cube-shift", "cube-pascal",
+        "false-theta-diagonal", "cube-sign", "cube-shift", "cube-step", "cube-pascal",
         "cube-inner"])
 def test_default_sweep_catches_a_mutant(monkeypatch, name, identity, old, new,
                                         caught):
