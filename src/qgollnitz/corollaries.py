@@ -4,7 +4,8 @@ parameter key identity, each computed two-sidedly in exact arithmetic.
 
 Right sides here are signed, auxiliary-weighted sums of the same binomial
 cycle [L-k; i][L-i; j][L-j; k] that closes the diagonal of the key identity,
-so they are built on keyid.cycle_summand (in base q^2 by stretching it).
+so they are built on keyid.cycle_summand (in base q^2 by stretching it), or,
+for the cube analog, as trace(C^3) (_cube_trace).
 
 A side weighted by A or a is a {power: coefficient} dict with no zero
 coefficient, so == compares two sides exactly; render_powers prints one.
@@ -16,7 +17,7 @@ from math import isqrt
 from operator import add, lshift, sub
 from typing import NamedTuple
 
-from .qcore import LaurentPoly, TruncSeries, q_power
+from .qcore import LaurentPoly, TruncSeries, q_power, unpack_signed
 from .qcomb import (NegativeLength, divide_one_minus, poch_quotient_sum, qbinom_q1,
                     summand_poly, triangular)
 from .keyid import cycle_summand
@@ -221,24 +222,6 @@ def _cube_lhs(L: int) -> list:
     return [(triangular(el), _sign(el) * (2 * el + 1)) for el in range(L + 1)]
 
 
-def jacobi_cube_poly_summands(L: int):
-    """Both sides of the polynomial cube analog as summands (see
-    keyid.lhs_summands): the list of _cube_lhs's terms, and a generator of
-    the signed cycles (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]."""
-    lhs = [(e, (), c) for e, c in _cube_lhs(L)]
-    rhs = (cycle_summand(i, j, k, L, _sign(i + j + k))
-           for i, j, k in _cycle_tuples(L))
-    return lhs, rhs
-
-
-def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Polynomial analog of the cube formula:
-    sum_{l=0..L} (-1)^l (2l+1) q^T(l)  against
-    sum (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]."""
-    lhs, rhs = jacobi_cube_poly_summands(L)
-    return summand_poly(lhs), summand_poly(rhs)
-
-
 def _cube_trace(L: int, width: int, sign: int) -> int:
     """trace(C^3) at q = 2^width for C[a][b] = sign^b q^T(b) [L-a; b], 0 <= a, b <= L,
     zero for a + b > L.  With sign -1, C[k][i] C[i][j] C[j][k] is the cube analog's
@@ -282,12 +265,29 @@ def _cube_trace(L: int, width: int, sign: int) -> int:
     return sum(last[:1])  # 0 for L < 0, where C is empty
 
 
-def jacobi_cube_poly_holds(L: int) -> bool:
-    """Does the polynomial cube analog hold at L?  Decided at q = 2^W as
-    summands_agree decides, with W = B.bit_length() for B the left side's summed
-    |coefficient| plus the unsigned trace at q = 1, which bounds left - trace(C^3)."""
+def _cube_bound(L: int, lhs: list) -> int:
+    """B, the left side's summed |coefficient| plus the unsigned trace at q = 1:
+    it bounds every |coefficient| of either side, and of left - trace(C^3)."""
+    return sum(abs(c) for _, c in lhs) + _cube_trace(L, 0, 1)
+
+
+def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Polynomial analog of the cube formula:
+    sum_{l=0..L} (-1)^l (2l+1) q^T(l)  against
+    sum (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k] = trace(C^3),
+    read off its signed base-2^W digits, W whole bytes above B (_cube_bound)."""
     lhs = _cube_lhs(L)
-    width = (sum(abs(c) for _, c in lhs) + _cube_trace(L, 0, 1)).bit_length()
+    nbytes = _cube_bound(L, lhs).bit_length() // 8 + 1
+    rhs = unpack_signed(_cube_trace(L, 8 * nbytes, -1), nbytes)
+    return LaurentPoly(lhs), LaurentPoly(enumerate(rhs))
+
+
+def jacobi_cube_poly_holds(L: int) -> bool:
+    """Does the polynomial cube analog hold at L?  Decided at q = 2^W with
+    W = B.bit_length() (_cube_bound): left - trace(C^3) has every coefficient
+    below 2^W in size, so it is zero exactly when its image at q = 2^W is."""
+    lhs = _cube_lhs(L)
+    width = _cube_bound(L, lhs).bit_length()
     return sum(c << width * e for e, c in lhs) == _cube_trace(L, width, -1)
 
 

@@ -8,7 +8,7 @@ p(i, j, k, L, M) is the single s-sum (rhs_p).  Both are total functions on
 Z^5; no argument is range-restricted.
 
 Every binomial of either side depends on L alone or on M alone, so the
-identity's three displayed sums (lhs_normal's two and the right side's
+identity's three displayed sums (the left side's two and the right side's
 s-sum) are built from halves in qcomb's normal form: _l_halves (keyed by
 (i, j, k, L), 8 entries) and _m_halves (by (i, j, k, M), 24 entries).  A
 half is dense, one slot per sextuple row for each left sum and one per s
@@ -77,7 +77,7 @@ def enumerate_sextuples(i: int, j: int, k: int) -> list[Sextuple]:
 def _sextuple_rows(i: int, j: int, k: int) -> tuple:
     """(a, b, c, ab, ac, bc, t, e1, e2) for each of enumerate_sextuples(i, j,
     k), with e1 = T(t) + T(ab) + T(ac) + T(bc) and e2 the same with T(bc-1):
-    what lhs_normal needs of a sextuple at every (L, M), and key_limit_lhs
+    what the left halves need of a sextuple at every (L, M), and key_limit_lhs
     at every order.  A sweep visits one (i, j, k) for many (L, M) in a row,
     so a few entries suffice."""
     return tuple((*sx, sx.t, base + triangular(sx.bc), base + triangular(sx.bc - 1))
@@ -171,38 +171,22 @@ def _sum_normal(l_parts, m_parts, side: int = 1) -> tuple:
     return bound, terms
 
 
-def lhs_normal(i: int, j: int, k: int, L: int, M: int) -> tuple:
-    """The left side's two displayed sums, each as a normal form.
-
-    The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomials
-    ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
-    'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split mirrors
-    the smallest-part dichotomy of the staircase image.  Every binomial
-    depends on L alone or on M alone; the two binomials both sums share
-    are normalised as [L-t+b; b, ab] = [L-t+b; b] [L-t; ab] and [M-t+c; c, ac]."""
-    return tuple(map(_sum_normal, _l_halves(i, j, k, L)[:2], _m_halves(i, j, k, M)[:2]))
-
-
-def lhs_summands(i: int, j: int, k: int, L: int, M: int) -> tuple[list, list]:
-    """The two sums of lhs_normal as summand lists.  A summand (shift,
-    factors, coeff) is coeff (1 when left out) times q^shift times the product
-    of its factors (top, b1, b2, ...) = [top; b1, b2, ...]; here each factor
-    is a q-binomial (n, m) = [n; m] with n > m > 0."""
-    return tuple([(term[1], tuple(zip(term[2::2], term[3::2])), term[0])
-                  for term in terms] for _, terms in lhs_normal(i, j, k, L, M))
-
-
 def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
     """coeff times the binomial cycle q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]
-    as a summand (see lhs_summands), the one place the cycle is written."""
+    as a summand (see qcomb.summand_poly), the one place the cycle is written."""
     return (triangular(i) + triangular(j) + triangular(k),
             ((L - k, i), (L - i, j), (L - j, k)), coeff)
 
 
 def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple:
-    """The two displayed sums of the identity's left side, separately."""
-    first, second = lhs_normal(i, j, k, L, M)
-    return normal_poly(*first), normal_poly(*second)
+    """The two displayed sums of the identity's left side, separately.
+
+    The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomials
+    ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
+    'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split mirrors
+    the smallest-part dichotomy of the staircase image."""
+    return tuple(normal_poly(*_sum_normal(l_parts, m_parts)) for l_parts, m_parts
+                 in zip(_l_halves(i, j, k, L)[:2], _m_halves(i, j, k, M)[:2]))
 
 
 def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
@@ -213,8 +197,8 @@ def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
 
 @lru_cache(maxsize=8192)
 def _lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
-    (bound1, first), (bound2, second) = lhs_normal(i, j, k, L, M)
-    return normal_poly(bound1 + bound2, first + second)
+    return normal_poly(*_sum_normal(chain(*_l_halves(i, j, k, L)[:2]),
+                                    chain(*_m_halves(i, j, k, M)[:2])))
 
 
 @lru_cache(maxsize=8192)
@@ -226,8 +210,8 @@ def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
     """Exact equality of the two sides at one integer 5-tuple: B bounds the
     difference's coefficients (0: no live summand), and for W normal_poly's
-    width, at least 32 so that small tuples share images, the difference is
-    zero exactly when its image at q = 2^W is (normal_is_zero's test)."""
+    width, at least 32 so that small tuples share images, 2^W > B and the
+    difference is zero exactly when its image at q = 2^W is."""
     l_half, m_half = _l_halves(i, j, k, L), _m_halves(i, j, k, M)
     bound = sum(map(mul, l_half[3], m_half[3]))
     if not bound:

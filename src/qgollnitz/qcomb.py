@@ -14,18 +14,19 @@ polynomial product, for qpascal's recurrence and the tests' oracle;
 qmultinom is read off its image (summand_poly), for the rendered failures
 of the q-multinomial recurrence.
 
-Every sum of q-binomial products in the engine (the key identity's
-diagonal closed form, the cube analog) is a summand list: an integer
+A sum of q-binomial products written out term by term (the key identity's
+diagonal closed form, the a-weighted cycle) is a summand list: an integer
 times q^shift times a product of q-binomials and q-multinomials.
 _normal_terms reduces a list to its normal form, flat terms of [n; m] pairs
 with n > m > 0 (factor_normal) and B, their summed weight; keyid builds
 both sides of the key identity in that form directly.  _image gives its
 value at q = 2^W, each term's binomials by the product formula over the
-integers (pairs_image, shared with keyid.check_key).  normal_is_zero decides
-on it, with W large enough that equal integers mean equal polynomials;
-normal_poly reads the polynomial off its signed base-2^W digits.
-multinom_recurrence_holds decides the q-multinomial recurrence the same
-way, from factor images memoised per width (_multinom_image).
+integers (pairs_image, shared with keyid.check_key).  B bounds every
+|coefficient| of the sum (each [n; m], n >= m >= 0, has nonnegative
+coefficients summing to C(n, m)), so for 2^W > B the sum is zero exactly
+when its image is; normal_poly reads it off the signed base-2^W digits.
+multinom_recurrence_holds decides the q-multinomial recurrence by that
+rule, from factor images memoised per width (_multinom_image).
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
 with the running sum that builds the q-binomials (divide_one_minus).
 
@@ -214,12 +215,6 @@ def _image(terms, width):
                     for term in terms)
 
 
-def normal_is_zero(bound: int, terms: list) -> bool:
-    """Is the sum of the normal form (B, terms) zero?  Decided on its image
-    at q = 2^W with W = B.bit_length(), so 2^W > B (see summands_agree)."""
-    return not terms or _image(terms, bound.bit_length())[1] == 0
-
-
 def normal_poly(bound: int, terms: list) -> LaurentPoly:
     """The sum of the normal form (B, terms) as a Laurent polynomial: with W
     whole bytes above B's bit length, every coefficient c has |c| <= B <
@@ -231,28 +226,11 @@ def normal_poly(bound: int, terms: list) -> LaurentPoly:
     return LaurentPoly._raw(low, unpack_signed(image, nbytes))
 
 
-def summands_agree(left, right) -> bool:
-    """Do two summand lists (or iterables of summands) have equal values?
-    Decided by one comparison of integers, without building a polynomial.
-
-    A summand may carry an integer coefficient as a third element, which
-    defaults to 1.  Every [n; m] with n >= m >= 0 has nonnegative
-    coefficients summing to C(n, m), and a negative top only adds a sign and
-    a power of q (factor_normal).  So B, the sum over both lists of each
-    summand's weight (|coefficient| times that product of C(n, m)), bounds
-    every |coefficient| of left - right.  Take W with 2^W > B and D the
-    lowest summand exponent: q^-D (left - right) is then a polynomial whose
-    coefficients are all below 2^W in size, and its value at q = 2^W is zero
-    exactly when it is the zero polynomial (normal_is_zero): an exact test,
-    not a random-point one.  Until W is known each summand is one flat list
-    of small ints, so a long side passed as a generator (the cube analog's
-    cycle sum) costs little memory."""
-    return normal_is_zero(*_normal_terms(((1, left), (-1, right))))
-
-
 def summand_poly(summands) -> LaurentPoly:
     """The value of a summand list (or any iterable of summands) as a
-    Laurent polynomial, decoded from its image by normal_poly."""
+    Laurent polynomial, decoded from its image by normal_poly.  A summand
+    (shift, factors, coeff) is coeff (1 when left out) times q^shift times
+    the product of its factors (top, b1, b2, ...) = [top; b1, b2, ...]."""
     return normal_poly(*_normal_terms(((1, summands),)))
 
 
@@ -343,8 +321,9 @@ def _multinom_image(factor: tuple, width: int) -> int:
 
 def multinom_recurrence_holds(L: int, s: int, i: int, j: int) -> bool:
     """Do the three relations of multinom_recurrence_relations hold?  Each is
-    decided as summands_agree decides, on right minus left at q = 2^W, for B
-    the live terms' summed weight and W = max(32, B.bit_length())."""
+    decided on right minus left at q = 2^W, for B the live terms' summed
+    weight and W = max(32, B.bit_length()): 2^W > B, so the difference is
+    zero exactly when its image is (the rule in this module's docstring)."""
     for _, point in _multinom_points(L, s, i, j):
         (c, e, factor), *rhs = _multinom_terms(*point)
         # [t; a, b, d] != 0 iff a, b, d >= 0 and not 0 <= t < a + b + d: tested

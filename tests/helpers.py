@@ -1,0 +1,51 @@
+"""Test references kept out of the package: image deciders for summand
+lists, the cube analog as summand lists, and source mutants of a module."""
+
+import inspect
+import types
+
+from qgollnitz import corollaries
+from qgollnitz.keyid import cycle_summand
+from qgollnitz.qcomb import _image, _normal_terms
+
+
+def normal_is_zero(bound, terms):
+    """Is the sum of the normal form (B, terms) zero?  Decided on its image
+    at q = 2^W with W = B.bit_length(), so 2^W > B."""
+    return not terms or _image(terms, bound.bit_length())[1] == 0
+
+
+def summands_agree(left, right):
+    """Do two summand lists (or iterables of summands) have equal values?
+    Decided by one comparison of integers, without building a polynomial.
+
+    Every [n; m] with n >= m >= 0 has nonnegative coefficients summing to
+    C(n, m), and a negative top only adds a sign and a power of q
+    (factor_normal).  So B, the sum over both lists of each summand's weight
+    (|coefficient| times that product of C(n, m)), bounds every |coefficient|
+    of left - right.  Take W with 2^W > B and D the lowest summand exponent:
+    q^-D (left - right) is then a polynomial whose coefficients are all below
+    2^W in size, and its value at q = 2^W is zero exactly when it is the zero
+    polynomial: an exact test, not a random-point one."""
+    return normal_is_zero(*_normal_terms(((1, left), (-1, right))))
+
+
+def cube_summands(L):
+    """Both sides of the polynomial cube analog as summands: the list of the
+    left side's coefficient-only terms, and a generator of the signed cycles
+    (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k]."""
+    lhs = [(e, (), c) for e, c in corollaries._cube_lhs(L)]
+    rhs = (cycle_summand(i, j, k, L, corollaries._sign(i + j + k))
+           for i, j, k in corollaries._cycle_tuples(L))
+    return lhs, rhs
+
+
+def _mutant(module, old, new, count=1):
+    """A fresh copy of module with old, found count times in its source,
+    replaced by new."""
+    source = inspect.getsource(module)
+    assert source.count(old) == count, old
+    copy = types.ModuleType(module.__name__ + "_mutant")
+    copy.__package__ = module.__package__
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(copy))
+    return copy

@@ -171,11 +171,10 @@ def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
 
 
 def test_cube_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
-    # each corruption reaches both the decision (the left side's terms and
-    # trace(C^3) at q = 2^W) and the rendered sides (the summand lists)
+    # each corruption, of the left side's terms or of trace(C^3), reaches both
+    # the decision and the rendered sides, which read the same two functions
     real_lhs = corollaries._cube_lhs
     real_trace = corollaries._cube_trace
-    real_summands = corollaries.jacobi_cube_poly_summands
 
     def lhs(L):
         terms = real_lhs(L)
@@ -189,15 +188,8 @@ def test_cube_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
         value = real_trace(L, width, sign)
         return value << width if L % 3 == 2 and sign < 0 else value
 
-    def summands(L):
-        left, right = real_summands(L)
-        if L % 3 == 2:
-            return left, ((e + 1, *rest) for e, *rest in right)
-        return left, right
-
     monkeypatch.setattr(corollaries, "_cube_lhs", lhs)
     monkeypatch.setattr(corollaries, "_cube_trace", trace)
-    monkeypatch.setattr(corollaries, "jacobi_cube_poly_summands", summands)
     report = run_sweep(SweepSpec("jacobi-cube-poly", {"L": (-2, 8)}))
     expected = []
     for L in range(-2, 9):

@@ -2,10 +2,8 @@
 q = 1 collapse, and the four parameter identity."""
 
 import hashlib
-import inspect
 import itertools
 import operator
-import types
 
 import pytest
 
@@ -20,8 +18,10 @@ from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
                                    carlitz_sides, enumerate_decuples,
                                    false_theta_sides, four_param_sides,
                                    jacobi_cube_poly_holds, jacobi_cube_poly_sides,
-                                   jacobi_cube_poly_summands, jacobi_cube_series,
-                                   jtp_series, poch_series, render_powers)
+                                   jacobi_cube_series, jtp_series, poch_series,
+                                   render_powers)
+
+from helpers import _mutant, cube_summands
 
 
 def P(terms):
@@ -139,7 +139,7 @@ def test_cube_trace_decodes_to_the_cycle_sum():
     for L in range(-2, 16):
         nbytes = corollaries._cube_trace(L, 0, 1).bit_length() // 8 + 1
         image = corollaries._cube_trace(L, 8 * nbytes, -1)
-        _, cycles = jacobi_cube_poly_summands(L)
+        _, cycles = cube_summands(L)
         assert P(enumerate(unpack_signed(image, nbytes))) == summand_poly(cycles), L
 
 
@@ -296,16 +296,6 @@ def test_carlitz_range_and_collapse():
 
 # -- mutants ------------------------------------------------------------------
 
-def _mutant(old, new):
-    """A fresh copy of corollaries with old replaced by new in its source."""
-    source = inspect.getsource(corollaries)
-    assert source.count(old) == 1, old
-    module = types.ModuleType("qgollnitz.corollaries_mutant")
-    module.__package__ = "qgollnitz"
-    exec(compile(source.replace(old, new), corollaries.__file__, "exec"), vars(module))
-    return module
-
-
 _CARL_GROUP = "groups.setdefault(i - j, [])"
 _CARL_CYCLE = "cycle_summand(i, j, k, L, _sign(k))"
 _JTP_A_INVERSE = "runs[n][e:] = map(add, runs[n][e:], runs[n + 1][:order - e])"
@@ -322,7 +312,7 @@ _CUBE_SUPPORT = "step(last, L - b + 1)"
     ("carl_poly_sides", "carl", _CARL_GROUP, _CARL_GROUP, False),
     ("jtp_series", "jtp-series", _JTP_A_INVERSE, _JTP_A_INVERSE, False),
     ("false_theta_sides", "false-theta", _FALSE_THETA_STEP, _FALSE_THETA_STEP, False),
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SUPPORT, _CUBE_SUPPORT, False),
+    ("_cube_trace", "jacobi-cube-poly", _CUBE_SUPPORT, _CUBE_SUPPORT, False),
     # a cycle filed under the power i - j + 1 of a
     ("carl_poly_sides", "carl", _CARL_GROUP, "groups.setdefault(i - j + 1, [])",
      True),
@@ -336,17 +326,17 @@ _CUBE_SUPPORT = "step(last, L - b + 1)"
     # the diagonal step divides by 1 - q^i three times, not four
     ("false_theta_sides", "false-theta", _FALSE_THETA_DIAGONAL, "(i + 1,) * 3", True),
     # D and C without the sign (-1)^a on odd a
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SIGN, "", True),
+    ("_cube_trace", "jacobi-cube-poly", _CUBE_SIGN, "", True),
     # the last application of C without its lift D = diag(sign^a q^T(a))
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_LIFT, "tops[b:][::-1]", True),
+    ("_cube_trace", "jacobi-cube-poly", _CUBE_LIFT, "tops[b:][::-1]", True),
     # the q-Pascal step z[i] <- z[i+1] + q^(i+1) z[i], for q^i
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_STEP,
+    ("_cube_trace", "jacobi-cube-poly", _CUBE_STEP,
      "shifts = [width * (i + 1) for", True),
     # the q-Pascal rule with q^(b+1) for q^b
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_PASCAL,
+    ("_cube_trace", "jacobi-cube-poly", _CUBE_PASCAL,
      "(up[b] << width * (b + 1))", True),
     # the last application's z trimmed one entry short of the L - b + 1 it reads
-    ("jacobi_cube_poly_holds", "jacobi-cube-poly", _CUBE_SUPPORT, "step(last, L - b)",
+    ("_cube_trace", "jacobi-cube-poly", _CUBE_SUPPORT, "step(last, L - b)",
      True),
 ], ids=["carl-copy", "jtp-series-copy", "false-theta-copy", "cube-copy", "carl-power",
         "carl-sign", "jtp-series-factor", "false-theta-reciprocal",
@@ -354,9 +344,13 @@ _CUBE_SUPPORT = "step(last, L - b + 1)"
         "cube-inner"])
 def test_default_sweep_catches_a_mutant(monkeypatch, name, identity, old, new,
                                         caught):
-    # an unmutated copy passes the identity's default sweep
-    monkeypatch.setattr(corollaries, name, getattr(_mutant(old, new), name))
-    assert run_sweep(SweepSpec(identity)).ok is not caught
+    # an unmutated copy passes the identity's default sweep; a caught mutant's
+    # first failure row shows two different sides, so for the cube the
+    # corrupted trace reaches the rendered right side as well as the verdict
+    monkeypatch.setattr(corollaries, name, getattr(_mutant(corollaries, old, new), name))
+    report = run_sweep(SweepSpec(identity))
+    assert report.ok is not caught
+    assert not caught or report.failures[0]["lhs"] != report.failures[0]["rhs"]
 
 
 # -- four parameter identity --------------------------------------------------

@@ -2,13 +2,11 @@
 
 import functools
 import gc
-import inspect
 import itertools
 import operator
 import random
 import sys
 import tracemalloc
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,18 +15,18 @@ from qgollnitz.qcore import (LaurentPoly, NegativeExponent, TruncSeries,
                              poly_sum, q_power)
 from qgollnitz import keyid, qcomb, qcore
 from qgollnitz.qcomb import (poch_qpow, qbinom, qbinom_is_nonzero, qmultinom,
-                             summand_poly, summands_agree, triangular)
+                             summand_poly, triangular)
 from qgollnitz.cli import SweepSpec, run_sweep
-from qgollnitz.corollaries import jacobi_cube_poly_summands
 from qgollnitz.keyid import (Sextuple, _l_half, _m_half, _sum_normal,
                              _sextuple_rows, andrews_sides,
                              boundary_sides, boundary_value, check_key,
                              check_schur_case, check_support, closed_form_diag,
                              cycle_summand, enumerate_sextuples, key_limit_lhs,
                              key_limit_rhs, key_limit_sides, lhs_g, lhs_g_parts,
-                             lhs_summands, poch_quotient_sum,
-                             recurrence_sides_g, recurrence_sides_p, rhs_p,
-                             schur_sides)
+                             poch_quotient_sum, recurrence_sides_g,
+                             recurrence_sides_p, rhs_p, schur_sides)
+
+from helpers import _mutant, cube_summands, normal_is_zero, summands_agree
 
 
 def P(terms):
@@ -85,14 +83,41 @@ def test_memo_state_never_changes_an_answer():
     grid = list(itertools.product(range(-2, 5), range(-2, 5), range(-2, 5),
                                   range(-3, 11), range(-3, 11)))
     tuples = random.Random(13).sample(grid, 5000)
-    warm = [(_key_sides(*args), check_key(*args)) for args in tuples]
+    warm = [_memoised_answers(*args) for args in tuples]
     for args, answer in zip(tuples, warm):
         _clear_memos()
-        assert answer == (_key_sides(*args), check_key(*args)), args
+        assert answer == _memoised_answers(*args), args
+
+
+def _memoised_answers(*args):
+    # every value the key sweeps read through the keyid and qcomb memos
+    return lhs_g_parts(*args), lhs_g(*args), rhs_p(*args), check_key(*args)
 
 
 _CRITERION_1 = {"i": (-2, 4), "j": (-2, 4), "k": (-2, 4),
                 "L": (-3, 10), "M": (-3, 10)}
+
+
+def _raw_sums(sx, L, M):
+    """The two displayed summands of one sextuple, as the paper's double sum
+    writes them: each binomial on its own, raw tops (negative ones included)."""
+    a, b, c, ab, ac, bc = sx
+    t = sx.t
+    e = triangular(t) + triangular(ab) + triangular(ac)
+    common = ((L - t + b, b), (M - t + c, c), (L - t, ab), (M - t, ac))
+    return ([(e + triangular(bc), common + ((L - t + a, a), (M - t, bc)))],
+            [(e + triangular(bc - 1), common + ((L - t + a - 1, a - 1), (M - t, bc - 1)))])
+
+
+def _direct_lhs_summands(i, j, k, L, M):
+    # the left side's two sums written out per sextuple as summand lists,
+    # listing a summand only when none of its binomials is zero: the
+    # reference for the L and M halves
+    first, second = [], []
+    for sx in enumerate_sextuples(i, j, k):
+        for side, listed in zip((first, second), _raw_sums(sx, L, M)):
+            side += [s for s in listed if all(qbinom_is_nonzero(*f) for f in s[1])]
+    return first, second
 
 
 def _direct_rhs_summands(i, j, k, L, M):
@@ -120,8 +145,8 @@ def test_halves_match_a_direct_build_in_any_order():
     _clear_memos()
     for i, j, k, L, M in grid:
         direct = tuple(map(_sum_normal, _l_half(rows[i, j, k], L), _m_half(rows[i, j, k], M)))
-        assert keyid.lhs_normal(i, j, k, L, M) == direct
         l_half, m_half = keyid._l_halves(i, j, k, L), keyid._m_halves(i, j, k, M)
+        assert tuple(map(_sum_normal, l_half[:2], m_half[:2])) == direct
         right = _sum_normal(l_half[2], m_half[2], -1)
         assert right == qcomb._normal_terms(((1, _direct_rhs_summands(i, j, k, L, M)),))
         assert sum(map(operator.mul, l_half[3], m_half[3])) == \
@@ -195,9 +220,9 @@ def test_normal_forms_hold_no_unit_binomial():
     # factor_normal leaves it out: every pair has n > m > 0
     for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
                                   range(-3, 11, 2), range(-3, 11, 2)):
-        (_, first), (_, second) = keyid.lhs_normal(*args)
-        _, right = _sum_normal(keyid._l_halves(*args[:4])[2],
-                               keyid._m_halves(*args[:3], args[4])[2], -1)
+        l_half, m_half = keyid._l_halves(*args[:4]), keyid._m_halves(*args[:3], args[4])
+        (_, first), (_, second), (_, right) = map(_sum_normal, l_half[:3], m_half[:3],
+                                                  (1, 1, -1))
         _, direct = qcomb._normal_terms(((1, _direct_rhs_summands(*args)),))
         for term in first + second + right + direct:
             assert all(n > m > 0 for n, m in zip(term[2::2], term[3::2])), (args, term)
@@ -365,7 +390,7 @@ def test_summand_poly_matches_product_oracle_on_listed_families():
 def test_summand_poly_matches_product_oracle_on_key_summands():
     for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
                                   range(-3, 9), range(-3, 9)):
-        first, second = lhs_summands(*args)
+        first, second = _direct_lhs_summands(*args)
         right = _direct_rhs_summands(*args)
         for side in (first, second, right):
             assert summand_poly(side) == product_poly(side), args
@@ -434,14 +459,14 @@ def test_summand_poly_at_the_coefficient_bound(a):
 
 
 def _key_sides(i, j, k, L, M):
-    first, second = lhs_summands(i, j, k, L, M)
+    first, second = _direct_lhs_summands(i, j, k, L, M)
     return first + second, _direct_rhs_summands(i, j, k, L, M)
 
 
 def test_key_summands_evaluate_to_both_sides():
     for args in itertools.product(range(-1, 3), range(-1, 3), range(0, 3),
                                   range(-2, 5), range(-2, 5)):
-        first, second = lhs_summands(*args)
+        first, second = _direct_lhs_summands(*args)
         assert (product_poly(first), product_poly(second)) == lhs_g_parts(*args)
         assert product_poly(first + second) == lhs_g(*args)
         assert product_poly(_direct_rhs_summands(*args)) == rhs_p(*args)
@@ -471,7 +496,7 @@ def test_key_summands_reject_corruption():
 def test_summands_agree_on_the_cube_analog(L, data):
     # sum (-1)^l (2l+1) q^T(l) against the signed binomial cycle; the left
     # side is a list of coefficient-only summands
-    left, right = jacobi_cube_poly_summands(L)
+    left, right = cube_summands(L)
     right = list(right)
     assert summands_agree(left, right)
     assert summands_agree(left, iter(right))
@@ -829,16 +854,6 @@ def test_support_requires_bound():
         check_support(2, 2, 0, 3)
 
 
-def _raw_sums(sx, L, M):
-    """The two displayed summands of one sextuple, written out with their
-    raw binomial tops (negative tops included) for product_poly."""
-    a, b, c, ab, ac, bc = sx
-    t = sx.t
-    common = ((L - t + b, b), (M - t + c, c), (L - t, ab), (M - t, ac))
-    return ([(0, common + ((L - t + a, a), (M - t, bc)))],
-            [(0, common + ((L - t + a - 1, a - 1), (M - t, bc - 1)))])
-
-
 def test_check_support_matches_a_brute_force_rule():
     # the brute-force rule: a summand is live when its polynomial product is
     # nonzero; the builder must list exactly the live summands of each sum
@@ -856,21 +871,11 @@ def test_check_support_matches_a_brute_force_rule():
 
 # -- mutants of the left side --------------------------------------------------
 
-def _mutant(old, new, count=1):
-    """A fresh copy of keyid with old replaced by new in its source."""
-    source = inspect.getsource(keyid)
-    assert source.count(old) == count, old
-    module = types.ModuleType("qgollnitz.keyid_mutant")
-    module.__package__ = "qgollnitz"
-    exec(compile(source.replace(old, new), keyid.__file__, "exec"), vars(module))
-    return module
-
-
 _MUTANT_GRID = (range(-1, 4), range(-1, 4), range(-1, 4), range(-3, 9), range(-3, 9))
 
 
 def test_unmutated_copy_passes_the_mutant_grid():
-    copy = _mutant("normal((lt + b, b, ab))", "normal((lt + b, b, ab))")
+    copy = _mutant(keyid, "normal((lt + b, b, ab))", "normal((lt + b, b, ab))")
     assert all(copy.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
 
 
@@ -899,13 +904,13 @@ def test_unmutated_copy_passes_the_mutant_grid():
                  id="second-M-bottom"),
 ])
 def test_check_key_catches_a_left_side_mutant(old, new, count):
-    mutant = _mutant(old, new, count)
+    mutant = _mutant(keyid, old, new, count)
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
 
 
 def test_check_key_catches_a_right_side_mutant():
     # the right side's exponent, in its L half, without T(k-s)
-    mutant = _mutant("\n                         + triangular(k - s))", ")")
+    mutant = _mutant(keyid, "\n                         + triangular(k - s))", ")")
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
 
 
@@ -929,7 +934,7 @@ def test_check_key_catches_a_right_side_mutant():
     pytest.param("map(add, l_shifts, m_shifts)", "l_shifts", id="image-M-shift"),
 ])
 def test_check_key_catches_a_right_half_or_joiner_mutant(old, new):
-    mutant = _mutant(old, new)
+    mutant = _mutant(keyid, old, new)
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
 
 
@@ -937,7 +942,7 @@ def test_check_key_catches_a_zeroed_right_weight():
     # the weight of the right side's s = 0 slot set to 0 in every M half of
     # a fresh copy of keyid: a zero weight zeroes its slot's image, so that
     # summand drops
-    mutant = _mutant("(-1, 0, (), 1)", "(-1, 0, (), 1)")
+    mutant = _mutant(keyid, "(-1, 0, (), 1)", "(-1, 0, (), 1)")
     real = mutant._m_halves
 
     def zeroed(i, j, k, M):
@@ -985,7 +990,7 @@ def test_check_key_agrees_with_the_decoded_join_on_corrupted_halves(monkeypatch)
     for args in rng.sample(grid, 600):
         l_half, m_half = _corrupted_pair(real_l(*args[:4]), real_m(*args[:3], args[4]), rng)
         joined = list(map(_sum_normal, l_half[:3], m_half[:3]))
-        want = qcomb.normal_is_zero(sum(bound for bound, _ in joined),
+        want = normal_is_zero(sum(bound for bound, _ in joined),
                                     [term for _, terms in joined for term in terms])
         # the image memo is keyed by the half memo it reads, so each pair of
         # corrupted halves gets entries of its own
