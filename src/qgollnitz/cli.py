@@ -6,9 +6,11 @@ failing tuple with the canonical rendering of both sides; a tuple whose
 checker raises fails with the exception's name in place of its lhs.  Exit
 status is 0 when every tuple passes, 1 on any mismatch, 2 on a usage error.
 
-A checker takes its tuple positionally, in the order of its identity's
-params, then the truncation order where the identity takes one; the
-params dict is built only for a tuple filter and a failure row.
+Every identity's checker is built by _checker from its sides and, where
+equality of the sides is not the verdict, a holds function.  A checker
+takes its tuple positionally, in the order of its identity's params, then
+the truncation order where the identity takes one; the params dict is
+built only for a tuple filter and a failure row.
 
 Tuples are evaluated one after another in grid order: every checker is
 pure Python and holds the interpreter lock, so worker threads would only
@@ -75,44 +77,6 @@ def _checker(sides, holds=None, render=str):
     return check
 
 
-def _check_theorem1(i, j, k, L):
-    if partcomb.check_theorem1(L, i, j, k):
-        return _PASS
-    left, right = next(pair for pair in partcomb.theorem1_pairs(L, i, j, k)
-                       if pair[0] != pair[1])
-    return False, str(left), str(right)
-
-
-def _check_gollnitz(n):
-    b = partcomb.gollnitz_B(n)
-    c = partcomb.gollnitz_C(n)
-    if b == c:
-        return _PASS
-    return False, f"B({n}) = {b}", f"C({n}) = {c}"
-
-
-def _check_remark3(n):
-    if partcomb.check_remark3(n):
-        return _PASS
-    total = sum(1 for _ in partcomb.iter_type1_transformed(n))
-    return False, f"{total} transformed Type-1 partitions", \
-        f"C({n}) = {partcomb.gollnitz_C(n)}"
-
-
-def _check_multinom_rec(L, s, i, j):
-    if qcomb.multinom_recurrence_holds(L, s, i, j):
-        return _PASS
-    label, lhs, rhs = next(r for r in qcomb.multinom_recurrence_relations(L, s, i, j)
-                           if r[1] != r[2])
-    return False, f"{label}: {lhs}", f"{label}: {rhs}"
-
-
-def _check_support(i, j, k, L):
-    if keyid.check_support(i, j, k, L):
-        return _PASS
-    return False, "every nonzero summand has L-t >= 0", "violated"
-
-
 @dataclass(frozen=True)
 class IdentitySpec:
     """How to sweep one identity: swept parameter names, default inclusive
@@ -160,9 +124,18 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
                  default_order=25),
     IdentitySpec("theorem1", ("i", "j", "k", "L"),
                  {"i": (0, 3), "j": (0, 3), "k": (0, 3), "L": (0, 7)},
-                 _check_theorem1, tuple_filter=_bound_covers_pairs),
-    IdentitySpec("gollnitz", ("n",), {"n": (0, 60)}, _check_gollnitz),
-    IdentitySpec("remark3", ("n",), {"n": (0, 60)}, _check_remark3),
+                 _checker(lambda i, j, k, L: partcomb.theorem1_sides(L, i, j, k),
+                          lambda i, j, k, L: partcomb.check_theorem1(L, i, j, k)),
+                 tuple_filter=_bound_covers_pairs),
+    IdentitySpec("gollnitz", ("n",), {"n": (0, 60)},
+                 _checker(lambda n: (f"B({n}) = {partcomb.gollnitz_B(n)}",
+                                     f"C({n}) = {partcomb.gollnitz_C(n)}"),
+                          lambda n: partcomb.gollnitz_B(n) == partcomb.gollnitz_C(n))),
+    IdentitySpec("remark3", ("n",), {"n": (0, 60)},
+                 _checker(lambda n: (f"{sum(1 for _ in partcomb.iter_type1_transformed(n))}"
+                                     " transformed Type-1 partitions",
+                                     f"C({n}) = {partcomb.gollnitz_C(n)}"),
+                          partcomb.check_remark3)),
     IdentitySpec("jtp-bounded", ("L",), {"L": (0, 8)},
                  _checker(corollaries.bounded_jtp_sides,
                           render=partial(corollaries.render_powers, var="A"))),
@@ -191,10 +164,13 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
                  _checker(qcomb.qpascal_sides)),
     IdentitySpec("multinom-rec", ("L", "s", "i", "j"),
                  {"L": (0, 8), "s": (0, 8), "i": (0, 8), "j": (0, 8)},
-                 _check_multinom_rec),
+                 _checker(qcomb.multinom_recurrence_sides,
+                          qcomb.multinom_recurrence_holds)),
     IdentitySpec("support", ("i", "j", "k", "L"),
                  {"i": (0, 4), "j": (0, 4), "k": (0, 4), "L": (0, 10)},
-                 _check_support, tuple_filter=_bound_covers_pairs),
+                 _checker(lambda *args: ("every nonzero summand has L-t >= 0",
+                                         "violated"), keyid.check_support),
+                 tuple_filter=_bound_covers_pairs),
 )}
 
 # every parameter some identity sweeps gets a --NAME range flag

