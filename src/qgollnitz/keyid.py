@@ -16,8 +16,8 @@ for the right one, None where a factor is zero (the one support rule); its
 weights are 0 there, and the right side's L slots carry its -1.  check_key
 takes two dot products: the weights' is the bound B, and the slots' images
 at q = 2^W, shifted (_images: 16 entries, keyed by half and W), give the
-difference's.  The joiner _sum_normal turns a sum's slots into the normal
-form that lhs_g and rhs_p decode.
+difference's.  _sum_normal joins a sum's L and M slots into the list of
+qcomb terms that lhs_g and rhs_p decode.
 
 A sweep runs M innermost, so one L half serves every M of its
 (i, j, k, L), and one M half every L of its (i, j, k) while the M range
@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 from .qcore import ZERO, LaurentPoly, TruncSeries, poly_sum, q_power
 from . import qcomb
-from .qcomb import (normal_poly, pairs_image, poch_quotient_sum, summand_poly,
-                    triangular)
+from .qcomb import (_times, normal_poly, pairs_image, poch_quotient_sum,
+                    summand_poly, triangular)
 
 
 class Sextuple(NamedTuple):
@@ -83,14 +83,6 @@ def _sextuple_rows(i: int, j: int, k: int) -> tuple:
     return tuple((*sx, sx.t, base + triangular(sx.bc), base + triangular(sx.bc - 1))
                  for sx in enumerate_sextuples(i, j, k)
                  for base in [triangular(sx.t) + triangular(sx.ab) + triangular(sx.ac)])
-
-
-def _times(u, x=(1, 0, (), 1), e=0):
-    """u times x (1 when left out) times q^e, for two factor_normal results,
-    in their form (sign, shift, pairs, weight); None when either is zero."""
-    if u is None or x is None:
-        return None
-    return u[0] * x[0], e + u[1] + x[1], u[2] + x[2], u[3] * x[3]
 
 
 def _l_half(rows, L: int) -> tuple:
@@ -159,16 +151,11 @@ def _images(halves, i: int, j: int, k: int, n: int, width: int) -> tuple:
             tuple([weight and part[1] - low for part, weight in slots]))
 
 
-def _sum_normal(l_parts, m_parts, side: int = 1) -> tuple:
-    """side (1 or -1) times one displayed sum as a qcomb normal form (B,
-    terms), terms [c, e, n1, m1, ...] with n > m > 0: each L slot times the
-    M slot of its index, where both are nonzero."""
-    bound, terms = 0, []
-    for l, m in zip(l_parts, m_parts):
-        if l is not None and m is not None:
-            terms.append([side * l[0] * m[0], l[1] + m[1], *l[2], *m[2]])
-            bound += l[3] * m[3]
-    return bound, terms
+def _sum_normal(l_parts, m_parts, side: int = 1) -> list:
+    """side (1 or -1) times one displayed sum as a list of qcomb normal-form
+    terms: each L slot times the M slot of its index, where both are nonzero."""
+    return [(side * l[0] * m[0], l[1] + m[1], l[2] + m[2], l[3] * m[3])
+            for l, m in zip(l_parts, m_parts) if l is not None and m is not None]
 
 
 def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
@@ -185,7 +172,7 @@ def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple:
     ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
     'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split mirrors
     the smallest-part dichotomy of the staircase image."""
-    return tuple(normal_poly(*_sum_normal(l_parts, m_parts)) for l_parts, m_parts
+    return tuple(normal_poly(_sum_normal(l_parts, m_parts)) for l_parts, m_parts
                  in zip(_l_halves(i, j, k, L)[:2], _m_halves(i, j, k, M)[:2]))
 
 
@@ -197,14 +184,14 @@ def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
 
 @lru_cache(maxsize=8192)
 def _lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
-    return normal_poly(*_sum_normal(chain(*_l_halves(i, j, k, L)[:2]),
-                                    chain(*_m_halves(i, j, k, M)[:2])))
+    return normal_poly(_sum_normal(chain(*_l_halves(i, j, k, L)[:2]),
+                                   chain(*_m_halves(i, j, k, M)[:2])))
 
 
 @lru_cache(maxsize=8192)
 def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     """Right side of the key identity: the s-sum (_sum_normal), decoded."""
-    return normal_poly(*_sum_normal(_l_halves(i, j, k, L)[2], _m_halves(i, j, k, M)[2], -1))
+    return normal_poly(_sum_normal(_l_halves(i, j, k, L)[2], _m_halves(i, j, k, M)[2], -1))
 
 
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
@@ -334,4 +321,4 @@ def check_support(i: int, j: int, k: int, L: int) -> bool:
     if L < max(i + j, j + k, k + i):
         raise ValueError("support property needs L >= max(i+j, j+k, k+i)")
     past = [row for row in _sextuple_rows(i, j, k) if row[6] > L]
-    return not any(terms for _, terms in map(_sum_normal, _l_half(past, L), _m_half(past, L)))
+    return not any(map(_sum_normal, _l_half(past, L), _m_half(past, L)))

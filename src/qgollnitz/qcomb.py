@@ -15,20 +15,22 @@ qmultinom is read off its image (summand_poly); the tests build their
 polynomial reference of the q-multinomial recurrence from it.
 
 A sum of q-binomial products written out term by term (the key identity's
-diagonal closed form, the a-weighted cycle) is a summand list: an integer
-times q^shift times a product of q-binomials and q-multinomials.
-_normal_terms reduces a list to its normal form, flat terms of [n; m] pairs
-with n > m > 0 (factor_normal) and B, their summed weight; keyid builds
-both sides of the key identity in that form directly.  _image gives its
+diagonal closed form, the a-weighted cycle, the q-multinomial recurrence)
+is a summand list: an integer times q^shift times a product of q-binomials
+and q-multinomials.  Its one normal form is a list of factor_normal's terms
+(sign, shift, pairs, weight): sign q^shift times the [n; m] of pairs, each
+n > m > 0, with weight |sign| times their C(n, m).  _times joins two terms;
+_normal_terms folds a summand's factors with it, and keyid builds both
+sides of the key identity in that form directly.  _image gives a list's
 value at q = 2^W, each term's binomials by the product formula over the
-integers (pairs_image, shared with keyid.check_key).  B bounds every
-|coefficient| of the sum (each [n; m], n >= m >= 0, has nonnegative
-coefficients summing to C(n, m)), so for 2^W > B the sum is zero exactly
-when its image is; normal_poly reads it off the signed base-2^W digits.
-multinom_recurrence_holds decides the q-multinomial recurrence by that
-rule, from factor images memoised per width (_multinom_image), and
-multinom_recurrence_sides decodes the first point it rejects with
-summand_poly, from the same terms.
+integers (pairs_image, shared with keyid.check_key).  B, the summed weight,
+bounds every |coefficient| of the sum (each [n; m], n >= m >= 0, has
+nonnegative coefficients summing to C(n, m)), so for 2^W > B the sum is
+zero exactly when its image is; normal_poly reads it off the signed
+base-2^W digits.  multinom_recurrence_holds decides the q-multinomial
+recurrence by that rule, from binomial images memoised per (pairs, width)
+(_multinom_image), and multinom_recurrence_sides decodes the first point
+it rejects with summand_poly, from the same summands.
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
 with the running sum that builds the q-binomials (divide_one_minus).
 
@@ -173,56 +175,56 @@ def qbinom_image(top: int, bottom: int, width: int) -> int:
     return value
 
 
-def _normal_terms(sides):
-    """The nonzero summands of each (side, summands) pair of sides (side 1 or
-    -1) as flat terms [c, e, n1, m1, n2, m2, ...], c q^e [n1; m1] [n2; m2] ...
-    with each n > m > 0 (factor_normal), and B, the sum of their
-    weights |c| [n1; m1] [n2; m2] ... at q = 1: (B, terms)."""
-    bound, terms = 0, []
-    for side, summands in sides:
-        for summand in summands:
-            coeff = side * summand[2] if len(summand) > 2 else side
-            if not coeff:
-                continue
-            weight, term = abs(coeff), [coeff, summand[0]]
+def _times(u, x=(1, 0, (), 1), e=0):
+    """u times x (1 when left out) times q^e, for two terms of the normal
+    form (sign, shift, pairs, weight); None when either is zero."""
+    if u is None or x is None:
+        return None
+    return u[0] * x[0], e + u[1] + x[1], u[2] + x[2], u[3] * x[3]
+
+
+def _normal_terms(summands):
+    """The nonzero summands of a summand list as normal-form terms, each
+    summand's coefficient and shift joined to its factors' factor_normal by
+    _times: [(c, e, (n1, m1, n2, m2, ...), weight), ...]."""
+    terms = []
+    for summand in summands:
+        coeff = summand[2] if len(summand) > 2 else 1
+        if coeff:
+            term = coeff, summand[0], (), abs(coeff)
             for factor in summand[1]:
-                normal = factor_normal(factor)
-                if normal is None:
+                if (term := _times(term, factor_normal(factor))) is None:
                     break
-                term[0] *= normal[0]
-                term[1] += normal[1]
-                term += normal[2]
-                weight *= normal[3]
             else:
-                bound += weight
                 terms.append(term)
-    return bound, terms
+    return terms
 
 
-def pairs_image(value: int, pairs, width: int, start: int = 0) -> int:
-    """value times the [n; m] of pairs[start:] = (n1, m1, n2, m2, ...) at q = 2^width."""
-    for at in range(start, len(pairs), 2):
+def pairs_image(value: int, pairs, width: int) -> int:
+    """value times the [n; m] of pairs = (n1, m1, n2, m2, ...) at q = 2^width."""
+    for at in range(0, len(pairs), 2):
         value *= qbinom_image(pairs[at], pairs[at + 1], width)
     return value
 
 
 def _image(terms, width):
-    """The sum of a nonempty list of flat terms at q = 2^width, times
-    2^(-width*low) for low the lowest term exponent: (low, image).  A term's
-    coefficient is multiplied by its factor images before it is shifted by
-    width * (e - low), so no product carries those trailing zero bits."""
+    """The sum of a nonempty list of terms at q = 2^width, times 2^(-width*low)
+    for low the lowest term exponent: (low, image).  A term's coefficient is
+    multiplied by its factor images before it is shifted by width * (e - low),
+    so no product carries those trailing zero bits."""
     low = min(term[1] for term in terms)
-    return low, sum(pairs_image(term[0], term, width, 2) << width * (term[1] - low)
+    return low, sum(pairs_image(term[0], term[2], width) << width * (term[1] - low)
                     for term in terms)
 
 
-def normal_poly(bound: int, terms: list) -> LaurentPoly:
-    """The sum of the normal form (B, terms) as a Laurent polynomial: with W
-    whole bytes above B's bit length, every coefficient c has |c| <= B <
-    2^(W-1), so the image's signed base-2^W digits are the coefficients."""
+def normal_poly(terms: list) -> LaurentPoly:
+    """The sum of a list of terms as a Laurent polynomial: B, their summed
+    weight, bounds every |coefficient|, and with W whole bytes above B's bit
+    length, B < 2^(W-1), so the image's signed base-2^W digits are the
+    coefficients."""
     if not terms:
         return ZERO
-    nbytes = bound.bit_length() // 8 + 1
+    nbytes = sum(term[3] for term in terms).bit_length() // 8 + 1
     low, image = _image(terms, 8 * nbytes)
     return LaurentPoly._raw(low, unpack_signed(image, nbytes))
 
@@ -232,7 +234,7 @@ def summand_poly(summands) -> LaurentPoly:
     Laurent polynomial, decoded from its image by normal_poly.  A summand
     (shift, factors, coeff) is coeff (1 when left out) times q^shift times
     the product of its factors (top, b1, b2, ...) = [top; b1, b2, ...]."""
-    return normal_poly(*_normal_terms(((1, summands),)))
+    return normal_poly(_normal_terms(summands))
 
 
 def poch_quotient_sum(terms, order: int) -> TruncSeries:
@@ -285,12 +287,12 @@ def qpascal_sides(top: int, bottom: int) -> tuple[LaurentPoly, LaurentPoly]:
 def _multinom_terms(L, s, i, j):
     # [L; s,i,j] = [L-1; s,i,j] + q^(L-i)[L-1; s,i-1,j] + q^(L-j)[L-1; s,i,j-1]
     #            + q^(L-s-i-j)[L-1; s-1,i,j] + q^(L-i-j)(1-q^(L-1))[L-2; s,i-1,j-1]
-    # as (sign, shift, (total, s, i, j)) terms, the left side first
-    tail = (L - 2, s, i - 1, j - 1)
-    return ((1, 0, (L, s, i, j)), (1, 0, (L - 1, s, i, j)),
-            (1, L - i, (L - 1, s, i - 1, j)), (1, L - j, (L - 1, s, i, j - 1)),
-            (1, L - s - i - j, (L - 1, s - 1, i, j)),
-            (1, L - i - j, tail), (-1, 2 * L - 1 - i - j, tail))
+    # as summands (shift, ((total, s, i, j),), sign), the left side first
+    tail = ((L - 2, s, i - 1, j - 1),)
+    return ((0, ((L, s, i, j),), 1), (0, ((L - 1, s, i, j),), 1),
+            (L - i, ((L - 1, s, i - 1, j),), 1), (L - j, ((L - 1, s, i, j - 1),), 1),
+            (L - s - i - j, ((L - 1, s - 1, i, j),), 1),
+            (L - i - j, tail, 1), (2 * L - 1 - i - j, tail, -1))
 
 
 def _multinom_points(L, s, i, j):
@@ -299,26 +301,26 @@ def _multinom_points(L, s, i, j):
 
 
 @lru_cache(maxsize=4096)
-def _multinom_image(factor: tuple, width: int) -> int:
-    # a nonzero factor's sign times its binomials at q = 2^width
-    sign, _, pairs, _ = factor_normal(factor)
-    return pairs_image(sign, pairs, width)
+def _multinom_image(pairs: tuple, width: int) -> int:
+    # the product of a term's binomials, its pairs, at q = 2^width
+    return pairs_image(1, pairs, width)
 
 
 def _multinom_point_holds(point) -> bool:
     # the relation at point, decided on right minus left at q = 2^W: for B the
     # live terms' summed weight and W = max(32, B.bit_length()), 2^W > B
-    (c, e, factor), *rhs = _multinom_terms(*point)
+    (e, factors, c), *rhs = _multinom_terms(*point)
     # [t; a, b, d] != 0 iff a, b, d >= 0 and not 0 <= t < a + b + d: tested
     # first, so that factor_normal's memo does not fill with zero factors
-    live = [(c, e + normal[1], f, normal[3]) for c, e, f in ((-c, e, factor), *rhs)
-            if f[1] >= 0 and f[2] >= 0 and f[3] >= 0 and not 0 <= f[0] < sum(f[1:])
-            and (normal := factor_normal(f))]
+    live = [_times(normal, (c, e, (), abs(c)))
+            for e, ((t, a, b, d),), c in ((e, factors, -c), *rhs)
+            if a >= 0 and b >= 0 and d >= 0 and not 0 <= t < a + b + d
+            and (normal := factor_normal((t, a, b, d)))]
     if not (bound := sum(term[3] for term in live)):
         return True
     width, low = max(32, bound.bit_length()), min(term[1] for term in live)
-    return not sum(c * _multinom_image(factor, width) << width * (e - low)
-                   for c, e, factor, _ in live)
+    return not sum(c * _multinom_image(pairs, width) << width * (e - low)
+                   for c, e, pairs, _ in live)
 
 
 def multinom_recurrence_holds(L: int, s: int, i: int, j: int) -> bool:
@@ -335,5 +337,5 @@ def multinom_recurrence_sides(L: int, s: int, i: int, j: int) -> tuple[str, str]
     for label, point in _multinom_points(L, s, i, j):
         if not _multinom_point_holds(point):
             break
-    lhs, *rhs = [(e, (f,), c) for c, e, f in _multinom_terms(*point)]
+    lhs, *rhs = _multinom_terms(*point)
     return f"{label}: {summand_poly([lhs])}", f"{label}: {summand_poly(rhs)}"

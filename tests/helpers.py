@@ -11,10 +11,10 @@ from qgollnitz.qcomb import _image, _normal_terms, qmultinom
 from qgollnitz.qcore import poly_sum
 
 
-def normal_is_zero(bound, terms):
-    """Is the sum of the normal form (B, terms) zero?  Decided on its image
-    at q = 2^W with W = B.bit_length(), so 2^W > B."""
-    return not terms or _image(terms, bound.bit_length())[1] == 0
+def normal_is_zero(terms):
+    """Is the sum of a list of normal-form terms zero?  Decided on its image
+    at q = 2^W with W the bit length of B, their summed weight, so 2^W > B."""
+    return not terms or _image(terms, sum(term[3] for term in terms).bit_length())[1] == 0
 
 
 def summands_agree(left, right):
@@ -29,7 +29,8 @@ def summands_agree(left, right):
     q^-D (left - right) is then a polynomial whose coefficients are all below
     2^W in size, and its value at q = 2^W is zero exactly when it is the zero
     polynomial: an exact test, not a random-point one."""
-    return normal_is_zero(*_normal_terms(((1, left), (-1, right))))
+    return normal_is_zero(_normal_terms(left)
+                          + [(-c, *rest) for c, *rest in _normal_terms(right)])
 
 
 def cube_summands(L):
@@ -47,7 +48,7 @@ def multinom_three_sides(L, s, i, j):
     (L, s, i, j), each q-multinomial decoded by qmultinom and the right side
     summed by poly_sum."""
     (sign, shift, lhs), *rhs = [(c, e, qmultinom(f[0], f[1:]))
-                                for c, e, f in qcomb._multinom_terms(L, s, i, j)]
+                                for e, (f,), c in qcomb._multinom_terms(L, s, i, j)]
     lhs = lhs.shift(shift)
     return (lhs if sign > 0 else -lhs), poly_sum(rhs)
 

@@ -153,9 +153,9 @@ def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
     def corrupted(L, s, i, j):
         terms = list(real(L, s, i, j))
         at = (L + i) % len(terms)
-        sign, shift, factor = terms[at]
-        terms[at:at + 1] = ([], [(sign, shift + 1, factor)],
-                            [(-sign, shift, factor)])[(s + j) % 3]
+        shift, factors, sign = terms[at]
+        terms[at:at + 1] = ([], [(shift + 1, factors, sign)],
+                            [(shift, factors, -sign)])[(s + j) % 3]
         return tuple(terms)
 
     monkeypatch.setattr(qcomb, "_multinom_terms", corrupted)
@@ -174,12 +174,13 @@ def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
 
 
 def test_multinom_row_shows_the_point_its_verdict_rejects(monkeypatch):
-    # one factor's image is one too large, so only the verdict sees it; each
-    # failing tuple's row must still name the rejected point and show its
-    # sides, decoded from its terms, not raise from a second evaluator
-    real = qcomb._multinom_image
-    monkeypatch.setattr(qcomb, "_multinom_image", lambda factor, width:
-                        real(factor, width) + (factor == (3, 1, 1, 1)))
+    # the image of [3; 1, 1, 1]'s binomials is one too large, so only the
+    # verdict sees it; each failing tuple's row must still name the rejected
+    # point and show its sides, decoded from its terms, not raise from a
+    # second evaluator
+    real, bad = qcomb._multinom_image, qcomb.factor_normal((3, 1, 1, 1))[2]
+    monkeypatch.setattr(qcomb, "_multinom_image", lambda pairs, width:
+                        real(pairs, width) + (pairs == bad))
     report = run_sweep(SweepSpec("multinom-rec"))
     assert report.failures
     assert not any(row["lhs"].startswith("StopIteration") for row in report.failures)

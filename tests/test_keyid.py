@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import math
 import operator
 import random
 import sys
@@ -150,9 +151,9 @@ def test_halves_match_a_direct_build_in_any_order():
         l_half, m_half = keyid._l_halves(i, j, k, L), keyid._m_halves(i, j, k, M)
         assert tuple(map(_sum_normal, l_half[:2], m_half[:2])) == direct
         right = _sum_normal(l_half[2], m_half[2], -1)
-        assert right == qcomb._normal_terms(((1, _direct_rhs_summands(i, j, k, L, M)),))
+        assert right == qcomb._normal_terms(_direct_rhs_summands(i, j, k, L, M))
         assert sum(map(operator.mul, l_half[3], m_half[3])) == \
-            direct[0][0] + direct[1][0] + right[0]
+            sum(term[3] for term in direct[0] + direct[1] + right)
 
 
 def test_key_sweep_reads_each_half_once_per_key():
@@ -217,17 +218,39 @@ def test_recurrence_sweeps_compute_each_lhs_g_value_once(monkeypatch):
     assert keyid._lhs_g.cache_info().misses == len(live)
 
 
-def test_normal_forms_hold_no_unit_binomial():
+def _check_normal_terms(terms, where):
     # [n; n] = 1 changes neither a term's value nor its weight, so
-    # factor_normal leaves it out: every pair has n > m > 0
+    # factor_normal leaves it out: every pair has n > m > 0.  A weight is
+    # |sign| times the pairs' C(n, m), their coefficients' sum, which makes
+    # the summed weight B bound every coefficient of the sum.
+    for term in terms:
+        assert len(term) == 4, (where, term)
+        sign, _, pairs, weight = term
+        tops, bottoms = pairs[::2], pairs[1::2]
+        assert all(n > m > 0 for n, m in zip(tops, bottoms)), (where, term)
+        assert weight == abs(sign) * math.prod(map(math.comb, tops, bottoms)), (where, term)
+
+
+def test_normal_forms_hold_no_unit_binomial(monkeypatch):
+    # the key identity's three sums, from the halves and as summand lists,
+    # and every term the multinom-rec decision joins on its default grid
     for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
                                   range(-3, 11, 2), range(-3, 11, 2)):
         l_half, m_half = keyid._l_halves(*args[:4]), keyid._m_halves(*args[:3], args[4])
-        (_, first), (_, second), (_, right) = map(_sum_normal, l_half[:3], m_half[:3],
-                                                  (1, 1, -1))
-        _, direct = qcomb._normal_terms(((1, _direct_rhs_summands(*args)),))
-        for term in first + second + right + direct:
-            assert all(n > m > 0 for n, m in zip(term[2::2], term[3::2])), (args, term)
+        for terms in map(_sum_normal, l_half[:3], m_half[:3], (1, 1, -1)):
+            _check_normal_terms(terms, args)
+        for summands in (*_direct_lhs_summands(*args), _direct_rhs_summands(*args)):
+            _check_normal_terms(qcomb._normal_terms(summands), args)
+    real, joined = qcomb._times, []
+
+    def recording(*args):
+        joined.append(term := real(*args))
+        return term
+    monkeypatch.setattr(qcomb, "_times", recording)
+    assert run_sweep(SweepSpec("multinom-rec")).ok
+    live = [term for term in joined if term is not None]
+    assert len(live) > 10000
+    _check_normal_terms(live, "multinom-rec")
 
 
 # -- the two sides -----------------------------------------------------------
@@ -298,15 +321,16 @@ def poly_prod(polys):
     return functools.reduce(operator.mul, polys, LaurentPoly({0: 1}))
 
 
-def product_poly(summands):
+def product_poly(summands, binom=qbinom):
     """A summand list's value by the polynomial product formula: each
-    factor (top, b1, b2, ...) as the q-binomials [top; b1][top-b1; b2]...,
-    their product times the summand's coefficient and q^shift.  It shares
-    no code with the image evaluator behind summand_poly, summands_agree
-    and qmultinom, so the tests hold that evaluator to it."""
+    factor (top, b1, b2, ...) as the q-binomials [top; b1][top-b1; b2]...
+    read off binom, their product times the summand's coefficient and
+    q^shift.  It shares no code with the image evaluator behind
+    summand_poly, summands_agree and qmultinom, so the tests hold that
+    evaluator to it."""
     total = LaurentPoly()
     for shift, fs, *coeff in summands:
-        term = poly_prod(qbinom(f[0] - sum(f[1:at]), f[at])
+        term = poly_prod(binom(f[0] - sum(f[1:at]), f[at])
                          for f in fs for at in range(1, len(f)))
         total = total + (term * (coeff[0] if coeff else 1)).shift(shift)
     return total
@@ -324,7 +348,7 @@ def test_far_apart_summands_decode_and_compare():
     expected = product_poly(FAR_APART)
     assert expected.valuation < -2900 and expected.degree > 6000
     assert summand_poly(FAR_APART) == expected
-    assert qcomb.normal_poly(*qcomb._normal_terms(((1, FAR_APART),))) == expected
+    assert qcomb.normal_poly(qcomb._normal_terms(FAR_APART)) == expected
     assert summands_agree(FAR_APART, FAR_APART[::-1])
     for at, (shift, fs, *coeff) in enumerate(FAR_APART):
         c = coeff[0] if coeff else 1
@@ -390,12 +414,13 @@ def test_summand_poly_matches_product_oracle_on_listed_families():
 
 
 def test_summand_poly_matches_product_oracle_on_key_summands():
+    binom = functools.cache(qbinom)  # each binomial built once for the grid
     for args in itertools.product(range(-1, 4), range(-1, 4), range(-1, 4),
                                   range(-3, 9), range(-3, 9)):
         first, second = _direct_lhs_summands(*args)
         right = _direct_rhs_summands(*args)
         for side in (first, second, right):
-            assert summand_poly(side) == product_poly(side), args
+            assert summand_poly(side) == product_poly(side, binom), args
 
 
 def test_summand_poly_builds_no_polynomial_product(monkeypatch):
@@ -675,7 +700,8 @@ def _corrupt_multinom_terms(monkeypatch, at, mutate):
     # the term at index at mutated
     def corrupted(*point):
         terms = list(_MULTINOM_TERMS(*point))
-        terms[at:at + 1] = mutate(*terms[at])
+        shift, factors, sign = terms[at]
+        terms[at:at + 1] = [(e, fs, c) for c, e, fs in mutate(sign, shift, factors)]
         return tuple(terms)
     monkeypatch.setattr(qcomb, "_multinom_terms", corrupted)
 
@@ -698,11 +724,11 @@ def test_multinom_images_past_the_width_floor(monkeypatch):
     # at (30, 10, 10, 10), so the images are taken at W = 44, not 32
     args = (30, 10, 10, 10)
     bound = sum(abs(qmultinom(f[0], f[1:]).at_one())
-                for _, _, f in qcomb._multinom_terms(*args))
+                for _, (f,), _ in qcomb._multinom_terms(*args))
     assert bound.bit_length() == 44
     real, widths = qcomb._multinom_image, set()
     monkeypatch.setattr(qcomb, "_multinom_image",
-                        lambda factor, width: widths.add(width) or real(factor, width))
+                        lambda pairs, width: widths.add(width) or real(pairs, width))
     assert qcomb.multinom_recurrence_holds(*args) and _multinom_polys_hold(*args)
     assert widths == {44, 32}  # the shifted point (20, 10, 0, 0) has B < 2^19
     _corrupt_multinom_terms(monkeypatch, 5, MUTATIONS["shift"])
@@ -864,7 +890,7 @@ def test_check_support_matches_a_brute_force_rule():
             holds = True
             for sx, row in zip(enumerate_sextuples(i, j, k), _sextuple_rows(i, j, k)):
                 live = [bool(product_poly(side)) for side in _raw_sums(sx, L, L)]
-                listed = [bool(terms) for _, terms
+                listed = [bool(terms) for terms
                           in map(_sum_normal, _l_half([row], L), _m_half([row], L))]
                 assert listed == live, (sx, L)
                 holds = holds and not (sx.t > L and any(live))
@@ -881,32 +907,36 @@ def test_unmutated_copy_passes_the_mutant_grid():
     assert all(copy.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
 
 
-@pytest.mark.parametrize("old, new, count", [
+@pytest.mark.parametrize("owner, old, new, count", [
     # a shared binomial's top off by one, on the L side and on the M side
-    pytest.param("normal((lt + b, b, ab))", "normal((lt + b + 1, b, ab))", 1,
+    pytest.param(keyid, "normal((lt + b, b, ab))", "normal((lt + b + 1, b, ab))", 1,
                  id="shared-L-top"),
-    pytest.param("normal((mt + c, c, ac))", "normal((mt + c - 1, c, ac))", 1,
+    pytest.param(keyid, "normal((mt + c, c, ac))", "normal((mt + c - 1, c, ac))", 1,
                  id="shared-M-top"),
     # the second sum's exponent T(bc-1) replaced by T(bc)
-    pytest.param("base + triangular(sx.bc - 1)", "base + triangular(sx.bc)", 1,
+    pytest.param(keyid, "base + triangular(sx.bc - 1)", "base + triangular(sx.bc)", 1,
                  id="second-exponent"),
     # the second sum dropped from the dense L half, which both the joiner
     # and check_key's images read
-    pytest.param("second.append(_times(u, normal((lt + a - 1, a - 1)), e2))",
+    pytest.param(keyid, "second.append(_times(u, normal((lt + a - 1, a - 1)), e2))",
                  "second.append(None)", 1, id="second-dropped"),
     # the sign or the power of q of a reflected negative top lost, for the
-    # shared binomials and for each sum's own two; _times joins a shared
-    # binomial u to an own one x in both halves
-    pytest.param("u[0] * x[0]", "x[0]", 1, id="shared-sign"),
-    pytest.param("e + u[1] + x[1]", "e + x[1]", 1, id="shared-shift"),
-    pytest.param("u[0] * x[0]", "u[0]", 1, id="own-sign"),
-    pytest.param("e + u[1] + x[1]", "e + u[1]", 1, id="own-shift"),
+    # shared binomials and for each sum's own two; qcomb's joiner _times
+    # joins a shared binomial u to an own one x in both halves
+    pytest.param(qcomb, "u[0] * x[0]", "x[0]", 1, id="shared-sign"),
+    pytest.param(qcomb, "e + u[1] + x[1]", "e + x[1]", 1, id="shared-shift"),
+    pytest.param(qcomb, "u[0] * x[0]", "u[0]", 1, id="own-sign"),
+    pytest.param(qcomb, "e + u[1] + x[1]", "e + u[1]", 1, id="own-shift"),
     # the M half's [M-t; bc-1] of the second sum read as [M-t; bc]
-    pytest.param("normal((mt, bc - 1))", "normal((mt, bc))", 1,
+    pytest.param(keyid, "normal((mt, bc - 1))", "normal((mt, bc))", 1,
                  id="second-M-bottom"),
 ])
-def test_check_key_catches_a_left_side_mutant(old, new, count):
-    mutant = _mutant(keyid, old, new, count)
+def test_check_key_catches_a_left_side_mutant(owner, old, new, count):
+    mutant = _mutant(owner, old, new, count)
+    if owner is qcomb:  # a copy of keyid whose halves are joined by the mutant
+        times = mutant._times
+        mutant = _mutant(keyid, "normal((lt + b, b, ab))", "normal((lt + b, b, ab))")
+        mutant._times = times
     assert not all(mutant.check_key(*args) for args in itertools.product(*_MUTANT_GRID))
 
 
@@ -991,9 +1021,8 @@ def test_check_key_agrees_with_the_decoded_join_on_corrupted_halves(monkeypatch)
     verdicts = []
     for args in rng.sample(grid, 600):
         l_half, m_half = _corrupted_pair(real_l(*args[:4]), real_m(*args[:3], args[4]), rng)
-        joined = list(map(_sum_normal, l_half[:3], m_half[:3]))
-        want = normal_is_zero(sum(bound for bound, _ in joined),
-                                    [term for _, terms in joined for term in terms])
+        want = normal_is_zero([term for terms in map(_sum_normal, l_half[:3], m_half[:3])
+                               for term in terms])
         # the image memo is keyed by the half memo it reads, so each pair of
         # corrupted halves gets entries of its own
         monkeypatch.setattr(keyid, "_l_halves", lambda *_: l_half)
