@@ -17,7 +17,7 @@ from math import isqrt
 from operator import add, lshift, sub
 from typing import NamedTuple
 
-from .qcore import LaurentPoly, TruncSeries, q_power, unpack_signed
+from .qcore import LaurentPoly, TruncSeries, decode, image_width, q_power
 from .qcomb import (NegativeLength, divide_one_minus, poch_quotient_sum, qbinom_q1,
                     summand_poly, triangular)
 from .keyid import cycle_summand
@@ -275,19 +275,18 @@ def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Polynomial analog of the cube formula:
     sum_{l=0..L} (-1)^l (2l+1) q^T(l)  against
     sum (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k] = trace(C^3),
-    read off its signed base-2^W digits, W whole bytes above B (_cube_bound)."""
+    decoded from its image at W = image_width(B) (_cube_bound)."""
     lhs = _cube_lhs(L)
-    nbytes = _cube_bound(L, lhs).bit_length() // 8 + 1
-    rhs = unpack_signed(_cube_trace(L, 8 * nbytes, -1), nbytes)
-    return LaurentPoly(lhs), LaurentPoly(enumerate(rhs))
+    width = image_width(_cube_bound(L, lhs))
+    return LaurentPoly(lhs), decode(_cube_trace(L, width, -1), width)
 
 
 def jacobi_cube_poly_holds(L: int) -> bool:
     """Does the polynomial cube analog hold at L?  Decided at q = 2^W with
-    W = B.bit_length() (_cube_bound): left - trace(C^3) has every coefficient
+    W = image_width(B) (_cube_bound): left - trace(C^3) has every coefficient
     below 2^W in size, so it is zero exactly when its image at q = 2^W is."""
     lhs = _cube_lhs(L)
-    width = _cube_bound(L, lhs).bit_length()
+    width = image_width(_cube_bound(L, lhs))
     return sum(c << width * e for e, c in lhs) == _cube_trace(L, width, -1)
 
 

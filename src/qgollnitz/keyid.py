@@ -15,9 +15,9 @@ half is dense, one slot per sextuple row for each left sum and one per s
 for the right one, None where a factor is zero (the one support rule); its
 weights are 0 there, and the right side's L slots carry its -1.  check_key
 takes two dot products: the weights' is the bound B, and the slots' images
-at q = 2^W, shifted (_images: 16 entries, keyed by half and W), give the
-difference's.  _sum_normal joins a sum's L and M slots into the list of
-qcomb terms that lhs_g and rhs_p decode.
+at q = 2^W, W = image_width(B), shifted (_images: 16 entries, keyed by half
+and W), give the difference's.  _sum_normal joins a sum's L and M slots
+into the list of qcomb terms that lhs_g and rhs_p decode.
 
 A sweep runs M innermost, so one L half serves every M of its
 (i, j, k, L), and one M half every L of its (i, j, k) while the M range
@@ -32,7 +32,7 @@ from itertools import chain, repeat
 from operator import add, lshift, mul
 from typing import NamedTuple
 
-from .qcore import ZERO, LaurentPoly, TruncSeries, poly_sum, q_power
+from .qcore import ZERO, LaurentPoly, TruncSeries, image_width, poly_sum, q_power
 from . import qcomb
 from .qcomb import (_times, normal_poly, pairs_image, poch_quotient_sum,
                     summand_poly, triangular)
@@ -196,14 +196,13 @@ def rhs_p(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
 
 def check_key(i: int, j: int, k: int, L: int, M: int) -> bool:
     """Exact equality of the two sides at one integer 5-tuple: B bounds the
-    difference's coefficients (0: no live summand), and for W normal_poly's
-    width, at least 32 so that small tuples share images, 2^W > B and the
-    difference is zero exactly when its image at q = 2^W is."""
+    difference's coefficients (0: no live summand), and at W = image_width(B),
+    2^W > B, so the difference is zero exactly when its image at q = 2^W is."""
     l_half, m_half = _l_halves(i, j, k, L), _m_halves(i, j, k, M)
     bound = sum(map(mul, l_half[3], m_half[3]))
     if not bound:
         return True
-    width = max(32, 8 * (bound.bit_length() // 8 + 1))
+    width = image_width(bound)
     (l_images, l_shifts), (m_images, m_shifts) = \
         _images(_l_halves, i, j, k, L, width), _images(_m_halves, i, j, k, M, width)
     return not sum(map(lshift, map(mul, l_images, m_images),

@@ -14,7 +14,7 @@ from enum import IntEnum
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .qcore import ZERO, LaurentPoly, unpack_signed
+from .qcore import ZERO, LaurentPoly, decode, image_width
 from . import keyid
 
 
@@ -272,10 +272,10 @@ def count_G(L: int, n: int, freq: Sequence[int]) -> int:
 def _tricolor_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
     # weight polynomial of the tri-colored partitions counted by count_P: the
     # product of each color's weight polynomial of its `count`-subsets of
-    # {1..bound}, taken as images at one width of whole bytes.  A coefficient
-    # is at most C(b1, i) C(b2, j) C(b3, k) <= 2^(b1 + b2 + b3), bounds >= 0.
+    # {1..bound}, taken as images at one width.  A coefficient is at most
+    # C(b1, i) C(b2, j) C(b3, k) <= 2^(b1 + b2 + b3), bounds >= 0.
     bounds = ((i, L - k), (j, L - i), (k, L - j))
-    nbytes = sum(max(bound, 0) for _, bound in bounds) // 8 + 1
+    width = image_width(1 << sum(max(bound, 0) for _, bound in bounds))
     image = 1
     for count, bound in bounds:
         if count < 0:
@@ -283,9 +283,9 @@ def _tricolor_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
         rows = [1] + [0] * count  # rows[m]: the m-subsets of {1..x} by weight
         for x in range(1, bound + 1):
             for m in range(min(x, count), 0, -1):
-                rows[m] += rows[m - 1] << 8 * nbytes * x
+                rows[m] += rows[m - 1] << width * x
         image *= rows[count]
-    return LaurentPoly._raw(0, unpack_signed(image, nbytes))
+    return decode(image, width)
 
 
 def count_P(L: int, n: int, i: int, j: int, k: int) -> int:
@@ -299,12 +299,10 @@ def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
     # weight polynomial of the Type-1 partitions with parts <= L spending i
     # letters A, j B and k C, by columns v = 1..L.  A state is the color of
     # part v (None: no part v) and the letters owed; its counts by weight
-    # are the signed base-2^width digits of one int, each at most
-    # (6L+1)^(i+j+k) < 2^(width-1), with width a whole number of bytes.
+    # are the digits of one image at q = 2^width, each at most (6L+1)^(i+j+k).
     if min(i, j, k) < 0:
         return ZERO
-    nbytes = ((6 * L + 1) ** (i + j + k)).bit_length() // 8 + 1
-    width = 8 * nbytes
+    width = image_width((6 * L + 1) ** (i + j + k))
     col = {(None, i, j, k): 1}
     for v in range(1, L + 1):
         nxt: dict[tuple, int] = {}
@@ -320,7 +318,7 @@ def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
                 nxt[key] = nxt.get(key, 0) + counts
         col = nxt
     counts = sum(n for (_, a, b, c), n in col.items() if a == b == c == 0)
-    return LaurentPoly._raw(0, unpack_signed(counts, nbytes))
+    return decode(counts, width)
 
 
 def theorem1_sides(L: int, i: int, j: int, k: int) -> tuple:
@@ -401,32 +399,30 @@ def remark3_transform(p: ColoredPartition) -> list[int]:
     return sorted((6 * v - RESIDUE_OFFSET[c] for v, c in p.parts), reverse=True)
 
 
-def _dfs_transformed(v, budget, prev_color, acc):
-    # Type-1 partitions with parts <= v whose transform weighs exactly the
-    # budget; parts 1..v all in C, the dearest color, weigh v(3v + 2).  Costs
-    # rise with color rank, so the images come out in increasing order.
-    if budget == 0:
-        yield tuple(acc)
-        return
-    if v < 1 or budget > v * (3 * v + 2):
-        return
-    yield from _dfs_transformed(v - 1, budget, None, acc)
-    for color in _BELOW[prev_color]:  # rank order, so costs rise
-        cost = 6 * v - RESIDUE_OFFSET[color]
-        if cost > budget:
-            break
-        if v == 1 and color not in _PRIMARY:
+def _dfs_transformed(max_part, n):
+    # Type-1 partitions with parts <= max_part whose transform weighs exactly
+    # n, walked as _dfs_type1 walks: skip, then each color by rank, at each
+    # part value v.  Parts 1..v all in C, the dearest color, weigh v(3v + 2).
+    # Costs rise with color rank, so the images come out in increasing order.
+    stack = [(max_part, n, None, ())]
+    while stack:
+        v, budget, prev_color, acc = stack.pop()
+        if budget == 0:
+            yield acc
             continue
-        acc.append((v, color))
-        yield from _dfs_transformed(v - 1, budget - cost, color, acc)
-        acc.pop()
+        if v < 1 or budget > v * (3 * v + 2):
+            continue
+        for color in reversed(_BELOW[prev_color]):
+            cost = 6 * v - RESIDUE_OFFSET[color]
+            if cost <= budget and (v > 1 or color in _PRIMARY):
+                stack.append((v - 1, budget - cost, color, acc + ((v, color),)))
+        stack.append((v - 1, budget, None, acc))
 
 
 def iter_type1_transformed(n: int) -> Iterator[ColoredPartition]:
     """All Type-1 partitions (no part bound) whose residue transform weighs
     exactly n, in increasing order of their images, largest part first."""
-    yield from map(ColoredPartition._raw,
-                   _dfs_transformed((n + 6) // 6, n, None, []))
+    yield from map(ColoredPartition._raw, _dfs_transformed((n + 6) // 6, n))
 
 
 def check_remark3(n: int) -> bool:

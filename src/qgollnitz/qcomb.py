@@ -25,11 +25,10 @@ sides of the key identity in that form directly.  _image gives a list's
 value at q = 2^W, each term's binomials by the product formula over the
 integers (pairs_image, shared with keyid.check_key).  B, the summed weight,
 bounds every |coefficient| of the sum (each [n; m], n >= m >= 0, has
-nonnegative coefficients summing to C(n, m)), so for 2^W > B the sum is
-zero exactly when its image is; normal_poly reads it off the signed
-base-2^W digits.  multinom_recurrence_holds decides the q-multinomial
-recurrence by that rule, from binomial images memoised per (pairs, width)
-(_multinom_image), and multinom_recurrence_sides decodes the first point
+nonnegative coefficients summing to C(n, m)), so at W = image_width(B) the
+sum is zero exactly when its image is, and normal_poly decodes it.
+multinom_recurrence_holds decides the q-multinomial recurrence by that rule
+on the same images, and multinom_recurrence_sides decodes the first point
 it rejects with summand_poly, from the same summands.
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
 with the running sum that builds the q-binomials (divide_one_minus).
@@ -45,7 +44,7 @@ from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, poly_sum, unpack_signed
+from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, decode, image_width, poly_sum
 
 
 class NegativeLength(ValueError):
@@ -218,15 +217,13 @@ def _image(terms, width):
 
 
 def normal_poly(terms: list) -> LaurentPoly:
-    """The sum of a list of terms as a Laurent polynomial: B, their summed
-    weight, bounds every |coefficient|, and with W whole bytes above B's bit
-    length, B < 2^(W-1), so the image's signed base-2^W digits are the
-    coefficients."""
+    """The sum of a list of terms as a Laurent polynomial, decoded from its
+    image at W = image_width(B), B their summed weight."""
     if not terms:
         return ZERO
-    nbytes = sum(term[3] for term in terms).bit_length() // 8 + 1
-    low, image = _image(terms, 8 * nbytes)
-    return LaurentPoly._raw(low, unpack_signed(image, nbytes))
+    width = image_width(sum(term[3] for term in terms))
+    low, image = _image(terms, width)
+    return decode(image, width, low)
 
 
 def summand_poly(summands) -> LaurentPoly:
@@ -300,15 +297,9 @@ def _multinom_points(L, s, i, j):
             ("symmetric", (L, 0, i, j)))
 
 
-@lru_cache(maxsize=4096)
-def _multinom_image(pairs: tuple, width: int) -> int:
-    # the product of a term's binomials, its pairs, at q = 2^width
-    return pairs_image(1, pairs, width)
-
-
 def _multinom_point_holds(point) -> bool:
     # the relation at point, decided on right minus left at q = 2^W: for B the
-    # live terms' summed weight and W = max(32, B.bit_length()), 2^W > B
+    # live terms' summed weight and W = image_width(B), 2^W > B
     (e, factors, c), *rhs = _multinom_terms(*point)
     # [t; a, b, d] != 0 iff a, b, d >= 0 and not 0 <= t < a + b + d: tested
     # first, so that factor_normal's memo does not fill with zero factors
@@ -316,11 +307,7 @@ def _multinom_point_holds(point) -> bool:
             for e, ((t, a, b, d),), c in ((e, factors, -c), *rhs)
             if a >= 0 and b >= 0 and d >= 0 and not 0 <= t < a + b + d
             and (normal := factor_normal((t, a, b, d)))]
-    if not (bound := sum(term[3] for term in live)):
-        return True
-    width, low = max(32, bound.bit_length()), min(term[1] for term in live)
-    return not sum(c * _multinom_image(pairs, width) << width * (e - low)
-                   for c, e, pairs, _ in live)
+    return not live or not _image(live, image_width(sum(term[3] for term in live)))[1]
 
 
 def multinom_recurrence_holds(L: int, s: int, i: int, j: int) -> bool:

@@ -7,7 +7,9 @@ identity checkers; nothing here knows about q-binomials or partitions.
 Internally a ``LaurentPoly`` stores a valuation plus a dense coefficient run,
 and a product is the schoolbook convolution of two runs (_conv).  Large
 values are not built by products here: the sweeps take them as integer
-images at q = 2^W and read the coefficients back with unpack_signed.
+images at q = 2^W, W = image_width(B) for B a bound on every |coefficient|,
+and read the coefficients back with decode.  image_width is the one rule
+for W, so every image site is exact for the same reason.
 """
 
 from __future__ import annotations
@@ -39,15 +41,23 @@ def _conv(a, b):
     return out
 
 
-def unpack_signed(value, nbytes):
-    """The signed digits of value in base F = 2^(8*nbytes), lowest first and
-    with no trailing zero digit: the one run of d with -F/2 <= d < F/2 and
+def image_width(bound):
+    """The width W of an integer image at q = 2^W of a sum whose coefficients
+    are at most bound in size: whole bytes with 2^(W-1) > bound, so that the
+    signed base-2^W digits are the coefficients, and at least 32 bits, so that
+    small sums share one width, and any images a caller memoises at it."""
+    return max(32, 8 * (bound.bit_length() // 8 + 1))
+
+
+def decode(value, width, low=0):
+    """The polynomial sum d_i q^(low+i) over the signed digits d_i of value in
+    base F = 2^width (width whole bytes): the one run with -F/2 <= d < F/2 and
     value == sum d_i F^i.  value's two's complement bytes, at least one slot
     longer than it needs, are read slot by slot with a borrow carry; the
     spare slot takes the final carry, so the digits are exact."""
-    field = 8 * nbytes
-    half, full = 1 << field - 1, 1 << field
-    raw = value.to_bytes(((value.bit_length() + 1) // field + 2) * nbytes,
+    nbytes = width // 8
+    half, full = 1 << width - 1, 1 << width
+    raw = value.to_bytes(((value.bit_length() + 1) // width + 2) * nbytes,
                          "little", signed=True)
     out = []
     carry = 0
@@ -55,9 +65,7 @@ def unpack_signed(value, nbytes):
         d = int.from_bytes(raw[at:at + nbytes], "little") + carry
         carry = d >= half
         out.append(d - full if carry else d)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return LaurentPoly._raw(low, out)
 
 
 class LaurentPoly:
@@ -105,7 +113,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
         if not coeff:
-            return _ZERO
+            return ZERO
         p = object.__new__(cls)
         p._val = exp
         p._coeffs = (coeff,)
@@ -189,9 +197,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             return LaurentPoly._raw(self._val, [c * other for c in self._coeffs])
@@ -201,18 +206,6 @@ class LaurentPoly:
                                 _conv(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by q^n: every exponent increases by n."""
@@ -242,17 +235,9 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
 
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        return parse_poly(text)
 
-
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly.monomial(1)
-
-ZERO = _ZERO
-ONE = _ONE
-Q = LaurentPoly.monomial(1, 1)
+ZERO = LaurentPoly()
+ONE = LaurentPoly.monomial(1)
 
 
 def q_power(exp: int) -> LaurentPoly:

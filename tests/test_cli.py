@@ -174,20 +174,21 @@ def test_multinom_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
 
 
 def test_multinom_row_shows_the_point_its_verdict_rejects(monkeypatch):
-    # the image of [3; 1, 1, 1]'s binomials is one too large, so only the
-    # verdict sees it; each failing tuple's row must still name the rejected
-    # point and show its sides, decoded from its terms, not raise from a
-    # second evaluator
-    real, bad = qcomb._multinom_image, qcomb.factor_normal((3, 1, 1, 1))[2]
-    monkeypatch.setattr(qcomb, "_multinom_image", lambda pairs, width:
-                        real(pairs, width) + (pairs == bad))
+    # the image of [3; 1] is one too large, so the sweep's sides differ from
+    # the polynomial ones; each failing tuple's row must still name the point
+    # its verdict rejects and show that point's sides, decoded from the same
+    # images, as unequal, not raise from a second evaluator
+    real = qcomb.qbinom_image
+    monkeypatch.setattr(qcomb, "qbinom_image", lambda top, bottom, width:
+                        real(top, bottom, width) + ((top, bottom) == (3, 1)))
     report = run_sweep(SweepSpec("multinom-rec"))
     assert report.failures
-    assert not any(row["lhs"].startswith("StopIteration") for row in report.failures)
-    first = report.failures[0]
-    relations = multinom_recurrence_relations(*first["params"].values())
-    assert (first["lhs"], first["rhs"]) in [
-        (f"{label}: {lhs}", f"{label}: {rhs}") for label, lhs, rhs in relations]
+    for row in report.failures:
+        points = qcomb._multinom_points(*row["params"].values())
+        rejected = next(label for label, point in points
+                        if not qcomb._multinom_point_holds(point))
+        (label, lhs), (rlabel, rhs) = (row[side].split(": ", 1) for side in ("lhs", "rhs"))
+        assert label == rlabel == rejected and lhs != rhs, row
 
 
 def test_every_identity_is_checked_through_checker():

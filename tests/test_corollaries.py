@@ -11,7 +11,7 @@ import pytest
 from qgollnitz import corollaries
 from qgollnitz.cli import SweepSpec, run_sweep
 from qgollnitz.qcomb import NegativeLength, qbinom, summand_poly
-from qgollnitz.qcore import LaurentPoly, TruncSeries, unpack_signed
+from qgollnitz.qcore import LaurentPoly, TruncSeries, decode, image_width
 from qgollnitz.keyid import key_limit_lhs, key_limit_rhs
 from qgollnitz.partcomb import iter_type1_all
 from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
@@ -136,13 +136,13 @@ def test_false_theta_rhs_pinned_at_order_200():
 # -- Jacobi cube analogs -----------------------------------------------------
 
 def test_cube_trace_decodes_to_the_cycle_sum():
-    # trace(C^3) at a whole-byte width above the cycles' sum at q = 1 has the
+    # trace(C^3) at the image width of the cycles' sum at q = 1 has the
     # signed cycle sum's coefficients as its signed base-2^W digits
     for L in range(-2, 16):
-        nbytes = corollaries._cube_trace(L, 0, 1).bit_length() // 8 + 1
-        image = corollaries._cube_trace(L, 8 * nbytes, -1)
+        width = image_width(corollaries._cube_trace(L, 0, 1))
+        image = corollaries._cube_trace(L, width, -1)
         _, cycles = cube_summands(L)
-        assert P(enumerate(unpack_signed(image, nbytes))) == summand_poly(cycles), L
+        assert decode(image, width) == summand_poly(cycles), L
 
 
 def _cube_trace_by_products(L, width, sign):
@@ -178,12 +178,12 @@ def test_cube_trace_counts_type1_partitions():
     for L in range(9):
         parts = list(iter_type1_all(L))
         assert corollaries._cube_trace(L, 0, 1) == len(parts), L
-        nbytes = len(parts).bit_length() // 8 + 1
+        width = image_width(len(parts))
         for sign in (1, -1) if L < 8 else ():
             want = P([(p.weight, sign ** sum(c.is_primary for _, c in p.parts))
                       for p in parts])
-            image = corollaries._cube_trace(L, 8 * nbytes, sign)
-            assert P(enumerate(unpack_signed(image, nbytes))) == want, (L, sign)
+            image = corollaries._cube_trace(L, width, sign)
+            assert decode(image, width) == want, (L, sign)
     assert len(parts) == 98209
 
 

@@ -721,16 +721,18 @@ def test_multinom_images_agree_on_every_term_mutant(monkeypatch, at):
 
 def test_multinom_images_past_the_width_floor(monkeypatch):
     # B, the summed weights of the four-part relation's terms, has 44 bits
-    # at (30, 10, 10, 10), so the images are taken at W = 44, not 32
+    # at (30, 10, 10, 10), so the images are taken at W = 48, the next whole
+    # byte with 2^(W-1) > B, not at the 32-bit floor
     args = (30, 10, 10, 10)
     bound = sum(abs(qmultinom(f[0], f[1:]).at_one())
                 for _, (f,), _ in qcomb._multinom_terms(*args))
     assert bound.bit_length() == 44
-    real, widths = qcomb._multinom_image, set()
-    monkeypatch.setattr(qcomb, "_multinom_image",
-                        lambda pairs, width: widths.add(width) or real(pairs, width))
+    real, widths = qcomb.pairs_image, set()
+    monkeypatch.setattr(qcomb, "pairs_image",
+                        lambda value, pairs, width: widths.add(width)
+                        or real(value, pairs, width))
     assert qcomb.multinom_recurrence_holds(*args) and _multinom_polys_hold(*args)
-    assert widths == {44, 32}  # the shifted point (20, 10, 0, 0) has B < 2^19
+    assert widths == {48, 32}  # the shifted point (20, 10, 0, 0) has B < 2^19
     _corrupt_multinom_terms(monkeypatch, 5, MUTATIONS["shift"])
     assert not qcomb.multinom_recurrence_holds(*args)
     assert not _multinom_polys_hold(*args)

@@ -440,6 +440,15 @@ def test_remark3_images_are_c_partitions():
             assert sum(image) == n and is_c_partition(image)
 
 
+def test_remark3_walk_reaches_weights_past_the_recursion_limit():
+    # the walk starts at part (n + 6) // 6 = 1167 and keeps no Python frame
+    # per part value, so its first partitions come out at once
+    first = list(itertools.islice(iter_type1_transformed(7000), 3))
+    assert len(first) == 3
+    for p in first:
+        assert is_type1(p) and sum(remark3_transform(p)) == 7000, p
+
+
 def test_remark3_bijection_to_30():
     for n in range(31):
         assert check_remark3(n), n

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgollnitz.qcore import (ONE, ZERO, LaurentPoly, NegativeExponent,
-                             NonUnitConstantTerm, TruncSeries, parse_poly,
-                             poly_sum, q_power, render_poly, unpack_signed)
+                             NonUnitConstantTerm, TruncSeries, decode, image_width,
+                             parse_poly, poly_sum, q_power, render_poly)
 
 
 def P(terms):
@@ -81,12 +81,6 @@ def test_zero_is_falsy_and_canonical():
 
 def test_at_one():
     assert P({0: 1, 1: -1, 5: 3}).at_one() == 3
-
-
-def test_pow():
-    p = P({0: 1, 1: 1})
-    assert p ** 0 == P({0: 1})
-    assert p ** 3 == P({0: 1, 1: 3, 2: 3, 3: 1})
 
 
 # -- randomized ring laws ----------------------------------------------------
@@ -199,41 +193,57 @@ def test_kron_conv_matches_schoolbook_around_the_cap(data):
     _assert_mul_matches_term_sum(a, b, data.draw(valuations), data.draw(valuations))
 
 
-def _digits_value(digits, nbytes):
-    return sum(d << 8 * nbytes * at for at, d in enumerate(digits))
+def _digits_value(digits, width):
+    return sum(d << width * at for at, d in enumerate(digits))
 
 
-def _trimmed(digits):
-    digits = list(digits)
-    while digits and not digits[-1]:
-        digits.pop()
-    return digits
+def _digits_poly(digits, low=0):
+    return P([(low + at, d) for at, d in enumerate(digits)])
 
 
-@given(st.integers(1, 9), st.data())
+# decode unpacks the signed base-2^W digits of an image into a polynomial
+@given(st.integers(1, 9), st.integers(-9, 9), st.data())
 @settings(max_examples=300)
-def test_unpack_signed_round_trips_digit_runs(nbytes, data):
+def test_unpack_signed_round_trips_digit_runs(nbytes, low, data):
     half = 1 << 8 * nbytes - 1
     digit = st.one_of(st.sampled_from([0, 1, -1, half - 1, 1 - half, -half]),
                       st.integers(-half, half - 1))
     digits = data.draw(st.lists(digit, max_size=12))
-    assert unpack_signed(_digits_value(digits, nbytes), nbytes) == _trimmed(digits)
+    width = 8 * nbytes
+    assert decode(_digits_value(digits, width), width, low) == _digits_poly(digits, low)
 
 
 @pytest.mark.parametrize("nbytes", range(1, 10))
 def test_unpack_signed_edges(nbytes):
-    half = 1 << 8 * nbytes - 1
+    width = 8 * nbytes
+    half = 1 << width - 1
     top, bottom = half - 1, 1 - half
     for digits in ([], [0], [0, 0, 0], [top], [bottom], [-half], [1], [-1],
                    [top] * 5, [bottom] * 5, [-half] * 5, [top, bottom] * 3,
                    [top, 0, 0], [0, 0, top, 0], [3, -1], [top, -1, 0, 0],
                    [bottom, top, -half], [-half, top], [0, -half, 0]):
-        value = _digits_value(digits, nbytes)
-        assert unpack_signed(value, nbytes) == _trimmed(digits), digits
-    assert unpack_signed(0, nbytes) == []
+        value = _digits_value(digits, width)
+        assert decode(value, width) == _digits_poly(digits), digits
+        assert decode(value, width, -3) == _digits_poly(digits, -3), digits
+    assert decode(0, width) == ZERO
     # a slot one past the largest digit carries into the next one
-    assert unpack_signed(half, nbytes) == [-half, 1]
-    assert unpack_signed(-half - 1, nbytes) == [top, -1]
+    assert decode(half, width) == P({0: -half, 1: 1})
+    assert decode(-half - 1, width) == P({0: top, 1: -1})
+
+
+_bounds = st.one_of(st.integers(0, 1 << 300),
+                    st.integers(0, 300).map(lambda b: (1 << b) - 1),
+                    st.integers(0, 300).map(lambda b: 1 << b))
+
+
+@given(_bounds, st.integers(-9, 9), st.data())
+@settings(max_examples=300)
+def test_image_width_decodes_every_run_within_its_bound(bound, low, data):
+    width = image_width(bound)
+    assert width % 8 == 0 and width >= 32 and 1 << width - 1 > bound
+    digit = st.one_of(st.sampled_from([0, bound, -bound]), st.integers(-bound, bound))
+    digits = data.draw(st.lists(digit, max_size=12))
+    assert decode(_digits_value(digits, width), width, low) == _digits_poly(digits, low)
 
 
 # -- truncated series --------------------------------------------------------
