@@ -18,8 +18,8 @@ from operator import add, lshift, sub
 from typing import NamedTuple
 
 from .qcore import LaurentPoly, TruncSeries, decode, image_width, q_power
-from .qcomb import (NegativeLength, divide_one_minus, poch_quotient_sum, qbinom_q1,
-                    summand_poly, triangular)
+from .qcomb import (NegativeLength, poch_quotient_sum, qbinom_q1, summand_poly,
+                    times_ratio, triangular)
 from .keyid import cycle_summand
 
 
@@ -140,7 +140,7 @@ def jtp_series(order: int) -> tuple[dict, dict]:
         for n in range(2 * bound):
             runs[n][e:] = map(add, runs[n][e:], runs[n + 1][:order - e])
         for run in runs:  # times 1 - q^(e+1), which is 1 at e + 1 = order
-            run[e + 1:] = map(sub, run[e + 1:], run[:order - e - 1])
+            times_ratio(run, (e + 1,), ())
     rhs = {n - bound: TruncSeries(order, run)
            for n, run in enumerate(runs) if any(run)}
     return lhs, rhs
@@ -150,26 +150,16 @@ def jtp_series(order: int) -> tuple[dict, dict]:
 # truncated Pochhammer helpers
 # ---------------------------------------------------------------------------
 
-def _times_ratio(run: list, ups, downs) -> None:
-    """Multiply the coefficient run in place by prod (1 - q^u) over ups and
-    divide it by prod (1 - q^d) over downs, modulo q^len(run)."""
-    for u in ups:
-        run[u:] = map(sub, run[u:], run[:max(len(run) - u, 0)])
-    for d in downs:
-        divide_one_minus(run, d)
-
-
 def poch_series(k: int, n: int, order: int) -> TruncSeries:
     """(q^k; q)_n modulo q^order for k >= 1, one factor 1 - q^r at a time on
     a coefficient run cut at the order; factors with r >= order are 1 modulo
-    q^order, so they are left out.  Raises NegativeLength for n < 0, as
-    qcomb.poch_qpow does."""
+    q^order, so they are left out.  Raises NegativeLength for n < 0."""
     if k < 1:
         raise ValueError("poch_series needs k >= 1")
     if n < 0:
         raise NegativeLength(f"Pochhammer length must be >= 0, got {n}")
     run = [1] + [0] * (order - 1)
-    _times_ratio(run, range(k, min(k + n, order)), ())
+    times_ratio(run, range(k, min(k + n, order)), ())
     return TruncSeries(order, run)
 
 
@@ -206,10 +196,10 @@ def false_theta_sides(order: int) -> tuple[TruncSeries, TruncSeries]:
             if e >= order:
                 break
             del run[order - e:]
-            _times_ratio(run, (i + k,), (k, k))
+            times_ratio(run, (i + k,), (k, k))
             off[e:] = map(sub if (i + k) & 1 else add, off[e:], run)
         del diag[-1]
-        _times_ratio(diag, (2 * i + 1, 2 * i + 2), (i + 1,) * 4)
+        times_ratio(diag, (2 * i + 1, 2 * i + 2), (i + 1,) * 4)
     return lhs, TruncSeries(order, [d + 2 * o for d, o in zip(rhs, off)])
 
 
@@ -296,7 +286,7 @@ def jacobi_cube_series(order: int) -> tuple[TruncSeries, TruncSeries]:
     three passes of each factor 1 - q^r, r < order."""
     lhs = _theta_series(order, lambda el: 2 * el + 1)
     run = [1] + [0] * (order - 1)
-    _times_ratio(run, [r for r in range(1, order) for _ in range(3)], ())
+    times_ratio(run, [r for r in range(1, order) for _ in range(3)], ())
     return lhs, TruncSeries(order, run)
 
 

@@ -165,17 +165,6 @@ def cycle_summand(i: int, j: int, k: int, L: int, coeff: int = 1) -> tuple:
             ((L - k, i), (L - i, j), (L - j, k)), coeff)
 
 
-def lhs_g_parts(i: int, j: int, k: int, L: int, M: int) -> tuple:
-    """The two displayed sums of the identity's left side, separately.
-
-    The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomials
-    ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
-    'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split mirrors
-    the smallest-part dichotomy of the staircase image."""
-    return tuple(normal_poly(_sum_normal(l_parts, m_parts)) for l_parts, m_parts
-                 in zip(_l_halves(i, j, k, L)[:2], _m_halves(i, j, k, M)[:2]))
-
-
 def lhs_g(i: int, j: int, k: int, L: int, M: int) -> LaurentPoly:
     """Left side of the key identity: the double sum over color frequencies.
     Without a sextuple it is the empty sum, ZERO, and takes no memo entry."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from math import comb, prod
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -184,12 +185,6 @@ class StaircaseImage:
         if bc and bc[-1] == 0 and not (a and a[-1] == 0):
             raise InvalidImage("BC image contains 0 but A image does not")
 
-    def fits_bound(self, max_part: int) -> bool:
-        """Largest-part condition relative to a bound L: every image part
-        is at most L - t."""
-        cap = max_part - self.t
-        return all(not ps or ps[0] <= cap for ps in _images(self))
-
 
 _IMAGE_FIELDS = tuple(f.name for f in fields(StaircaseImage))
 _images = attrgetter(*_IMAGE_FIELDS)  # the six images, in field order
@@ -263,36 +258,25 @@ def iter_type1_all(max_part: int) -> Iterator[ColoredPartition]:
     yield from map(ColoredPartition._raw, _dfs_type1(max_part, None))
 
 
-def count_G(L: int, n: int, freq: Sequence[int]) -> int:
-    """Number of Type-1 partitions of n with largest part <= L and color
-    frequencies freq, by exhaustive enumeration."""
-    return sum(1 for p in iter_type1(L, freq) if p.weight == n)
-
-
 def _tricolor_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
-    # weight polynomial of the tri-colored partitions counted by count_P: the
-    # product of each color's weight polynomial of its `count`-subsets of
-    # {1..bound}, taken as images at one width.  A coefficient is at most
-    # C(b1, i) C(b2, j) C(b3, k) <= 2^(b1 + b2 + b3), bounds >= 0.
+    # weight polynomial of the tri-colored partitions: i distinct parts in the
+    # first color bounded by L-k, j in the second bounded by L-i, k in the
+    # third bounded by L-j.  It is the product of each color's weight
+    # polynomial of its `count`-subsets of {1..bound}, taken as images at one
+    # width.  Each factor's coefficients are nonnegative and sum to
+    # C(bound, count), so their product bounds every coefficient.
     bounds = ((i, L - k), (j, L - i), (k, L - j))
-    width = image_width(1 << sum(max(bound, 0) for _, bound in bounds))
+    if min(i, j, k) < 0:
+        return ZERO
+    width = image_width(prod(comb(max(bound, 0), count) for count, bound in bounds))
     image = 1
     for count, bound in bounds:
-        if count < 0:
-            return ZERO
         rows = [1] + [0] * count  # rows[m]: the m-subsets of {1..x} by weight
         for x in range(1, bound + 1):
             for m in range(min(x, count), 0, -1):
                 rows[m] += rows[m - 1] << width * x
         image *= rows[count]
     return decode(image, width)
-
-
-def count_P(L: int, n: int, i: int, j: int, k: int) -> int:
-    """Number of tri-colored partitions of n: i distinct parts in the first
-    color bounded by L-k, j in the second bounded by L-i, k in the third
-    bounded by L-j.  The coefficient of q^n in their weight polynomial."""
-    return _tricolor_poly(L, i, j, k).coeff(n)
 
 
 def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:

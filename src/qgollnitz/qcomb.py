@@ -1,10 +1,13 @@
-"""q-combinatorial primitives: triangular numbers, q-Pochhammer products,
+"""q-combinatorial primitives: triangular numbers, the (1 - q^r) run step,
 q-binomial and q-multinomial coefficients for arbitrary integer arguments,
 and the recurrence/support facts they satisfy.
 
-Gaussian binomials with top >= bottom >= 0 are built by the product
-formula [n; m] = prod_{r=1..m} (1 - q^(n-m+r)) / (1 - q^r), with exact
-division; a negative top is reduced to the nonnegative case by the closed
+times_ratio multiplies a coefficient run in place by factors 1 - q^u and
+divides it by factors 1 - q^d, modulo q^len(run); every (q)_n product and
+quotient that the engine builds on a coefficient run goes through it.  Gaussian binomials with
+top >= bottom >= 0 are built by it from the product formula
+[n; m] = prod_{r=1..m} (1 - q^(n-m+r)) / (1 - q^r), with exact division;
+a negative top is reduced to the nonnegative case by the closed
 identity
 
     [-alpha; k] = (-1)^k [k+alpha-1; k] q^(-alpha*k - T(k-1)),
@@ -31,7 +34,7 @@ multinom_recurrence_holds decides the q-multinomial recurrence by that rule
 on the same images, and multinom_recurrence_sides decodes the first point
 it rejects with summand_poly, from the same summands.
 poch_quotient_sum sums numerator / ((q)_n1 (q)_n2 ...) terms modulo q^order
-with the running sum that builds the q-binomials (divide_one_minus).
+with the same times_ratio division that builds the q-binomials.
 
 Everything here behaves as a pure function.  The memo tables hold only the
 entries asked for, are bounded, and hold immutable values.
@@ -42,9 +45,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import Sequence
 
-from .qcore import ONE, ZERO, LaurentPoly, TruncSeries, decode, image_width, poly_sum
+from .qcore import ZERO, LaurentPoly, TruncSeries, decode, image_width, poly_sum
 
 
 class NegativeLength(ValueError):
@@ -58,23 +62,6 @@ def triangular(n: int) -> int:
     boundary cases of the identity checkers rely on.
     """
     return n * (n + 1) // 2
-
-
-def poch_qpow(k: int, n: int) -> LaurentPoly:
-    """The finite product (q^k; q)_n = prod_{j=0..n-1} (1 - q^(k+j)).
-
-    Empty product for n == 0.  k may be negative (the result is then a
-    Laurent polynomial); the factor with exponent 0 collapses everything
-    to zero.  Raises NegativeLength for n < 0.
-    """
-    if n < 0:
-        raise NegativeLength(f"Pochhammer length must be >= 0, got {n}")
-    result = ONE
-    for j in range(n):
-        if k + j == 0:
-            return ZERO
-        result = result - result.shift(k + j)
-    return result
 
 
 def qbinom_is_nonzero(top: int, bottom: int) -> bool:
@@ -120,26 +107,28 @@ def factor_normal(factor: tuple):
     return sign, shift, pairs, weight
 
 
-def divide_one_minus(run: list, r: int) -> None:
-    """Divide the coefficient run in place by 1 - q^r (r >= 1) modulo
-    q^len(run): a running sum over each residue class mod r that has 2+ terms."""
-    for res in range(min(r, len(run) - r)):
-        run[res::r] = accumulate(run[res::r])
+def times_ratio(run: list, ups, downs) -> None:
+    """Multiply the coefficient run in place by prod (1 - q^u) over ups and
+    divide it by prod (1 - q^d) over downs (each d >= 1), modulo q^len(run).
+    A division is a running sum over each residue class mod d that has 2+ terms."""
+    for u in ups:
+        run[u:] = map(sub, run[u:], run[:max(len(run) - u, 0)])
+    for d in downs:
+        for res in range(min(d, len(run) - d)):
+            run[res::d] = accumulate(run[res::d])
 
 
 def _qbinom_nonneg(top: int, bottom: int) -> LaurentPoly:
-    # [top; bottom] = prod_{r=1..bottom} (1 - q^(top-bottom+r)) / (1 - q^r).
-    # Each step multiplies a coefficient run by 1 - q^a and divides it by
-    # 1 - q^r; the division is exact because the quotient [top-bottom+r; r]
-    # is a polynomial, so the run's last r coefficients come out zero.
-    if 2 * bottom > top:
-        return _qbinom_nonneg(top, top - bottom)
+    # [top; bottom] = prod_{r=1..m} (1 - q^(top-m+r)) / (1 - q^r), m the smaller
+    # of bottom and top - bottom.  Step r pads the run with top - m zeros, so
+    # that it holds the partial quotient [top-m+r; r], a polynomial of degree
+    # r (top - m); times_ratio's product and division modulo q^len(run) then
+    # give that quotient exactly.
+    bottom = min(bottom, top - bottom)
     run = [1]
     for r in range(1, bottom + 1):
-        a = top - bottom + r
-        run = [x - y for x, y in zip(run + [0] * a, [0] * a + run)]
-        divide_one_minus(run, r)
-        del run[-r:]
+        run += [0] * (top - bottom)
+        times_ratio(run, (top - bottom + r,), (r,))
     return LaurentPoly(enumerate(run))
 
 
@@ -247,8 +236,7 @@ def poch_quotient_sum(terms, order: int) -> TruncSeries:
             continue
         run = list(TruncSeries.from_poly(numer, order).coeffs[val:])
         for n in lengths:
-            for r in range(1, min(n, len(run) - 1) + 1):
-                divide_one_minus(run, r)
+            times_ratio(run, (), range(1, min(n, len(run) - 1) + 1))
         for e, c in enumerate(run, val):
             total[e] += c
     return TruncSeries(order, total)

@@ -148,10 +148,6 @@ class LaurentPoly:
         """Highest exponent, or None for the zero polynomial."""
         return self._val + len(self._coeffs) - 1 if self._coeffs else None
 
-    def at_one(self) -> int:
-        """Value at q = 1, i.e. the coefficient sum."""
-        return sum(self._coeffs)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -334,10 +330,6 @@ class TruncSeries:
         self._coeffs = tuple(cs)
 
     @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls(order, (1,))
-
-    @classmethod
     def from_poly(cls, p: LaurentPoly, order: int) -> "TruncSeries":
         """Truncate a polynomial with nonnegative exponents to a series."""
         if p and p.valuation < 0:
@@ -357,17 +349,9 @@ class TruncSeries:
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def coeff(self, exp: int) -> int:
-        if not 0 <= exp < self._order:
-            raise IndexError(f"exponent {exp} outside known range [0, {self._order})")
-        return self._coeffs[exp]
-
     def as_poly(self) -> LaurentPoly:
         """The known coefficients as an exact polynomial."""
         return LaurentPoly(dict(enumerate(self._coeffs)))
-
-    def __bool__(self) -> bool:
-        return any(self._coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
@@ -376,20 +360,6 @@ class TruncSeries:
         return self._coeffs[:m] == other._coeffs[:m]
 
     __hash__ = None  # equality is only defined up to the common order
-
-    def __add__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        m = min(self._order, other._order)
-        return TruncSeries(m, [a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self._order, [-c for c in self._coeffs])
 
     def __mul__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):

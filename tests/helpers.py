@@ -1,14 +1,68 @@
 """Test references kept out of the package: image deciders for summand
 lists, the cube analog as summand lists, the q-multinomial recurrence as
-polynomials, and source mutants of a module."""
+polynomials, Pochhammer and q-binomial products factor by factor, the key
+identity's two left sums, a brute-force partition count, and source
+mutants of a module."""
 
 import inspect
 import types
 
-from qgollnitz import corollaries, qcomb
+from qgollnitz import corollaries, keyid, qcomb
 from qgollnitz.keyid import cycle_summand
-from qgollnitz.qcomb import _image, _normal_terms, qmultinom
-from qgollnitz.qcore import poly_sum
+from qgollnitz.partcomb import iter_type1
+from qgollnitz.qcomb import NegativeLength, _image, _normal_terms, normal_poly, qmultinom
+from qgollnitz.qcore import ONE, ZERO, LaurentPoly, poly_sum
+
+
+def poch_qpow(k, n):
+    """The finite product (q^k; q)_n = prod_{j=0..n-1} (1 - q^(k+j)).
+
+    Empty product for n == 0.  k may be negative (the result is then a
+    Laurent polynomial); the factor with exponent 0 collapses everything
+    to zero.  Raises NegativeLength for n < 0.
+    """
+    if n < 0:
+        raise NegativeLength(f"Pochhammer length must be >= 0, got {n}")
+    result = ONE
+    for j in range(n):
+        if k + j == 0:
+            return ZERO
+        result = result - result.shift(k + j)
+    return result
+
+
+def qbinom_stepwise(top, bottom):
+    """[top; bottom] for top >= bottom >= 0 by the product formula, step r
+    multiplying the whole run by 1 - q^(top-bottom+r), dividing it by
+    1 - q^r as a running sum, and cutting the r trailing zeros."""
+    if 2 * bottom > top:
+        return qbinom_stepwise(top, top - bottom)
+    run = [1]
+    for r in range(1, bottom + 1):
+        a = top - bottom + r
+        run = [x - y for x, y in zip(run + [0] * a, [0] * a + run)]
+        for e in range(r, len(run)):
+            run[e] += run[e - r]
+        assert not any(run[-r:])
+        del run[-r:]
+    return LaurentPoly(enumerate(run))
+
+
+def lhs_g_parts(i, j, k, L, M):
+    """The two displayed sums of the key identity's left side, separately.
+
+    The first sum carries exponent T(t)+T(ab)+T(ac)+T(bc) and binomials
+    ending in [L-t+a; a] [M-t; bc]; the second shifts bc down by one and the
+    'a' binomial to [L-t+a-1; a-1].  On the diagonal M = L the split mirrors
+    the smallest-part dichotomy of the staircase image."""
+    return tuple(normal_poly(keyid._sum_normal(l_parts, m_parts)) for l_parts, m_parts
+                 in zip(keyid._l_halves(i, j, k, L)[:2], keyid._m_halves(i, j, k, M)[:2]))
+
+
+def count_G(L, n, freq):
+    """Number of Type-1 partitions of n with largest part <= L and color
+    frequencies freq, by exhaustive enumeration."""
+    return sum(1 for p in iter_type1(L, freq) if p.weight == n)
 
 
 def normal_is_zero(terms):

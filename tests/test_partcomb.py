@@ -12,11 +12,13 @@ from qgollnitz.qcomb import qbinom, triangular
 from qgollnitz.partcomb import (Color, ColoredPartition, InvalidImage,
                                 NotType1, PreconditionViolated,
                                 StaircaseImage, check_remark3,
-                                check_theorem1, count_G, count_P, gollnitz_B,
+                                check_theorem1, gollnitz_B,
                                 gollnitz_C, is_c_partition, is_type1,
                                 iter_type1, iter_type1_all,
                                 iter_type1_transformed, remark3_transform,
                                 staircase_forward, staircase_inverse)
+
+from helpers import count_G, lhs_g_parts
 
 A, B, C, AB, AC, BC = Color.A, Color.B, Color.C, Color.AB, Color.AC, Color.BC
 
@@ -158,10 +160,15 @@ def test_staircase_round_trip_small():
     assert seen > 1000
 
 
+def _fits_bound(img, L):
+    # every image part is at most L - t
+    return all(not ps or ps[0] <= L - img.t for ps in partcomb._images(img))
+
+
 def test_image_bound_matches_partition_bound():
     L = 6
     for p in iter_type1_all(L):
-        assert staircase_forward(p).fits_bound(L)
+        assert _fits_bound(staircase_forward(p), L)
 
 
 @st.composite
@@ -182,7 +189,7 @@ def test_staircase_round_trip_property(p):
     img = staircase_forward(p)
     img.validate()
     assert img.weight == p.weight - img.t * (img.t + 1) // 2
-    assert img.t == p.num_parts and img.fits_bound(30)
+    assert img.t == p.num_parts and _fits_bound(img, 30)
     assert staircase_inverse(img) == p
 
 
@@ -224,6 +231,12 @@ def test_count_G_examples():
     assert count_G(1, 1, (1, 0, 0, 0, 0, 0)) == 1
     assert count_G(9, 0, (0, 0, 0, 0, 0, 0)) == 1
     assert count_G(3, 3, (0, 0, 0, 0, 0, 1)) == 1
+
+
+def count_P(L, n, i, j, k):
+    # tri-colored partitions of n: i distinct parts in the first color bounded
+    # by L-k, j in the second bounded by L-i, k in the third bounded by L-j
+    return partcomb._tricolor_poly(L, i, j, k).coeff(n)
 
 
 def test_count_P_examples():
@@ -372,7 +385,7 @@ def test_split_sums_match_smallest_part_classes():
                 img = staircase_forward(p)
                 target = hist2 if 0 in img.parts_bc else hist1
                 target[p.weight] = target.get(p.weight, 0) + 1
-        first, second = keyid.lhs_g_parts(i, j, k, L, L)
+        first, second = lhs_g_parts(i, j, k, L, L)
         assert LaurentPoly(hist1) == first
         assert LaurentPoly(hist2) == second
 

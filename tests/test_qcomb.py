@@ -10,15 +10,17 @@ import operator
 import pkgutil
 
 import pytest
+from hypothesis import given, strategies as st
 
 import qgollnitz
 from qgollnitz.qcore import LaurentPoly
 from qgollnitz import qcomb
-from qgollnitz.qcomb import (NegativeLength, factor_normal, poch_qpow, qbinom,
+from qgollnitz.qcomb import (NegativeLength, factor_normal, qbinom,
                              qbinom_image, qbinom_is_nonzero, qbinom_normal,
-                             qbinom_q1, qmultinom, qpascal_sides, triangular)
+                             qbinom_q1, qmultinom, qpascal_sides, times_ratio,
+                             triangular)
 
-from helpers import multinom_recurrence_relations
+from helpers import multinom_recurrence_relations, poch_qpow, qbinom_stepwise
 
 
 def P(terms):
@@ -87,10 +89,32 @@ def test_qbinom_top_beyond_recursion_limit():
     assert qbinom(1100, 1) == P({e: 1 for e in range(1100)})
 
 
+def test_qbinom_matches_the_stepwise_product():
+    # the oracle multiplies and divides the whole run at each step, on the
+    # bottom side past the middle too, and cuts the zeros each division leaves
+    for top in range(61):
+        for bottom in range(top + 1):
+            assert qbinom(top, bottom) == qbinom_stepwise(top, bottom), (top, bottom)
+    for top, bottom in ((3000, 2), (200, 100)):
+        assert qbinom(top, bottom) == qbinom_stepwise(top, bottom), (top, bottom)
+
+
+# runs of up to 40 coefficients, and factors 1 - q^r with r past the run too
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=40),
+       st.lists(st.integers(1, 45), max_size=4), st.lists(st.integers(1, 45), max_size=4))
+def test_times_ratio_round_trips(run, ups, downs):
+    # each 1 - q^r is a unit of Z[q]/(q^len(run)), so the inverse ratio
+    # gives the run back exactly
+    back = list(run)
+    times_ratio(back, ups, downs)
+    times_ratio(back, downs, ups)
+    assert back == run
+
+
 def test_qbinom_of_a_large_top_by_either_bottom():
     # the product formula runs over the smaller of bottom and top - bottom
     value = qbinom(3000, 2)
-    assert value.degree == 2 * 2998 and value.at_one() == math.comb(3000, 2)
+    assert value.degree == 2 * 2998 and sum(value.terms.values()) == math.comb(3000, 2)
     assert qbinom(3000, 2998) == value
 
 
@@ -214,7 +238,7 @@ def test_qbinom_q1():
     # matches the polynomial at q = 1 wherever both are defined
     for top in range(-6, 9):
         for bottom in range(0, 9):
-            assert qbinom(top, bottom).at_one() == qbinom_q1(top, bottom)
+            assert sum(qbinom(top, bottom).terms.values()) == qbinom_q1(top, bottom)
 
 
 def test_qmultinom_examples():
@@ -249,7 +273,7 @@ def test_qbinom_shape_properties():
             p = qbinom(top, bottom)
             assert all(c > 0 for c in p.terms.values())
             assert p.degree == bottom * (top - bottom)
-            assert p.at_one() == math.comb(top, bottom)
+            assert sum(p.terms.values()) == math.comb(top, bottom)
             assert p == qbinom(top, top - bottom)
 
 
