@@ -4,12 +4,15 @@ images, bounded double counting, the big Gollnitz theorem at the level of
 exact counts, and the color-to-residue substitution that links the two.
 check_theorem1 is the equality of theorem1_sides, the first compared pair
 that differs, which a failing theorem1 row shows.
+
+The Type-1 rules are written once, in _staircase_rows, one walk that also
+subtracts the staircase; the value classes are frozen and slotted.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from math import comb, prod
 from operator import attrgetter
@@ -59,25 +62,22 @@ _COLOR_OF_RESIDUE = {-offset % 6: c for c, offset in RESIDUE_OFFSET.items()}
 # Frequency records and staircase images run (a, b, c, ab, ac, bc).
 _FREQ_ORDER = (Color.A, Color.B, Color.C, Color.AB, Color.AC, Color.BC)
 
-# The letters (A, B, C) each color spends, by rank: AB spends (1, 1, 0).
-_LETTERS = tuple((c, tuple(int(x in c.name) for x in "ABC")) for c in Color)
+# The (upper, lower) colors allowed on parts exactly 1 apart: the same
+# primary color on both, or the larger part in a strictly higher rank.
+_GAP_ONE = frozenset((upper, lower) for upper in Color for lower in Color
+                     if upper > lower or (upper is lower and upper in _PRIMARY))
+# The colors part v may take below each color of part v + 1 (None: none),
+# highest rank first as the walks push them: for v > 1, then v = 1 (primaries).
+_CHILDREN = {up: tuple(tuple(c for c in reversed(Color) if (up is None or (up, c) in _GAP_ONE)
+                             and (c in _PRIMARY or not at_one)) for at_one in (False, True))
+             for up in (None, *Color)}
 
 
-def _gap_one_ok(upper: Color, lower: Color) -> bool:
-    # A gap of exactly 1 needs the same primary color on both parts, or the
-    # larger part in a strictly higher-ranked color.
-    return upper > lower or (upper is lower and upper in _PRIMARY)
-
-
-# The colors, by rank, allowed one below a part of each color (None: no part).
-_BELOW = {None: _COLORS_BY_RANK, **{
-    c: tuple(d for d in Color if _gap_one_ok(c, d)) for c in Color}}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredPartition:
-    """A partition whose parts are in normal form: (int, Color) pairs, each
-    value >= 1, sorted largest first.  ``_raw`` wraps a tuple already so."""
+    """A frozen, slotted partition whose parts are in normal form: (int,
+    Color) pairs, each value >= 1, sorted largest first.  ``_raw`` fills
+    the slot with a tuple already so, checking nothing."""
 
     parts: tuple[tuple[int, Color], ...]
 
@@ -86,12 +86,12 @@ class ColoredPartition:
                        for v, c in parts], reverse=True)
         if norm and norm[-1][0] < 1:
             raise ValueError("part values must be positive")
-        object.__setattr__(self, "parts", tuple(norm))
+        _set_parts(self, tuple(norm))
 
     @classmethod
     def _raw(cls, parts: tuple) -> ColoredPartition:
         p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
+        _set_parts(p, parts)
         return p
 
     @property
@@ -115,38 +115,46 @@ class ColoredPartition:
         return " + ".join(f"{v}_{c.name}" for v, c in self.parts)
 
 
+def _staircase_rows(parts: tuple) -> list | None:
+    # is_type1's rules and the staircase in one walk: the images by color
+    # rank, each largest first, or None at the first broken rule.
+    rows: list = [[], [], [], [], [], []]
+    hi, upper = (parts[0][0] + 2 if parts else 0), None  # the first gap is > 1
+    for idx, (v, c) in enumerate(parts, start=-len(parts)):
+        gap = hi - v
+        if gap < 1 or gap == 1 and (upper, c) not in _GAP_ONE:
+            return None
+        rows[c].append(v + idx)
+        hi, upper = v, c
+    return None if hi == 1 and upper not in _PRIMARY else rows
+
+
 def is_type1(p: ColoredPartition) -> bool:
     """Type-1 test: part values strictly decrease, value 1 is primary
     colored, and any gap of exactly 1 passes the color-order rule."""
-    parts = p.parts
-    for (v1, c1), (v2, c2) in zip(parts, parts[1:]):
-        gap = v1 - v2
-        if gap < 1 or gap == 1 and not _gap_one_ok(c1, c2):
-            return False
-    return not parts or parts[-1][0] != 1 or parts[-1][1] in _PRIMARY
+    return _staircase_rows(p.parts) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaircaseImage:
-    """The six monochromatic partitions left after staircase subtraction.
+    """The six monochromatic partitions left after staircase subtraction,
+    each stored largest first in a slot of this frozen dataclass.
 
     Primary images may repeat parts and may contain 0; the AB and AC images
     have distinct parts >= 1; the BC image has distinct parts >= 0 but may
     contain 0 only when the A image does.
     """
 
-    parts_a: tuple[int, ...]
-    parts_b: tuple[int, ...]
-    parts_c: tuple[int, ...]
-    parts_ab: tuple[int, ...]
-    parts_ac: tuple[int, ...]
-    parts_bc: tuple[int, ...]
+    parts_a: tuple[int, ...] = ()
+    parts_b: tuple[int, ...] = ()
+    parts_c: tuple[int, ...] = ()
+    parts_ab: tuple[int, ...] = ()
+    parts_ac: tuple[int, ...] = ()
+    parts_bc: tuple[int, ...] = ()
 
-    def __init__(self, parts_a=(), parts_b=(), parts_c=(),
-                 parts_ab=(), parts_ac=(), parts_bc=()):
-        for name, val in zip(_IMAGE_FIELDS, (parts_a, parts_b, parts_c,
-                                             parts_ab, parts_ac, parts_bc)):
-            object.__setattr__(self, name, tuple(sorted(val, reverse=True)))
+    def __post_init__(self):
+        for set_image, val in zip(_SET_IMAGE, _images(self)):
+            set_image(self, tuple(sorted(val, reverse=True)))
 
     def by_color(self) -> dict[Color, tuple[int, ...]]:
         return dict(zip(_FREQ_ORDER, _images(self)))
@@ -173,37 +181,42 @@ class StaircaseImage:
             raise InvalidImage("negative part in primary image B")
         if c and c[-1] < 0:
             raise InvalidImage("negative part in primary image C")
-        for name, ps in (("AB", ab), ("AC", ac)):
-            if ps and ps[-1] < 1:
-                raise InvalidImage(f"part below 1 in image {name}")
-            if ps and len(set(ps)) < len(ps):
-                raise InvalidImage(f"parts of image {name} are not distinct")
+        if ab and ab[-1] < 1:
+            raise InvalidImage("part below 1 in image AB")
+        if len(ab) > 1 and len(set(ab)) < len(ab):
+            raise InvalidImage("parts of image AB are not distinct")
+        if ac and ac[-1] < 1:
+            raise InvalidImage("part below 1 in image AC")
+        if len(ac) > 1 and len(set(ac)) < len(ac):
+            raise InvalidImage("parts of image AC are not distinct")
         if bc and bc[-1] < 0:
             raise InvalidImage("negative part in image BC")
-        if bc and len(set(bc)) < len(bc):
+        if len(bc) > 1 and len(set(bc)) < len(bc):
             raise InvalidImage("parts of image BC are not distinct")
         if bc and bc[-1] == 0 and not (a and a[-1] == 0):
             raise InvalidImage("BC image contains 0 but A image does not")
 
 
-_IMAGE_FIELDS = tuple(f.name for f in fields(StaircaseImage))
-_images = attrgetter(*_IMAGE_FIELDS)  # the six images, in field order
-_FIELD_OF = tuple(_IMAGE_FIELDS[_FREQ_ORDER.index(c)] for c in _COLORS_BY_RANK)
-_NO_IMAGES = dict.fromkeys(_IMAGE_FIELDS, ())
+_set_parts = ColoredPartition.parts.__set__
+_images = attrgetter(*StaircaseImage.__slots__)  # the six images, in field order
+_SET_IMAGE = tuple(getattr(StaircaseImage, name).__set__ for name in StaircaseImage.__slots__)
+_set_a, _set_b, _set_c, _set_ab, _set_ac, _set_bc = _SET_IMAGE
 
 
 def staircase_forward(p: ColoredPartition) -> StaircaseImage:
     """Subtract 1 from the smallest part, 2 from the next, ..., t from the
     largest (removing weight T(t) in total) and split the remainder by
     color.  Requires a Type-1 input."""
-    if not is_type1(p):
+    if (rows := _staircase_rows(p.parts)) is None:
         raise NotType1(f"not a Type-1 partition: {p}")
-    img = object.__new__(StaircaseImage)  # the images need no __init__ sort
-    images = vars(img)
-    images.update(_NO_IMAGES)
-    # largest part first, so it loses t and each image comes out sorted
-    for idx, (v, c) in enumerate(p.parts, start=-len(p.parts)):
-        images[_FIELD_OF[c]] += (v + idx,)
+    ab, ac, a, bc, b, c = rows  # by color rank, and already sorted
+    img = object.__new__(StaircaseImage)
+    _set_a(img, tuple(a))
+    _set_b(img, tuple(b))
+    _set_c(img, tuple(c))
+    _set_ab(img, tuple(ab))
+    _set_ac(img, tuple(ac))
+    _set_bc(img, tuple(bc))
     img.validate()
     return img
 
@@ -212,10 +225,12 @@ def staircase_inverse(img: StaircaseImage) -> ColoredPartition:
     """Rebuild the Type-1 partition: merge the images largest first (ties
     by color rank) and add back t, ..., 2, 1, which yields normal form."""
     img.validate()
-    merged = sorted([(v, c) for c, ps in zip(_FREQ_ORDER, _images(img))
-                     for v in ps], reverse=True)
+    # 6v + rank orders as (v, rank) does; // 6 and % 6 give both back
+    keys = [6 * v + rank for rank, ps in zip(_FREQ_ORDER, _images(img)) for v in ps]
+    keys.sort(reverse=True)
     return ColoredPartition._raw(tuple([
-        (v - idx, c) for idx, (v, c) in enumerate(merged, start=-len(merged))]))
+        (key // 6 - idx, _COLORS_BY_RANK[key % 6])
+        for idx, key in enumerate(keys, start=-len(keys))]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +251,8 @@ def _dfs_type1(max_part, counts):
             continue
         if rem is not None and rem > v:  # distinct values up to v cannot fit rem parts
             continue
-        for color in reversed(_BELOW[prev_color]):
-            if (v > 1 or color in _PRIMARY) and (counts is None or counts[color]):
+        for color in _CHILDREN[prev_color][v == 1]:
+            if counts is None or counts[color]:
                 left = counts and counts[:color] + (counts[color] - 1,) + counts[color + 1:]
                 stack.append((v - 1, left, color, acc + ((v, color),)))
         stack.append((v - 1, counts, None, acc))
@@ -279,6 +294,14 @@ def _tricolor_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
     return decode(image, width)
 
 
+# _type1_poly's steps above each color of part v - 1 (None: none): part v's
+# color and the letters (A, B, C) it spends; for v > 1, then v = 1 (primaries).
+_STEPS = tuple({low: tuple((c, *(int(x in c.name) for x in "ABC")) for c in Color
+                           if (low is None or (c, low) in _GAP_ONE)
+                           and (c in _PRIMARY or not at_one)) for low in (None, *Color)}
+               for at_one in (False, True))
+
+
 def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
     # weight polynomial of the Type-1 partitions with parts <= L spending i
     # letters A, j B and k C, by columns v = 1..L.  A state is the color of
@@ -293,13 +316,10 @@ def _type1_poly(L: int, i: int, j: int, k: int) -> LaurentPoly:
         for (low, a, b, c), counts in col.items():
             nxt[None, a, b, c] = nxt.get((None, a, b, c), 0) + counts
             counts <<= width * v
-            for color, (da, db, dc) in _LETTERS:
-                if (a < da or b < db or c < dc
-                        or (v == 1 and color not in _PRIMARY)
-                        or (low is not None and not _gap_one_ok(color, low))):
-                    continue
-                key = (color, a - da, b - db, c - dc)
-                nxt[key] = nxt.get(key, 0) + counts
+            for color, da, db, dc in _STEPS[v == 1][low]:
+                if a >= da and b >= db and c >= dc:
+                    key = (color, a - da, b - db, c - dc)
+                    nxt[key] = nxt.get(key, 0) + counts
         col = nxt
     counts = sum(n for (_, a, b, c), n in col.items() if a == b == c == 0)
     return decode(counts, width)
@@ -396,9 +416,9 @@ def _dfs_transformed(max_part, n):
             continue
         if v < 1 or budget > v * (3 * v + 2):
             continue
-        for color in reversed(_BELOW[prev_color]):
+        for color in _CHILDREN[prev_color][v == 1]:
             cost = 6 * v - RESIDUE_OFFSET[color]
-            if cost <= budget and (v > 1 or color in _PRIMARY):
+            if cost <= budget:
                 stack.append((v - 1, budget - cost, color, acc + ((v, color),)))
         stack.append((v - 1, budget, None, acc))
 

@@ -1,17 +1,20 @@
 """Test references kept out of the package: image deciders for summand
 lists, the cube analog as summand lists, the q-multinomial recurrence as
 polynomials, Pochhammer and q-binomial products factor by factor, the key
-identity's two left sums, a brute-force partition count, and source
-mutants of a module."""
+identity's two left sums, a brute-force partition count, the Type-1 test,
+the staircase maps and the Type-1 column count written rule by rule, and
+source mutants of a module."""
 
 import inspect
+import sys
 import types
 
 from qgollnitz import corollaries, keyid, qcomb
 from qgollnitz.keyid import cycle_summand
-from qgollnitz.partcomb import iter_type1
+from qgollnitz.partcomb import (_FREQ_ORDER, Color, ColoredPartition, InvalidImage,
+                                NotType1, StaircaseImage, _images, iter_type1)
 from qgollnitz.qcomb import NegativeLength, _image, _normal_terms, normal_poly, qmultinom
-from qgollnitz.qcore import ONE, ZERO, LaurentPoly, poly_sum
+from qgollnitz.qcore import ONE, ZERO, LaurentPoly, decode, image_width, poly_sum
 
 
 def poch_qpow(k, n):
@@ -117,12 +120,113 @@ def multinom_recurrence_relations(L, s, i, j):
                  for label, point in qcomb._multinom_points(L, s, i, j))
 
 
+_PRIMARY = (Color.A, Color.B, Color.C)
+
+
+def _gap_one_ok(upper, lower):
+    # A gap of exactly 1 needs the same primary color on both parts, or the
+    # larger part in a strictly higher-ranked color.
+    return upper > lower or (upper is lower and upper in _PRIMARY)
+
+
+# The letters (A, B, C) each color spends, by rank: AB spends (1, 1, 0).
+_LETTERS = tuple((c, tuple(int(x in c.name) for x in "ABC")) for c in Color)
+
+
+def is_type1_ref(p):
+    """Type-1 test, pair by pair: part values strictly decrease, any gap of
+    exactly 1 passes _gap_one_ok, and value 1 is primary colored."""
+    parts = p.parts
+    for (v1, c1), (v2, c2) in zip(parts, parts[1:]):
+        gap = v1 - v2
+        if gap < 1 or gap == 1 and not _gap_one_ok(c1, c2):
+            return False
+    return not parts or parts[-1][0] != 1 or parts[-1][1] in _PRIMARY
+
+
+def validate_ref(img):
+    """StaircaseImage.validate, one (name, image) pair at a time: raise
+    InvalidImage naming the first broken condition."""
+    a, b, c, ab, ac, bc = _images(img)
+    if a and a[-1] < 0:
+        raise InvalidImage("negative part in primary image A")
+    if b and b[-1] < 0:
+        raise InvalidImage("negative part in primary image B")
+    if c and c[-1] < 0:
+        raise InvalidImage("negative part in primary image C")
+    for name, ps in (("AB", ab), ("AC", ac)):
+        if ps and ps[-1] < 1:
+            raise InvalidImage(f"part below 1 in image {name}")
+        if ps and len(set(ps)) < len(ps):
+            raise InvalidImage(f"parts of image {name} are not distinct")
+    if bc and bc[-1] < 0:
+        raise InvalidImage("negative part in image BC")
+    if bc and len(set(bc)) < len(bc):
+        raise InvalidImage("parts of image BC are not distinct")
+    if bc and bc[-1] == 0 and not (a and a[-1] == 0):
+        raise InvalidImage("BC image contains 0 but A image does not")
+
+
+def staircase_forward_ref(p):
+    """The staircase image of a Type-1 partition, part by part: the largest
+    part loses t, the next t - 1, ..., and each lands in its color's image,
+    built through the sorting constructor."""
+    if not is_type1_ref(p):
+        raise NotType1(f"not a Type-1 partition: {p}")
+    images = {c: () for c in _FREQ_ORDER}
+    for idx, (v, c) in enumerate(p.parts, start=-len(p.parts)):
+        images[c] += (v + idx,)
+    img = StaircaseImage(*(images[c] for c in _FREQ_ORDER))
+    validate_ref(img)
+    return img
+
+
+def staircase_inverse_ref(img):
+    """The Type-1 partition of a valid image: its (value, Color) pairs
+    sorted largest first, ties by color rank, each given back t, ..., 1,
+    through the normalising constructor."""
+    validate_ref(img)
+    merged = sorted([(v, c) for c, ps in zip(_FREQ_ORDER, _images(img))
+                     for v in ps], reverse=True)
+    return ColoredPartition(
+        (v - idx, c) for idx, (v, c) in enumerate(merged, start=-len(merged)))
+
+
+def type1_poly_ref(L, i, j, k):
+    """partcomb._type1_poly with every rule tested at every step: a state is
+    the color of part v (None: no part v) and the letters still owed, and
+    its counts by weight are the digits of one image at q = 2^width."""
+    if min(i, j, k) < 0:
+        return ZERO
+    width = image_width((6 * L + 1) ** (i + j + k))
+    col = {(None, i, j, k): 1}
+    for v in range(1, L + 1):
+        nxt = {}
+        for (low, a, b, c), counts in col.items():
+            nxt[None, a, b, c] = nxt.get((None, a, b, c), 0) + counts
+            counts <<= width * v
+            for color, (da, db, dc) in _LETTERS:
+                if (a < da or b < db or c < dc
+                        or (v == 1 and color not in _PRIMARY)
+                        or (low is not None and not _gap_one_ok(color, low))):
+                    continue
+                key = (color, a - da, b - db, c - dc)
+                nxt[key] = nxt.get(key, 0) + counts
+        col = nxt
+    return decode(sum(n for (_, a, b, c), n in col.items() if a == b == c == 0), width)
+
+
 def _mutant(module, old, new, count=1):
     """A fresh copy of module with old, found count times in its source,
-    replaced by new."""
+    replaced by new.  The copy is in sys.modules while its source runs,
+    where dataclasses looks up the module of a class it builds."""
     source = inspect.getsource(module)
     assert source.count(old) == count, old
     copy = types.ModuleType(module.__name__ + "_mutant")
     copy.__package__ = module.__package__
-    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(copy))
+    sys.modules[copy.__name__] = copy
+    try:
+        exec(compile(source.replace(old, new), module.__file__, "exec"), vars(copy))
+    finally:
+        del sys.modules[copy.__name__]
     return copy

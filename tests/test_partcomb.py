@@ -18,7 +18,8 @@ from qgollnitz.partcomb import (Color, ColoredPartition, InvalidImage,
                                 iter_type1_transformed, remark3_transform,
                                 staircase_forward, staircase_inverse)
 
-from helpers import count_G, lhs_g_parts
+from helpers import (_mutant, count_G, is_type1_ref, lhs_g_parts, staircase_forward_ref,
+                     staircase_inverse_ref, type1_poly_ref, validate_ref)
 
 A, B, C, AB, AC, BC = Color.A, Color.B, Color.C, Color.AB, Color.AC, Color.BC
 
@@ -193,14 +194,23 @@ def test_staircase_round_trip_property(p):
     assert staircase_inverse(img) == p
 
 
-def _small_valid_images():
-    # every valid image whose parts come from a few short runs per color,
-    # ties across colors included
+def _small_images(widened=False):
+    # every image whose parts come from a few short runs per color, ties
+    # across colors included; widened, with one run more per rule that
+    # breaks it: a negative part, a part below 1, a repeated part (the BC
+    # image's 0 without the A image's already arises)
     primary, secondary = [(), (0,), (0, 0), (1, 0)], [(), (1,), (2, 1)]
     bc = [(), (0,), (1, 0)]
+    if widened:
+        primary, secondary, bc = (primary + [(0, -1)], secondary + [(1, 0), (2, 2)],
+                                  bc + [(1, -1), (1, 1)])
     for runs in itertools.product(primary, primary, primary,
                                   secondary, secondary, bc):
-        img = StaircaseImage(*runs)
+        yield StaircaseImage(*runs)
+
+
+def _small_valid_images():
+    for img in _small_images():
         try:
             img.validate()
         except InvalidImage:
@@ -223,6 +233,87 @@ def test_producers_build_partitions_in_normal_form():
         norm = ColoredPartition(p.parts)
         assert p == norm and p.parts == norm.parts, p.parts
         assert all(type(v) is int and type(c) is Color for v, c in p.parts)
+
+
+# Each check holds a module's Type-1 test, staircase maps or Type-1 column
+# count to the rule-by-rule references of helpers.py on one set of inputs,
+# and returns the first input where they differ, or None.
+
+def _round_trips(module):
+    # every Type-1 partition with parts <= 7: equal images, equal inverses
+    for p in iter_type1_all(7):
+        img, ref = module.staircase_forward(p), staircase_forward_ref(p)
+        if (partcomb._images(img) != partcomb._images(ref)
+                or module.staircase_inverse(img).parts
+                != staircase_inverse_ref(ref).parts):
+            return p
+    return None
+
+
+def _outcome(call):
+    # a call's result, or the type name and text of the ValueError it raised
+    try:
+        return call()
+    except ValueError as error:
+        return type(error).__name__, str(error)
+
+
+def _verdicts(module):
+    # every colored partition with at most 4 parts, each at most 4, Type-1
+    # or not: the same verdict, and the same image or NotType1 text
+    parts = list(itertools.product(range(1, 5), Color))
+    for size in range(5):
+        for chosen in itertools.combinations_with_replacement(parts, size):
+            p = CP(chosen)
+            img = _outcome(lambda: partcomb._images(module.staircase_forward(p)))
+            ref = _outcome(lambda: partcomb._images(staircase_forward_ref(p)))
+            if module.is_type1(p) is not is_type1_ref(p) or img != ref:
+                return p
+    return None
+
+
+def _validations(module):
+    # the small images, widened: the same InvalidImage text, or for a valid
+    # image the same inverse
+    for img in _small_images(widened=True):
+        verdict = _outcome(lambda: module.StaircaseImage.validate(img))
+        if verdict != _outcome(lambda: validate_ref(img)):
+            return img
+        if verdict is None and (module.staircase_inverse(img).parts
+                                != staircase_inverse_ref(img).parts):
+            return img
+    return None
+
+
+def _columns(module):
+    # _type1_poly on [0,3]^3 x L <= 12: equal values
+    for L in range(13):
+        for ijk in itertools.product(range(4), repeat=3):
+            if module._type1_poly(L, *ijk) != type1_poly_ref(L, *ijk):
+                return L, ijk
+    return None
+
+
+@pytest.mark.parametrize("check", [_round_trips, _verdicts, _validations, _columns])
+def test_partcomb_matches_references(check):
+    assert check(partcomb) is None
+
+
+def test_reference_sets_are_wide():
+    # the widened images break every rule, each of them first somewhere
+    messages = {_outcome(lambda: validate_ref(img)) for img in _small_images(widened=True)}
+    assert len(messages) == 11 and None in messages
+
+
+@pytest.mark.parametrize("old, new, check", [
+    ("if upper > lower or (upper is lower and upper in _PRIMARY))", "if upper >= lower)",
+     _verdicts),
+    ("None if hi == 1 and upper not in _PRIMARY else", "None if False else", _verdicts),
+    ("6 * v + rank", "5 * v + rank", _round_trips),
+    ("if a >= da and", "if a > da and", _columns),
+], ids=["gap-one-pairs", "value-one-primary", "inverse-key", "letter-cap"])
+def test_reference_checks_catch_a_mutant(old, new, check):
+    assert check(_mutant(partcomb, old, new)) is not None
 
 
 # -- counting ----------------------------------------------------------------

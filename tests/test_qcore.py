@@ -209,7 +209,7 @@ def test_decode_round_trips_digit_runs(nbytes, low, data):
 
 
 @pytest.mark.parametrize("nbytes", range(1, 10))
-def test_unpack_signed_edges(nbytes):
+def test_decode_edges(nbytes):
     width = 8 * nbytes
     half = 1 << width - 1
     top, bottom = half - 1, 1 - half
