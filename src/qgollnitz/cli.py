@@ -33,7 +33,6 @@ from importlib import resources
 from typing import Callable, Optional
 
 from . import __version__, corollaries, keyid, partcomb, qcomb
-from .qcore import parse_poly
 
 
 class UsageError(ValueError):
@@ -92,10 +91,7 @@ class IdentitySpec:
 
 
 def _bound_covers_pairs(params):
-    # counting interpretations need L at least every pairwise sum of i, j, k
-    return params["L"] >= max(params["i"] + params["j"],
-                              params["j"] + params["k"],
-                              params["k"] + params["i"])
+    return keyid.bound_covers_pairs(params["i"], params["j"], params["k"], params["L"])
 
 
 _KEY_PARAMS = ("i", "j", "k", "L", "M")
@@ -146,8 +142,7 @@ IDENTITIES: dict[str, IdentitySpec] = {spec.name: spec for spec in (
     IdentitySpec("false-theta", (), {}, _checker(corollaries.false_theta_sides),
                  default_order=30),
     IdentitySpec("jacobi-cube-poly", ("L",), {"L": (0, 20)},
-                 _checker(corollaries.jacobi_cube_poly_sides,
-                          corollaries.jacobi_cube_poly_holds)),
+                 _checker(corollaries.jacobi_cube_poly_sides)),
     IdentitySpec("jacobi-cube-series", (), {},
                  _checker(corollaries.jacobi_cube_series), default_order=50),
     IdentitySpec("carl", ("L",), {"L": (0, 10)},
@@ -321,7 +316,8 @@ def golden_lines():
 
 def run_golden() -> SweepReport:
     """Re-derive the shipped golden corpus and diff it line by line; a
-    failure carries the stored and freshly computed renderings."""
+    failure carries the stored and derived lines, under the stored head's
+    (i, j, k, L, M) when it has them, else under its line number."""
     start = time.perf_counter()
     text = resources.files("qgollnitz").joinpath("data/golden_key.txt") \
         .read_text(encoding="utf-8")
@@ -336,18 +332,15 @@ def run_golden() -> SweepReport:
                              "rhs": derived[idx] if idx < len(derived) else "<missing>"})
             continue
         got, want = stored[idx], derived[idx]
+        if got == want:
+            continue
         try:
-            head, lhs_txt, rhs_txt = got.split("\t")
+            head, _, _ = got.split("\t")
             i, j, k, L, M = map(int, head.split())
-            ok = (parse_poly(lhs_txt) == keyid.lhs_g(i, j, k, L, M)
-                  and parse_poly(rhs_txt) == keyid.rhs_p(i, j, k, L, M)
-                  and got == want)
             params = {"i": i, "j": j, "k": k, "L": L, "M": M}
         except ValueError:
-            ok = False
             params = {"line": idx + 1}
-        if not ok:
-            failures.append({"params": params, "lhs": got, "rhs": want})
+        failures.append({"params": params, "lhs": got, "rhs": want})
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepReport("golden", total, failures, elapsed_ms)
 

@@ -5,7 +5,7 @@ parameter key identity, each computed two-sidedly in exact arithmetic.
 Right sides here are signed, auxiliary-weighted sums of the same binomial
 cycle [L-k; i][L-i; j][L-j; k] that closes the diagonal of the key identity,
 so they are built on keyid.cycle_summand (in base q^2 by stretching it), or,
-for the cube analog, as trace(C^3) (_cube_trace).
+for the cube analog, as trace(C^3) (_cube_trace), whose two sides decide it.
 
 A side weighted by A or a is a {power: coefficient} dict with no zero
 coefficient, so == compares two sides exactly; render_powers prints one.
@@ -255,29 +255,28 @@ def _cube_trace(L: int, width: int, sign: int) -> int:
     return sum(last[:1])  # 0 for L < 0, where C is empty
 
 
-def _cube_bound(L: int, lhs: list) -> int:
-    """B, the left side's summed |coefficient| plus the unsigned trace at q = 1:
-    it bounds every |coefficient| of either side, and of left - trace(C^3)."""
-    return sum(abs(c) for _, c in lhs) + _cube_trace(L, 0, 1)
+def _cube_bound(L: int) -> int:
+    """B = (L+1)^2 + F(3L+3)/2 (0 for L < 0), F the Fibonacci numbers: the left
+    side's summed |coefficient| plus the unsigned trace at q = 1, so it bounds
+    every |coefficient| of either side.  That trace is trace(M^3) for M[a][b] =
+    C(L-a, b), the transpose of the L-th symmetric power of A = [[1, 1], [1, 0]]
+    (x -> x+y, y -> x on the monomials x^(L-a) y^a), whose cube is that power
+    of A^3: so trace(M^3) = sum_k lam^k mu^(L-k) over the eigenvalues lam, mu
+    of A^3, which is F(3L+3)/F(3) by Binet's formula."""
+    fib, nxt = 0, 1
+    for _ in range(3 * L + 3):
+        fib, nxt = nxt, fib + nxt
+    return max(L + 1, 0) ** 2 + fib // 2
 
 
 def jacobi_cube_poly_sides(L: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Polynomial analog of the cube formula:
     sum_{l=0..L} (-1)^l (2l+1) q^T(l)  against
     sum (-1)^(i+j+k) q^(T(i)+T(j)+T(k)) [L-k; i][L-i; j][L-j; k] = trace(C^3),
-    decoded from its image at W = image_width(B) (_cube_bound)."""
-    lhs = _cube_lhs(L)
-    width = image_width(_cube_bound(L, lhs))
-    return LaurentPoly(lhs), decode(_cube_trace(L, width, -1), width)
-
-
-def jacobi_cube_poly_holds(L: int) -> bool:
-    """Does the polynomial cube analog hold at L?  Decided at q = 2^W with
-    W = image_width(B) (_cube_bound): left - trace(C^3) has every coefficient
-    below 2^W in size, so it is zero exactly when its image at q = 2^W is."""
-    lhs = _cube_lhs(L)
-    width = image_width(_cube_bound(L, lhs))
-    return sum(c << width * e for e, c in lhs) == _cube_trace(L, width, -1)
+    decoded from its image at W = image_width(B) (_cube_bound), where each
+    digit is read exactly: the sides are equal exactly when the identity holds."""
+    width = image_width(_cube_bound(L))
+    return LaurentPoly(_cube_lhs(L)), decode(_cube_trace(L, width, -1), width)
 
 
 def jacobi_cube_series(order: int) -> tuple[TruncSeries, TruncSeries]:

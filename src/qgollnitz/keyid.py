@@ -302,11 +302,16 @@ def key_limit_sides(i: int, j: int, k: int, order: int):
     return key_limit_lhs(i, j, k, order), key_limit_rhs(i, j, k, order)
 
 
+def bound_covers_pairs(i: int, j: int, k: int, L: int) -> bool:
+    """L >= max(i+j, j+k, k+i), which the support and Theorem 1 counts need."""
+    return L >= max(i + j, j + k, k + i)
+
+
 def check_support(i: int, j: int, k: int, L: int) -> bool:
     """On the diagonal M = L with L >= max(i+j, j+k, k+i): every frequency
     tuple whose summand is nonzero has t <= L.  A summand is nonzero when
     _sum_normal lists it: when none of its binomials is zero."""
-    if L < max(i + j, j + k, k + i):
+    if not bound_covers_pairs(i, j, k, L):
         raise ValueError("support property needs L >= max(i+j, j+k, k+i)")
     past = [row for row in _sextuple_rows(i, j, k) if row[6] > L]
     return not any(map(_sum_normal, _l_half(past, L), _m_half(past, L)))

@@ -330,7 +330,7 @@ def theorem1_sides(L: int, i: int, j: int, k: int) -> tuple:
     each side built when its pair is reached: Type-1 (parts <= L) against
     tri-colored, Type-1 against lhs_g at M = L, tri-colored against
     closed_form_diag."""
-    if L < max(i + j, j + k, k + i):
+    if not keyid.bound_covers_pairs(i, j, k, L):
         raise PreconditionViolated(
             f"need L >= max(i+j, j+k, k+i), got L={L}, (i,j,k)=({i},{j},{k})")
     type1, tricolor = _type1_poly(L, i, j, k), _tricolor_poly(L, i, j, k)

@@ -301,9 +301,10 @@ def _multinom_point_holds(point) -> bool:
 def multinom_recurrence_holds(L: int, s: int, i: int, j: int) -> bool:
     """Does the four-part recurrence of _multinom_terms hold at (L, s, i, j),
     shifted to (L-s, s, i-s, j-s), and at (L, 0, i, j), where it is the
-    two-part symmetric form ([L; 0, i, j] = [L; i, j], [L-1; -1, i, j] = 0)?"""
-    return all(_multinom_point_holds(point)
-               for _, point in _multinom_points(L, s, i, j))
+    two-part symmetric form ([L; 0, i, j] = [L; i, j], [L-1; -1, i, j] = 0)?
+    Each distinct point is decided once: at s = 0 the three are one."""
+    return all(map(_multinom_point_holds,
+                   dict.fromkeys(point for _, point in _multinom_points(L, s, i, j))))
 
 
 def multinom_recurrence_sides(L: int, s: int, i: int, j: int) -> tuple[str, str]:

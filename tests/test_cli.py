@@ -220,13 +220,39 @@ def test_cube_sweep_fails_exactly_where_polynomials_differ(monkeypatch):
     report = run_sweep(SweepSpec("jacobi-cube-poly", {"L": (-2, 8)}))
     expected = []
     for L in range(-2, 9):
-        assert corollaries.jacobi_cube_poly_holds(L) is (L % 3 == 1 or L < 0)
         lhs, rhs = corollaries.jacobi_cube_poly_sides(L)
+        assert (lhs == rhs) is (L % 3 == 1 or L < 0)
         if lhs != rhs:
             expected.append({"params": {"L": L}, "lhs": str(lhs), "rhs": str(rhs)})
     assert report.total == 11
     assert [f["params"]["L"] for f in expected] == [0, 2, 3, 5, 6, 8]
     assert report.failures == expected
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name in a counter, and return the count's one-entry list."""
+    real, calls = getattr(module, name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cube_sweep_runs_one_trace_per_tuple(monkeypatch):
+    # the sides decide the tuple, and the width bound is in closed form
+    calls = _count_calls(monkeypatch, corollaries, "_cube_trace")
+    assert run_sweep(SweepSpec("jacobi-cube-poly")).ok
+    assert calls == [21]
+
+
+def test_multinom_sweep_decides_each_point_of_a_tuple_once(monkeypatch):
+    # at s = 0 the four-part, shifted and symmetric points are one point:
+    # 9^4 tuples times 3 points, less 2 for each of the 9^3 tuples with s = 0
+    calls = _count_calls(monkeypatch, qcomb, "_multinom_point_holds")
+    assert run_sweep(SweepSpec("multinom-rec")).ok
+    assert calls == [3 * 9 ** 4 - 2 * 9 ** 3] == [18225]
 
 
 def test_cube_sweep_leaves_the_binomial_memos_empty():
@@ -434,13 +460,15 @@ def test_theorem1_sweep_with_negative_color_total():
     assert cli.main(["theorem1", "--i", "-1..0", "--L", "0..2"]) == 0
 
 
-def test_golden_catches_corruption(tmp_path, monkeypatch):
+def _golden_with_line_4(monkeypatch, edit):
+    """run_golden on the shipped corpus with line 4 replaced by
+    edit(head, lhs, rhs), and that line as shipped."""
     from importlib import resources
     stored = resources.files("qgollnitz").joinpath("data/golden_key.txt") \
         .read_text(encoding="utf-8")
     lines = stored.splitlines()
-    head, lhs, rhs = lines[3].split("\t")
-    lines[3] = "\t".join((head, lhs + " + q^99", rhs))
+    shipped = lines[3]
+    lines[3] = edit(*shipped.split("\t"))
     corrupted = "\n".join(lines) + "\n"
 
     class FakeResource:
@@ -451,10 +479,30 @@ def test_golden_catches_corruption(tmp_path, monkeypatch):
             return corrupted
 
     monkeypatch.setattr(cli.resources, "files", lambda _: FakeResource())
-    report = run_golden()
+    return run_golden(), lines[3], shipped
+
+
+def test_golden_catches_corruption(tmp_path, monkeypatch):
+    report, _, _ = _golden_with_line_4(
+        monkeypatch, lambda head, lhs, rhs: "\t".join((head, lhs + " + q^99", rhs)))
     assert not report.ok
     assert len(report.failures) == 1
     assert report.failures[0]["params"]["i"] == 0
+
+
+@pytest.mark.parametrize("edit, params", [
+    # a polynomial that does not parse, under a valid head
+    (lambda head, lhs, rhs: "\t".join((head, lhs + " +* q", rhs)),
+     {"i": 0, "j": 0, "k": 0, "L": 5, "M": 7}),
+    # a head with four integers
+    (lambda head, lhs, rhs: "\t".join((head.rsplit(" ", 1)[0], lhs, rhs)),
+     {"line": 4}),
+    # a line with two tab fields
+    (lambda head, lhs, rhs: "\t".join((head, lhs)), {"line": 4}),
+], ids=["bad-polynomial", "short-head", "two-fields"])
+def test_golden_row_carries_a_malformed_line(monkeypatch, edit, params):
+    report, line, shipped = _golden_with_line_4(monkeypatch, edit)
+    assert report.failures == [{"params": params, "lhs": line, "rhs": shipped}]
 
 
 # A small range per parameter, and the number of tuples each identity

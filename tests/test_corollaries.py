@@ -18,7 +18,7 @@ from qgollnitz.corollaries import (Decuple, bounded_jtp_lhs,
                                    bounded_jtp_sides, carl_poly_sides,
                                    carlitz_sides, enumerate_decuples,
                                    false_theta_sides, four_param_sides,
-                                   jacobi_cube_poly_holds, jacobi_cube_poly_sides,
+                                   jacobi_cube_poly_sides,
                                    jacobi_cube_series, jtp_series, poch_series,
                                    render_powers)
 
@@ -188,9 +188,19 @@ def test_cube_trace_counts_type1_partitions():
     assert len(parts) == 98209
 
 
+def test_cube_bound_is_the_left_sum_plus_the_unsigned_trace():
+    # the closed form (L+1)^2 + F(3L+3)/2 against the left side's summed
+    # |coefficient| plus the unsigned trace itself, so every width is the
+    # one the trace bound gives
+    for L in range(-3, 81):
+        assert corollaries._cube_bound(L) \
+            == max(L + 1, 0) ** 2 + corollaries._cube_trace(L, 0, 1), L
+
+
 def test_jacobi_cube_poly_holds_past_the_default_grid():
     for L in range(-3, 41):
-        assert jacobi_cube_poly_holds(L), L
+        lhs, rhs = jacobi_cube_poly_sides(L)
+        assert lhs == rhs, L
 
 
 def test_jacobi_cube_poly_examples():
